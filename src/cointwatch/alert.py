@@ -1,25 +1,32 @@
-"""Leash checking, the alert vertex program, and the per-tick pipeline.
+"""Leash checking, the per-tick pipeline, and its vertex-program oracle.
 
-Per tick: update prices -> one vertex-centric job broadcasts fresh prices
-along every incident edge and each node leash-checks the edges it can see
--> the local alerts are folded into one report and a global health verdict
--> optionally, edges observed outside their leash are refit on a trailing
-window and either re-admitted or dropped.
+Per tick: update prices -> every edge whose endpoints are both fresh is
+leash-checked -> the local alerts are folded into one report and a global
+health verdict -> optionally, edges observed outside their leash are refit
+on a trailing window and either re-admitted or dropped.
 
-The price broadcast is realized as the job's initial-messages policy, so a
-single superstep (the configured default) both receives neighbor prices and
-evaluates the checks: one vertex job per tick, one barrier.
+The paper's monitor is a synchronous vertex-centric job: fresh nodes
+broadcast their prices along incident edges, and in a single superstep
+each node checks the edges it received a price for. That job sends no
+further messages, so it is one scan over the edges. The tick path runs it
+as one numpy pass over edge arrays (tick_kernel over EdgeColumns), built
+once per published edge collection. The vertex program (AlertVertexProgram
+fed by price_broadcast_messages through run_supersteps, then
+assemble_report) stays as reference_tick, the oracle the kernel is tested
+against: both give the same reports and node versions, byte for byte.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from . import graph as graphmod
 from .coint import PriceSeries, coint_fit
-from .engine import SuperstepResult, VertexMessage, VertexProgram, run_supersteps
+from .engine import VertexMessage, VertexProgram, run_supersteps
 from .errors import (
     CointwatchError,
     DegeneratePair,
@@ -43,7 +50,8 @@ class AlertConfig:
     global_fraction: alerted-node fraction above which the default health
         reducer declares a global alert (an arbitrary, documented default;
         set per deployment).
-    max_supersteps: vertex-job cap per tick.
+    max_supersteps: vertex-job cap per tick on the reference path. The job
+        halts after one superstep, so no value changes any output.
     latch_alerts: when True an alerted node stays alerted even if later
         ticks check clean; default re-evaluates every tick.
     """
@@ -243,6 +251,126 @@ def assemble_report(
     return replace(partial, global_alert=global_reduce(g, partial, config, health_fn))
 
 
+def reference_tick(
+    g: CointGraph,
+    config: AlertConfig,
+    health_fn: HealthFn | None = None,
+) -> tuple[list[AlertVertexState], AlertReport]:
+    """One tick's checks as the vertex-centric job on a priced graph version.
+
+    Slow; kept as the oracle that tick_kernel must match. Returns the
+    per-node states (indexed by node id) and the epoch report.
+    """
+    program = AlertVertexProgram(g, config)
+    states, _ = run_supersteps(
+        g,
+        program,
+        max_supersteps=config.max_supersteps,
+        initial_messages=price_broadcast_messages,
+    )
+    return states, assemble_report(g, states, config, health_fn)
+
+
+@dataclass(frozen=True, eq=False)
+class EdgeColumns:
+    """One edge collection as arrays in edge-id order.
+
+    `edges` is the collection the arrays were built from; a graph version
+    whose `edges` is the same object can reuse them.
+    """
+
+    edges: Mapping[int, graphmod.CointEdge]
+    eid: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    beta0: np.ndarray
+    beta1: np.ndarray
+    resid_mean: np.ndarray
+    resid_std: np.ndarray
+
+    @classmethod
+    def of(cls, edges: Mapping[int, graphmod.CointEdge]) -> "EdgeColumns":
+        ordered = [edges[eid] for eid in sorted(edges)]
+        models = [e.model for e in ordered]
+        return cls(
+            edges=edges,
+            eid=np.array([e.id for e in ordered], dtype=np.int64),
+            src=np.array([e.src for e in ordered], dtype=np.intp),
+            dst=np.array([e.dst for e in ordered], dtype=np.intp),
+            beta0=np.array([m.beta0 for m in models], dtype=np.float64),
+            beta1=np.array([m.beta1 for m in models], dtype=np.float64),
+            resid_mean=np.array([m.resid_mean for m in models], dtype=np.float64),
+            resid_std=np.array([m.resid_std for m in models], dtype=np.float64),
+        )
+
+
+def tick_kernel(
+    g: CointGraph,
+    columns: EdgeColumns,
+    config: AlertConfig,
+    health_fn: HealthFn | None = None,
+) -> tuple[AlertReport, dict[int, graphmod.SymbolNode]]:
+    """One tick's checks as one pass over edge arrays; same results as
+    reference_tick, bit for bit.
+
+    `columns` must be built from g.edges. Returns the epoch report and the
+    new versions of the nodes that evaluated at least one check.
+
+    Raises:
+        ZeroSigma: a checked edge has resid_std <= 0.
+    """
+    fresh_list = [g.is_fresh(i) for i in range(g.n_nodes)]
+    fresh = np.array(fresh_list, dtype=bool)
+    price = np.array(
+        [n.last_price if f else 0.0 for n, f in zip(g.nodes, fresh_list)], dtype=np.float64
+    )
+
+    checked = np.flatnonzero(fresh[columns.src] & fresh[columns.dst])
+    src = columns.src[checked]
+    dst = columns.dst[checked]
+    sd = columns.resid_std[checked]
+    if np.any(sd <= 0.0):
+        raise ZeroSigma("leash check on a zero-sigma model; such edges must be excluded")
+    # leash_check's operation order, so every deviation is bit-identical;
+    # like Python floats, overflow gives inf/nan silently
+    with np.errstate(all="ignore"):
+        u = price[dst] - (columns.beta0[checked] + columns.beta1[checked] * price[src])
+        deviation = np.abs(u - columns.resid_mean[checked]) / sd
+    failing = deviation > config.sigma_k
+
+    alerted = np.zeros(g.n_nodes, dtype=bool)
+    alerted[src[failing]] = True
+    alerted[dst[failing]] = True
+    evaluated = np.zeros(g.n_nodes, dtype=bool)
+    evaluated[src] = True
+    evaluated[dst] = True
+
+    # each edge is scheduled once per endpoint
+    edges_checked = 2 * len(checked)
+    partial = AlertReport(
+        epoch=g.epoch,
+        node_alerts=tuple(np.flatnonzero(alerted).tolist()),
+        broken_edges=tuple(
+            zip(columns.eid[checked[failing]].tolist(), deviation[failing].tolist())
+        ),
+        global_alert=False,
+        edges_checked=edges_checked,
+        edges_skipped_stale=2 * g.n_edges - edges_checked,
+    )
+    report = replace(partial, global_alert=global_reduce(g, partial, config, health_fn))
+
+    updates: dict[int, graphmod.SymbolNode] = {}
+    for nid in np.flatnonzero(evaluated).tolist():
+        node = g.nodes[nid]
+        if alerted[nid] or (config.latch_alerts and node.alert_state == ALERTED):
+            new_alert = ALERTED
+        else:
+            new_alert = CLEAR
+        history = node.alert_history + ((g.epoch, new_alert),)
+        updates[nid] = replace(node, alert_state=new_alert, alert_history=history)
+    return report, updates
+
+
 @dataclass(frozen=True)
 class RecomputeSummary:
     refitted: tuple[int, ...] = ()
@@ -293,36 +421,48 @@ def selective_recompute(
 
 @dataclass
 class _History:
-    """Trailing per-symbol price window used for selective refits."""
+    """Trailing per-symbol price window used for selective refits.
+
+    Holds only the symbols the graph has (refits touch edge endpoints
+    only), each resolved once to its node id.
+    """
 
     length: int
     symbols: tuple[str, ...]
-    columns: dict[str, list[float]] = field(default_factory=dict)
+    node_ids: tuple[int, ...]
+    columns: tuple[list[float], ...]
 
     @classmethod
-    def from_series(cls, window: Sequence[PriceSeries]):
-        if not window:
-            return None
-        length = len(window[0])
-        cols = {p.symbol: list(p.values) for p in window}
-        return cls(length=length, symbols=tuple(p.symbol for p in window), columns=cols)
+    def for_graph(cls, window: Sequence[PriceSeries], g: CointGraph):
+        kept = [p for p in window if p.symbol in g.symbol_ids]
+        return cls(
+            length=len(window[0]),
+            symbols=tuple(p.symbol for p in kept),
+            node_ids=tuple(g.symbol_ids[p.symbol] for p in kept),
+            columns=tuple(list(p.values) for p in kept),
+        )
 
     def push(self, g: CointGraph):
-        for sym in self.symbols:
-            node = g.node_of(sym)
-            col = self.columns[sym]
-            col.append(node.last_price if node.last_price is not None else col[-1])
+        for nid, col in zip(self.node_ids, self.columns):
+            price = g.nodes[nid].last_price
+            col.append(price if price is not None else col[-1])
             if len(col) > self.length:
                 del col[0]
 
     def window(self, epoch: int) -> list[PriceSeries]:
         wid = f"trailing-{self.length}@{epoch}"
-        return [PriceSeries(sym, self.columns[sym], wid) for sym in self.symbols]
+        return [PriceSeries(sym, col, wid) for sym, col in zip(self.symbols, self.columns)]
 
 
 class TickStream:
     """Iterator over per-tick AlertReports; .graph tracks the latest
-    published graph version (refits and removals included)."""
+    published graph version (refits and removals included).
+
+    Ticks run through tick_kernel. The edge columns of the current edge
+    collection are the only ones held; they are rebuilt when a tick
+    publishes a new collection (broken flags, refits, removals). `workers`
+    is accepted but unused: the output never depended on it.
+    """
 
     def __init__(
         self,
@@ -339,12 +479,11 @@ class TickStream:
         self.graph = g
         self.config = config
         self.policy = recompute_policy
-        self.workers = workers
         self.health_fn = health_fn
-        self.last_result: SuperstepResult | None = None
         self.last_recompute: RecomputeSummary | None = None
         self._ticks = iter(ticks)
-        self._history = _History.from_series(history) if history else None
+        self._history = _History.for_graph(history, g) if history else None
+        self._columns: EdgeColumns | None = None
 
     def __iter__(self) -> Iterator[AlertReport]:
         return self
@@ -363,18 +502,10 @@ class TickStream:
 
     def _step(self, tick: Mapping[str, float]) -> AlertReport:
         g = graphmod.update_prices(self.graph, tick)
-        program = AlertVertexProgram(g, self.config)
-        states, result = run_supersteps(
-            g,
-            program,
-            max_supersteps=self.config.max_supersteps,
-            initial_messages=price_broadcast_messages,
-            workers=self.workers,
-        )
-        self.last_result = result
-        report = assemble_report(g, states, self.config, self.health_fn)
+        if self._columns is None or self._columns.edges is not g.edges:
+            self._columns = EdgeColumns.of(g.edges)
+        report, node_updates = tick_kernel(g, self._columns, self.config, self.health_fn)
 
-        node_updates = {s.node.id: s.node for s in states if s.evaluated}
         g = graphmod.with_nodes(g, node_updates)
         broken_ids = [eid for eid, _ in report.broken_edges]
         g = graphmod.mark_broken(g, broken_ids)

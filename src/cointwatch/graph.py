@@ -166,7 +166,9 @@ def update_prices(g: CointGraph, tick: Mapping[str, float]) -> CointGraph:
     for symbol, price in tick.items():
         if symbol not in g.symbol_ids:
             raise UnknownSymbol(f"tick references unknown symbol {symbol!r}")
-        if not (isinstance(price, (int, float)) and math.isfinite(price) and price > 0):
+        if isinstance(price, bool) or not (
+            isinstance(price, (int, float)) and math.isfinite(price) and price > 0
+        ):
             raise NonPositivePrice(f"{symbol}: price {price!r} is not a positive finite number")
     epoch = g.epoch + 1
     nodes = tuple(

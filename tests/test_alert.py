@@ -5,15 +5,12 @@ import pytest
 from cointwatch import alert, synth
 from cointwatch.alert import (
     AlertConfig,
-    AlertVertexProgram,
-    assemble_report,
     global_reduce,
     leash_check,
-    price_broadcast_messages,
+    reference_tick,
     selective_recompute,
     tick_loop,
 )
-from cointwatch.engine import run_supersteps
 from cointwatch.errors import InsufficientWindow, UnknownSymbol, ZeroSigma
 from cointwatch.graph import ALERTED, CLEAR, build_graph, update_prices
 from cointwatch.coint import PriceSeries
@@ -22,18 +19,12 @@ from conftest import dummy_model, planted_instance, sequential_broken_oracle
 from test_graph import pair
 
 
-def run_tick(g, tick, config=AlertConfig(), workers=1):
-    """One pipeline tick without the loop wrapper; returns (graph, report)."""
+def run_tick(g, tick, config=AlertConfig()):
+    """One reference-path tick without the loop wrapper; returns (graph,
+    per-node states, report)."""
     g2 = update_prices(g, tick)
-    program = AlertVertexProgram(g2, config)
-    states, _ = run_supersteps(
-        g2,
-        program,
-        max_supersteps=config.max_supersteps,
-        initial_messages=price_broadcast_messages,
-        workers=workers,
-    )
-    return g2, states, assemble_report(g2, states, config)
+    states, report = reference_tick(g2, config)
+    return g2, states, report
 
 
 class TestLeashCheck:
@@ -111,10 +102,7 @@ class TestVertexProgram:
         assert node_a.alert_history == ((1, CLEAR),)
         # stale tick: no evaluation, no history entry
         g3 = update_prices(g2, {})
-        program = AlertVertexProgram(g3, AlertConfig())
-        states3, _ = run_supersteps(
-            g3, program, initial_messages=price_broadcast_messages
-        )
+        states3, _ = reference_tick(g3, AlertConfig())
         assert states3[0].node.alert_history == ()
 
     def test_shocked_node_matches_sequential_oracle(self, small_planted):

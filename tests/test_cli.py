@@ -102,6 +102,32 @@ class TestRunCommand:
         assert [p["epoch"] for p in parsed] == [1, 2, 3, 4]
         assert all(p["broken_edges"] == [] for p in parsed)
 
+    @pytest.mark.parametrize("recompute", ["off", "onbreak"])
+    def test_history_may_hold_symbols_the_graph_lacks(self, tmp_path, universe_csv, recompute):
+        rows = universe_csv.read_text().splitlines(keepends=True)
+        dropped = max(row.split(",")[1] for row in rows[1:])
+        reduced = tmp_path / "reduced.csv"
+        reduced.write_text("".join(row for row in rows if row.split(",")[1] != dropped))
+        graph = tmp_path / "graph.json"
+        assert run(["build", "--prices", str(reduced), "--out", str(graph)]) == 0
+        ticks = tmp_path / "ticks.csv"
+        run(
+            [
+                "gen", "ticks", "--graph", str(graph), "--prices", str(reduced),
+                "--count", "3", "--seed", "1", "--out", str(ticks),
+            ]
+        )
+        reports = tmp_path / "reports.jsonl"
+        code = run(
+            [
+                "run", "--graph", str(graph), "--ticks", str(ticks),
+                "--prices", str(universe_csv), "--recompute", recompute,
+                "--out", str(reports),
+            ]
+        )
+        assert code == 0
+        assert len(reports.read_text().splitlines()) == 3
+
     def test_shock_scenario_detected(self, tmp_path, built_graph, universe_csv):
         g = load_graph(built_graph)
         symbol = g.nodes[0].symbol

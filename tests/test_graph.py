@@ -109,6 +109,8 @@ class TestUpdatePrices:
             update_prices(self.g, {"A": 0.0})
         with pytest.raises(NonPositivePrice):
             update_prices(self.g, {"A": float("nan")})
+        with pytest.raises(NonPositivePrice):
+            update_prices(self.g, {"A": True})  # bool is an int, but not a price
 
     def test_topology_untouched(self):
         g2 = update_prices(self.g, {"A": 10.0})
