@@ -60,6 +60,21 @@ def _window_series(prices_path, start, end):
     return table, pipeline.slice_window(table, lo, hi)
 
 
+def _report_skips(skipped) -> None:
+    """One stderr line per skip reason (exception type): count and the first
+    pair in canonical order as the example."""
+    by_type: dict[str, list] = {}
+    for skip in skipped:
+        by_type.setdefault(skip.reason.split(":", 1)[0], []).append(skip)
+    for kind in sorted(by_type):
+        first = by_type[kind][0]
+        print(
+            f"skipped {len(by_type[kind])} pairs with {kind}, e.g. "
+            f"{first.src_symbol}->{first.dst_symbol}: {first.reason}",
+            file=sys.stderr,
+        )
+
+
 def _cmd_build(args) -> int:
     config = pipeline.RunConfig(
         epsilon=args.alpha,
@@ -79,8 +94,7 @@ def _cmd_build(args) -> int:
         workers=config.workers,
         lags=args.lags,
     )
-    for skip in scan.skipped:
-        print(f"skipped {skip.src_symbol}->{skip.dst_symbol}: {skip.reason}", file=sys.stderr)
+    _report_skips(scan.skipped)
     g = graphmod.build_graph(scan.pairs, args.alpha, [s.symbol for s in window.series])
     pipeline.save_graph(g, args.out)
     print(

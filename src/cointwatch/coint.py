@@ -3,6 +3,16 @@
 A pair fit regresses y on x and runs the unit-root test on the residuals,
 admitting the directed pair when the residual p-value clears the threshold.
 
+The scan fits every destination of one source at once, in blocks of a fixed
+size. The OLS step runs row by row with coint_fit's exact arithmetic, so the
+pair models' beta0, beta1, resid_mean and resid_std are bit-identical to it.
+The ADF regressions of a block are solved together through their normal
+equations (stats.adf_statistic_batch), which matches coint_fit's
+least-squares solve to rounding. A degenerate or ill-conditioned row falls
+back to coint_fit itself, so every skip reason is coint_fit's own. Each
+row's result depends only on its own data, so the output is the same for
+any worker count.
+
 Caveat documented on purpose: the residual test reuses the plain
 Dickey-Fuller p-value surface. Residuals from a fitted regression are known
 to need more negative critical values, so admission is somewhat permissive
@@ -15,6 +25,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -150,6 +161,65 @@ def _fit_one(values, symbols, window_id, lags, pair):
     return (i, j, (m.beta0, m.beta1, m.resid_mean, m.resid_std, m.pvalue, m.adf_stat), None)
 
 
+# Destinations per batched fit. Bounds the stacked ADF designs of one block
+# at 64 x rows x k floats (~2 MB at 250 days) whatever the universe size.
+_BLOCK = 64
+
+
+def _fit_source(values, symbols, window_id, lags, i, js):
+    """Fit i -> j for every j in js, one block of destinations at a time.
+
+    The OLS step runs row by row exactly as stats.ols_fit does, so beta0,
+    beta1, resid_mean and resid_std equal coint_fit's bit for bit; the ADF
+    step runs batched (stats.adf_statistic_batch). Any pair the batch cannot
+    vouch for, and every pair of a source too short or too flat to fit, goes
+    through _fit_one, so skip reasons are coint_fit's own.
+    """
+    x = values[i]
+    n = x.shape[0]
+    if lags is not None:
+        lag = lags
+    else:
+        lag = stats.default_lag(n) if n >= 4 else -1  # default_lag raises below 4
+    if lag < 0 or n - lag - 1 <= lag + 2:
+        return [_fit_one(values, symbols, window_id, lags, (i, j)) for j in js]
+    x_mean = x.mean()
+    xc = x - x_mean
+    sxx = xc @ xc
+    if sxx == 0.0:
+        return [_fit_one(values, symbols, window_id, lags, (i, j)) for j in js]
+    out = []
+    for start in range(0, len(js), _BLOCK):
+        block = js[start : start + _BLOCK]
+        ys = values[block]
+        y_mean = ys.mean(axis=1)
+        beta1 = np.array([xc @ (y - ym) for y, ym in zip(ys, y_mean)]) / sxx
+        beta0 = y_mean - beta1 * x_mean
+        resid = ys - beta0[:, None] - beta1[:, None] * x
+        resid_mean = resid.mean(axis=1)
+        resid_std = resid.std(axis=1, ddof=1)
+        stat, ok = stats.adf_statistic_batch(resid, lag)
+        ok &= (resid_std != 0.0) & np.isfinite(beta0 + beta1 + resid_mean + resid_std)
+        fields = zip(beta0.tolist(), beta1.tolist(), resid_mean.tolist(),
+                     resid_std.tolist(), stat.tolist())
+        for j, good, (b0, b1, mean, std, adf) in zip(block, ok, fields):
+            if good:
+                out.append((i, j, (b0, b1, mean, std, stats.adf_pvalue(adf), adf), None))
+            else:
+                out.append(_fit_one(values, symbols, window_id, lags, (i, j)))
+    return out
+
+
+def _fit_pairs(values, symbols, window_id, lags, pairs):
+    """Fit a run of (src, dst) pairs, batching consecutive pairs that share a
+    source. A chunk boundary may split one source's destinations; no row's
+    result depends on which others share its batch."""
+    out = []
+    for i, group in groupby(pairs, key=lambda p: p[0]):
+        out.extend(_fit_source(values, symbols, window_id, lags, i, [j for _, j in group]))
+    return out
+
+
 _SCAN_CTX = None
 
 
@@ -159,8 +229,7 @@ def _scan_init(values, symbols, window_id, lags):
 
 
 def _scan_chunk(pairs):
-    values, symbols, window_id, lags = _SCAN_CTX
-    return [_fit_one(values, symbols, window_id, lags, p) for p in pairs]
+    return _fit_pairs(*_SCAN_CTX, pairs)
 
 
 def scan_pairs(
@@ -203,10 +272,10 @@ def scan_pairs(
             )
 
     pairs = _ordered_pairs(symbols, direction_policy)
-    values = np.vstack([p.values for p in universe]) if universe else np.empty((0, 0))
+    values = np.vstack([p.values for p in universe])
 
     if workers <= 1 or len(pairs) < 64:
-        raw = [_fit_one(values, symbols, window_id, lags, p) for p in pairs]
+        raw = _fit_pairs(values, symbols, window_id, lags, pairs)
     else:
         chunks = _split(pairs, workers * 4)
         with ProcessPoolExecutor(

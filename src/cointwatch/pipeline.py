@@ -303,7 +303,16 @@ def _validate_graph_obj(obj) -> None:
                     f"{path}.alert_history[{k}]", "epochs must be strictly increasing"
                 )
             last_epoch = item[0]
-        _expect(node, "last_update_epoch", int, path)
+        if last_epoch is not None and last_epoch > epoch:
+            raise SchemaViolation(
+                f"{path}.alert_history[{len(history) - 1}]",
+                f"epoch {last_epoch} is after graph epoch {epoch}",
+            )
+        updated = _expect(node, "last_update_epoch", int, path)
+        if updated > epoch:
+            raise SchemaViolation(
+                f"{path}.last_update_epoch", f"{updated} is after graph epoch {epoch}"
+            )
 
     edges = _expect(obj, "edges", list, "$")
     seen_pairs: set[tuple[int, int]] = set()

@@ -190,6 +190,85 @@ def adf_statistic(s, lags: int) -> tuple[float, int]:
     return float(beta[1] / stderr), rows
 
 
+# Trust limit of the batched ADF solve. A row goes back to adf_statistic
+# when cond1(G) * (y'y / rss) exceeds it: cond1(G) = ||G||_1 ||G^-1||_1 bounds
+# the normal equations' loss of accuracy, and y'y / rss (at least 1, about
+# 1-3 on price data) grows without bound when the lags fit the differences
+# almost exactly, where the t-ratio is rounding noise on either path. On
+# price data the product stays below ~1e4. lstsq's rank cut-off in
+# adf_statistic only bites near cond ~ 1e26, so every row under the limit is
+# one that path also fits.
+_BATCH_TRUST_LIMIT = 1e8
+
+
+def adf_statistic_batch(s: np.ndarray, lags: int) -> tuple[np.ndarray, np.ndarray]:
+    """adf_statistic for every row of the 2-d array s at once.
+
+    Builds the stacked ADF designs (one per row, same layout as
+    adf_statistic) and solves them through their normal equations: stacked
+    Gram matrices and a stacked inverse, with the t-ratio taken from the
+    inverse's level-term diagonal. Agrees with adf_statistic to rounding
+    (about 1e-13 relative on price-like data), not bit for bit.
+
+    Returns (statistics, ok). ok is False for every row the normal equations
+    cannot vouch for: a singular or ill-conditioned Gram matrix (1-norm
+    condition above 1e8), a regression whose lags fit the differences almost
+    exactly (see _BATCH_TRUST_LIMIT), zero residual variance, or a
+    non-finite value. Those rows' statistics are meaningless; callers
+    recompute them with adf_statistic, which also decides the skip reason.
+    A row's result depends on that row alone.
+
+    Requires lags >= 0 and more regression rows than coefficients
+    (n - lags - 1 > lags + 2), the cases adf_statistic does not reject.
+    """
+    m, n = s.shape
+    rows = n - lags - 1
+    k = lags + 2
+    if lags < 0 or rows <= k:
+        raise ValueError(f"{n} samples cannot identify {k} coefficients at lags={lags}")
+    d = np.diff(s, axis=1)
+    # design_t[r] is the transpose of row r's ADF design: one contiguous
+    # regressor per row of it, which makes the copies below plain slices
+    design_t = np.empty((m, k, rows))
+    design_t[:, 0] = 1.0
+    design_t[:, 1] = s[:, lags : n - 1]
+    for i in range(1, lags + 1):
+        design_t[:, 1 + i] = d[:, lags - i : n - 1 - i]
+    y = d[:, lags:, None]
+    design = design_t.transpose(0, 2, 1)
+    gram = design_t @ design
+    gram_inv = _stacked_inv(gram)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        beta = gram_inv @ (design_t @ y)
+        resid = (y - design @ beta)[:, :, 0]
+        rss = (resid * resid).sum(axis=1)
+        sigma2 = rss / (rows - k)
+        stat = beta[:, 1, 0] / np.sqrt(sigma2 * gram_inv[:, 1, 1])
+        cond = _norm1(gram) * _norm1(gram_inv)
+        fit = (y[:, :, 0] * y[:, :, 0]).sum(axis=1) / rss
+        ok = (sigma2 > 0.0) & (cond * fit <= _BATCH_TRUST_LIMIT) & np.isfinite(stat)
+    return stat, ok
+
+
+def _norm1(a: np.ndarray) -> np.ndarray:
+    """Matrix 1-norm (largest absolute column sum) of each stacked matrix."""
+    return np.abs(a).sum(axis=1).max(axis=1)
+
+
+def _stacked_inv(a: np.ndarray) -> np.ndarray:
+    """Inverse of each stacked matrix; NaN for any matrix that is singular."""
+    try:
+        return np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        out = np.full_like(a, np.nan)
+        for r, matrix in enumerate(a):
+            try:
+                out[r] = np.linalg.inv(matrix)
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
 # MacKinnon (1994) response-surface coefficients, constant-only case, one
 # series. p = Phi(poly(stat)); the polynomial switches at _TAU_STAR and is
 # monotone increasing on [_TAU_MIN, _TAU_MAX], so statistics are clipped to

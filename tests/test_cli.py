@@ -1,9 +1,11 @@
 import json
+from datetime import date, timedelta
 
+import numpy as np
 import pytest
 
 from cointwatch.cli import main
-from cointwatch.pipeline import load_graph
+from cointwatch.pipeline import load_graph, write_prices_csv
 
 
 def run(argv):
@@ -67,6 +69,26 @@ class TestBuild:
         )
         assert code == 0
         assert load_graph(out).n_nodes == 6
+
+    def test_skips_summarised_per_reason(self, tmp_path, capsys):
+        # a constant symbol fails as regressor and as response against each
+        # of the 4 walkers: two reasons, 4 pairs each, one stderr line each
+        rng = np.random.default_rng(3)
+        calendar = [date(2020, 1, 1) + timedelta(days=k) for k in range(120)]
+        series = {f"W{k}": 100.0 + np.cumsum(rng.standard_normal(120)) for k in range(4)}
+        series["K"] = [42.0] * 120
+        prices = tmp_path / "prices.csv"
+        write_prices_csv(prices, calendar, series)
+        capsys.readouterr()
+        assert run(["build", "--prices", str(prices), "--out", str(tmp_path / "g.json")]) == 0
+        out, err = capsys.readouterr()
+        assert "(12 pairs evaluated, 8 skipped)" in out
+        assert [line for line in err.splitlines() if line.startswith("skipped")] == [
+            "skipped 4 pairs with DegeneratePair, e.g. "
+            "W0->K: DegeneratePair: W0->K: residuals have zero spread",
+            "skipped 4 pairs with DegenerateRegressor, e.g. "
+            "K->W0: DegenerateRegressor: regressor has zero variance",
+        ]
 
     def test_missing_prices_file_is_data_error(self, tmp_path):
         code = run(["build", "--prices", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "g")])

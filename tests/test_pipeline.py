@@ -3,8 +3,11 @@ from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cointwatch import pipeline, synth
+from cointwatch.alert import RECOMPUTE_OFF, RECOMPUTE_ON_BREAK, AlertConfig, tick_loop
 from cointwatch.errors import EmptyInput, EmptyWindow, ParseError, SchemaViolation
 from cointwatch.graph import export, update_prices
 from cointwatch.pipeline import (
@@ -16,7 +19,7 @@ from cointwatch.pipeline import (
     slice_window,
 )
 
-from conftest import random_graph
+from conftest import planted_instance, random_graph
 
 
 def write_csv(path, rows, header="date,symbol,close"):
@@ -187,6 +190,30 @@ class TestGraphPersistence:
         save_graph(load_graph(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 30),
+        shocks=st.lists(st.tuples(st.integers(0, 5), st.floats(0.0, 8.0)), min_size=1, max_size=4),
+        latch=st.booleans(),
+        recompute=st.sampled_from([RECOMPUTE_OFF, RECOMPUTE_ON_BREAK]),
+    )
+    def test_written_graphs_save_load_save_byte_stable(self, seed, shocks, latch, recompute):
+        # every graph version a run publishes: prices, alert histories,
+        # broken flags, refits and removals all survive the loader's checks
+        g, base, series = planted_instance(seed, n_clusters=2, cluster_size=3)
+        symbols = sorted(base)
+        ticks = [synth.shock_tick(g, base, symbols[k], sigmas=sigmas)[0] for k, sigmas in shocks]
+        stream = tick_loop(
+            g, ticks, AlertConfig(latch_alerts=latch), recompute_policy=recompute,
+            history=series if recompute == RECOMPUTE_ON_BREAK else None,
+        )
+        graphs = [g]
+        for _ in stream:
+            graphs.append(stream.graph)
+        for version in graphs:
+            data = export(version, "json")
+            assert export(loads_graph(data), "json") == data
+
     def test_corrupt_pvalue_names_field_path(self, tmp_path):
         g = random_graph(1, n_nodes=4, n_edges=3)
         obj = json.loads(export(g, "json"))
@@ -206,6 +233,12 @@ class TestGraphPersistence:
             (
                 lambda o: o["nodes"][0].update(alert_history=[[3, "clear"], [3, "clear"]]),
                 "nodes[0].alert_history[1]",
+            ),
+            # the graph is at epoch 0: nothing may be stamped later than that
+            (lambda o: o["nodes"][2].update(last_update_epoch=1), "nodes[2].last_update_epoch"),
+            (
+                lambda o: o["nodes"][1].update(alert_history=[[0, "clear"], [1, "alerted"]]),
+                "nodes[1].alert_history[1]",
             ),
         ],
     )
