@@ -14,6 +14,12 @@ once per published edge collection. The vertex program (AlertVertexProgram
 fed by price_broadcast_messages through run_supersteps, then
 assemble_report) stays as reference_tick, the oracle the kernel is tested
 against: both give the same reports and node versions, byte for byte.
+
+Refits read a trailing price window. Under the onbreak policy the stream
+keeps it as one float64 array (one row per graph symbol of the supplied
+history, oldest column first), shifted by one column per tick, and
+materialises PriceSeries only for the endpoints of the edges that broke in
+that tick. With recompute off no history is kept.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from . import graph as graphmod
-from .coint import PriceSeries, coint_fit
+from .coint import PriceSeries, check_aligned, coint_fit
 from .engine import VertexMessage, VertexProgram, run_supersteps
 from .errors import (
     CointwatchError,
@@ -195,10 +201,6 @@ class AlertVertexProgram(VertexProgram):
         return new_state, [], True
 
 
-def alert_vertex_program(g: CointGraph, config: AlertConfig) -> AlertVertexProgram:
-    return AlertVertexProgram(g, config)
-
-
 HealthFn = Callable[[CointGraph, AlertReport, AlertConfig], bool]
 
 
@@ -319,7 +321,8 @@ def tick_kernel(
     Raises:
         ZeroSigma: a checked edge has resid_std <= 0.
     """
-    fresh_list = [g.is_fresh(i) for i in range(g.n_nodes)]
+    epoch = g.epoch
+    fresh_list = [n.last_update_epoch == epoch and n.last_price is not None for n in g.nodes]
     fresh = np.array(fresh_list, dtype=bool)
     price = np.array(
         [n.last_price if f else 0.0 for n, f in zip(g.nodes, fresh_list)], dtype=np.float64
@@ -348,7 +351,7 @@ def tick_kernel(
     # each edge is scheduled once per endpoint
     edges_checked = 2 * len(checked)
     partial = AlertReport(
-        epoch=g.epoch,
+        epoch=epoch,
         node_alerts=tuple(np.flatnonzero(alerted).tolist()),
         broken_edges=tuple(
             zip(columns.eid[checked[failing]].tolist(), deviation[failing].tolist())
@@ -366,8 +369,14 @@ def tick_kernel(
             new_alert = ALERTED
         else:
             new_alert = CLEAR
-        history = node.alert_history + ((g.epoch, new_alert),)
-        updates[nid] = replace(node, alert_state=new_alert, alert_history=history)
+        updates[nid] = graphmod.SymbolNode(
+            id=node.id,
+            symbol=node.symbol,
+            last_price=node.last_price,
+            alert_state=new_alert,
+            alert_history=node.alert_history + ((epoch, new_alert),),
+            last_update_epoch=node.last_update_epoch,
+        )
     return report, updates
 
 
@@ -419,39 +428,41 @@ def selective_recompute(
     return out, RecomputeSummary(refitted=tuple(refitted), removed=tuple(removed))
 
 
-@dataclass
 class _History:
-    """Trailing per-symbol price window used for selective refits.
+    """Trailing price window used for selective refits.
 
-    Holds only the symbols the graph has (refits touch edge endpoints
-    only), each resolved once to its node id.
+    One float64 row per graph symbol the supplied history holds (refits
+    touch edge endpoints only), oldest column first; rows are keyed by
+    node id, resolved once.
     """
 
-    length: int
-    symbols: tuple[str, ...]
-    node_ids: tuple[int, ...]
-    columns: tuple[list[float], ...]
-
-    @classmethod
-    def for_graph(cls, window: Sequence[PriceSeries], g: CointGraph):
+    def __init__(self, window: Sequence[PriceSeries], g: CointGraph):
+        check_aligned(window)
         kept = [p for p in window if p.symbol in g.symbol_ids]
-        return cls(
-            length=len(window[0]),
-            symbols=tuple(p.symbol for p in kept),
-            node_ids=tuple(g.symbol_ids[p.symbol] for p in kept),
-            columns=tuple(list(p.values) for p in kept),
+        self.length = len(window[0])
+        self.symbols = [p.symbol for p in kept]
+        self.node_ids = [g.symbol_ids[p.symbol] for p in kept]
+        self.rows = {nid: row for row, nid in enumerate(self.node_ids)}
+        self.prices = np.array([p.values for p in kept], dtype=np.float64).reshape(
+            len(kept), self.length
         )
 
     def push(self, g: CointGraph):
-        for nid, col in zip(self.node_ids, self.columns):
-            price = g.nodes[nid].last_price
-            col.append(price if price is not None else col[-1])
-            if len(col) > self.length:
-                del col[0]
+        """Append every node's last price, dropping the oldest column."""
+        if not self.length:  # an empty window has no column to shift
+            return
+        nodes = g.nodes
+        latest = [nodes[nid].last_price for nid in self.node_ids]
+        newest = self.prices[:, -1].tolist()
+        self.prices[:, :-1] = self.prices[:, 1:]
+        # a node never priced keeps its previous value
+        self.prices[:, -1] = [old if p is None else p for p, old in zip(latest, newest)]
 
-    def window(self, epoch: int) -> list[PriceSeries]:
+    def window(self, epoch: int, node_ids: Iterable[int]) -> list[PriceSeries]:
+        """The trailing series of those given nodes that the history holds."""
         wid = f"trailing-{self.length}@{epoch}"
-        return [PriceSeries(sym, col, wid) for sym, col in zip(self.symbols, self.columns)]
+        rows = sorted(self.rows[nid] for nid in set(node_ids) if nid in self.rows)
+        return [PriceSeries(self.symbols[row], self.prices[row], wid) for row in rows]
 
 
 class TickStream:
@@ -462,6 +473,11 @@ class TickStream:
     collection are the only ones held; they are rebuilt when a tick
     publishes a new collection (broken flags, refits, removals). `workers`
     is accepted but unused: the output never depended on it.
+
+    Under the onbreak policy the price history is kept as a trailing
+    window (_History), advanced by every tick; a history whose series differ
+    in window id or length raises MisalignedCalendar here. With recompute
+    off the history is ignored.
     """
 
     def __init__(
@@ -482,7 +498,10 @@ class TickStream:
         self.health_fn = health_fn
         self.last_recompute: RecomputeSummary | None = None
         self._ticks = iter(ticks)
-        self._history = _History.for_graph(history, g) if history else None
+        # only refits read the history, so with recompute off none is kept
+        self._history = (
+            _History(history, g) if history and recompute_policy == RECOMPUTE_ON_BREAK else None
+        )
         self._columns: EdgeColumns | None = None
 
     def __iter__(self) -> Iterator[AlertReport]:
@@ -519,7 +538,8 @@ class TickStream:
                 raise InsufficientWindow(
                     "recompute policy is on but no price history window was provided"
                 )
-            window = self._history.window(g.epoch)
+            endpoints = [v for eid in broken_ids for v in (g.edges[eid].src, g.edges[eid].dst)]
+            window = self._history.window(g.epoch, endpoints)
             g, summary = selective_recompute(g, broken_ids, window, self.config)
             self.last_recompute = summary
 
@@ -551,12 +571,3 @@ def tick_loop(
         history=history,
         health_fn=health_fn,
     )
-
-
-def write_reports(reports: Iterable[AlertReport], fp) -> int:
-    """Serialize reports as line-delimited JSON; returns the line count."""
-    count = 0
-    for report in reports:
-        fp.write(report.to_json() + "\n")
-        count += 1
-    return count

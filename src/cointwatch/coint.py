@@ -232,6 +232,21 @@ def _scan_chunk(pairs):
     return _fit_pairs(*_SCAN_CTX, pairs)
 
 
+def check_aligned(universe: Sequence[PriceSeries]) -> None:
+    """Require every series to share the first one's window id and length.
+
+    Raises:
+        MisalignedCalendar: naming the first series that differs.
+    """
+    window_id = universe[0].window_id
+    n = len(universe[0])
+    for p in universe:
+        if p.window_id != window_id or len(p) != n:
+            raise MisalignedCalendar(
+                f"{p.symbol} is not aligned to window {window_id!r} of length {n}"
+            )
+
+
 def scan_pairs(
     universe: Sequence[PriceSeries],
     epsilon: float = 0.05,
@@ -263,13 +278,8 @@ def scan_pairs(
     symbols = [p.symbol for p in universe]
     if len(set(symbols)) != len(symbols):
         raise ValueError("universe contains duplicate symbols")
+    check_aligned(universe)
     window_id = universe[0].window_id
-    n = len(universe[0])
-    for p in universe:
-        if p.window_id != window_id or len(p) != n:
-            raise MisalignedCalendar(
-                f"{p.symbol} is not aligned to window {window_id!r} of length {n}"
-            )
 
     pairs = _ordered_pairs(symbols, direction_policy)
     values = np.vstack([p.values for p in universe])

@@ -172,7 +172,14 @@ def update_prices(g: CointGraph, tick: Mapping[str, float]) -> CointGraph:
             raise NonPositivePrice(f"{symbol}: price {price!r} is not a positive finite number")
     epoch = g.epoch + 1
     nodes = tuple(
-        replace(n, last_price=float(tick[n.symbol]), last_update_epoch=epoch)
+        SymbolNode(
+            id=n.id,
+            symbol=n.symbol,
+            last_price=float(tick[n.symbol]),
+            alert_state=n.alert_state,
+            alert_history=n.alert_history,
+            last_update_epoch=epoch,
+        )
         if n.symbol in tick
         else n
         for n in g.nodes

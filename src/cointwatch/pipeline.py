@@ -39,9 +39,6 @@ class PriceTable:
     prices: np.ndarray
     excluded: tuple[tuple[str, str], ...] = ()
 
-    def column(self, symbol: str) -> np.ndarray:
-        return self.prices[:, self.symbols.index(symbol)]
-
 
 @dataclass(frozen=True)
 class WindowSlice:
