@@ -10,34 +10,41 @@ broadcast their prices along incident edges, and in a single superstep
 each node checks the edges it received a price for. That job sends no
 further messages, so it is one scan over the edges. The tick path runs it
 as one numpy pass over edge arrays (tick_kernel over EdgeColumns), built
-once per published edge collection. The vertex program (AlertVertexProgram
-fed by price_broadcast_messages through run_supersteps, then
-assemble_report) stays as reference_tick, the oracle the kernel is tested
-against: both give the same reports and node versions, byte for byte.
+once per stream and patched after each refit (EdgeColumns.patched). The
+vertex program (AlertVertexProgram fed by price_broadcast_messages through
+run_supersteps, then assemble_report) stays as reference_tick, the oracle
+the kernel is tested against: both give the same reports and node
+versions, byte for byte.
 
 Refits read a trailing price window. Under the onbreak policy the stream
 keeps it as one float64 array (one row per graph symbol of the supplied
 history, oldest column first), shifted by one column per tick, and
 materialises PriceSeries only for the endpoints of the edges that broke in
-that tick. With recompute off no history is kept.
+that tick. With recompute off no history is kept. All of a tick's broken
+edges are fitted together (coint.coint_fit_batch: the scan's row kernel, one
+stacked ADF solve); rows it cannot vouch for go through coint_fit alone, so
+outcomes and errors are those of one coint_fit per edge, and the refit
+models' pvalue and adf_stat agree with coint_fit's to rounding. The refits
+and removals are published by patching only the edges they change.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from . import graph as graphmod
-from .coint import PriceSeries, check_aligned, coint_fit
+from .coint import CointModel, PriceSeries, check_aligned, coint_fit, coint_fit_batch
 from .engine import VertexMessage, VertexProgram, run_supersteps
 from .errors import (
     CointwatchError,
     DegeneratePair,
     InsufficientWindow,
     TooShort,
+    UnknownEdge,
     ZeroSigma,
 )
 from .graph import ALERTED, CLEAR, CointGraph, neighbors
@@ -275,13 +282,8 @@ def reference_tick(
 
 @dataclass(frozen=True, eq=False)
 class EdgeColumns:
-    """One edge collection as arrays in edge-id order.
+    """One edge collection as arrays in edge-id order."""
 
-    `edges` is the collection the arrays were built from; a graph version
-    whose `edges` is the same object can reuse them.
-    """
-
-    edges: Mapping[int, graphmod.CointEdge]
     eid: np.ndarray
     src: np.ndarray
     dst: np.ndarray
@@ -295,7 +297,6 @@ class EdgeColumns:
         ordered = [edges[eid] for eid in sorted(edges)]
         models = [e.model for e in ordered]
         return cls(
-            edges=edges,
             eid=np.array([e.id for e in ordered], dtype=np.int64),
             src=np.array([e.src for e in ordered], dtype=np.intp),
             dst=np.array([e.dst for e in ordered], dtype=np.intp),
@@ -304,6 +305,24 @@ class EdgeColumns:
             resid_mean=np.array([m.resid_mean for m in models], dtype=np.float64),
             resid_std=np.array([m.resid_std for m in models], dtype=np.float64),
         )
+
+    def patched(
+        self, edges: Mapping[int, graphmod.CointEdge], summary: RecomputeSummary
+    ) -> "EdgeColumns":
+        """The columns after a recompute that left `edges`: the removed
+        edges' rows dropped, the refit edges' model columns overwritten.
+        Equal to EdgeColumns.of(edges) when these columns were the ones of
+        the recomputed graph; built without a pass over every edge object.
+        """
+        if not summary.refitted and not summary.removed:
+            return self
+        keep = np.isin(self.eid, summary.removed, invert=True)
+        cols = {f.name: getattr(self, f.name)[keep] for f in fields(self)}
+        rows = np.searchsorted(cols["eid"], summary.refitted)
+        models = [edges[eid].model for eid in summary.refitted]
+        for name in ("beta0", "beta1", "resid_mean", "resid_std"):
+            cols[name][rows] = [getattr(m, name) for m in models]
+        return EdgeColumns(**cols)
 
 
 def tick_kernel(
@@ -315,8 +334,9 @@ def tick_kernel(
     """One tick's checks as one pass over edge arrays; same results as
     reference_tick, bit for bit.
 
-    `columns` must be built from g.edges. Returns the epoch report and the
-    new versions of the nodes that evaluated at least one check.
+    `columns` must describe g.edges (EdgeColumns.of(g.edges), or columns
+    patched to match). Returns the epoch report and the new versions of the
+    nodes that evaluated at least one check.
 
     Raises:
         ZeroSigma: a checked edge has resid_std <= 0.
@@ -397,35 +417,62 @@ def selective_recompute(
     An edge whose refit clears pvalue < epsilon gets the new model (broken
     flag cleared); one that does not is removed from the graph. Edges not
     listed are left untouched (same objects, same bytes).
+
+    The broken edges are fitted together (coint_fit_batch); an edge the
+    batch cannot vouch for is fitted by coint_fit alone. Outcomes, OLS
+    fields and errors are those of one coint_fit per edge in edge-id order;
+    pvalue and adf_stat agree with it to rounding.
+
+    Raises:
+        UnknownEdge: a broken id is not an edge of g.
+        InsufficientWindow: the window lacks an endpoint's symbol, or is
+            too short to fit.
+        Whatever else coint_fit raises, except DegeneratePair, which
+            removes the edge.
     """
     by_symbol = {p.symbol: p for p in window}
-    refitted: list[int] = []
-    removed: list[int] = []
-    out = g
+    pairs: dict[int, tuple[PriceSeries, PriceSeries]] = {}
+    invalid = None
     for eid in sorted(set(broken)):
-        if eid not in g.edges:
-            raise CointwatchError(f"edge id {eid} is not in the graph")
-        edge = g.edges[eid]
-        src_sym = g.nodes[edge.src].symbol
-        dst_sym = g.nodes[edge.dst].symbol
-        for sym in (src_sym, dst_sym):
-            if sym not in by_symbol:
-                raise InsufficientWindow(f"window does not cover symbol {sym!r}")
         try:
-            model = coint_fit(by_symbol[src_sym], by_symbol[dst_sym])
-        except TooShort as exc:
-            raise InsufficientWindow(f"{src_sym}->{dst_sym}: {exc}") from exc
-        except DegeneratePair:
-            removed.append(eid)
-            continue
+            pairs[eid] = _endpoint_series(g, eid, by_symbol)
+        except (UnknownEdge, InsufficientWindow) as exc:
+            # raised once the edges before it are fitted, as one coint_fit
+            # per edge in id order would
+            invalid = exc
+            break
+    refits: dict[int, CointModel] = {}
+    removed: list[int] = []
+    for (eid, (x, y)), model in zip(pairs.items(), coint_fit_batch(list(pairs.values()))):
+        if model is None:
+            try:
+                model = coint_fit(x, y)
+            except TooShort as exc:
+                raise InsufficientWindow(f"{x.symbol}->{y.symbol}: {exc}") from exc
+            except DegeneratePair:
+                removed.append(eid)
+                continue
         if model.pvalue < config.epsilon:
-            out = graphmod.replace_model(out, eid, model)
-            refitted.append(eid)
+            refits[eid] = model
         else:
             removed.append(eid)
-    if removed:
-        out = graphmod.remove_edges(out, removed)
-    return out, RecomputeSummary(refitted=tuple(refitted), removed=tuple(removed))
+    if invalid is not None:
+        raise invalid
+    out = graphmod.remove_edges(graphmod.replace_models(g, refits), removed)
+    return out, RecomputeSummary(refitted=tuple(refits), removed=tuple(removed))
+
+
+def _endpoint_series(
+    g: CointGraph, eid: int, by_symbol: Mapping[str, PriceSeries]
+) -> tuple[PriceSeries, PriceSeries]:
+    if eid not in g.edges:
+        raise UnknownEdge(f"edge id {eid} is not in the graph")
+    edge = g.edges[eid]
+    symbols = (g.nodes[edge.src].symbol, g.nodes[edge.dst].symbol)
+    for sym in symbols:
+        if sym not in by_symbol:
+            raise InsufficientWindow(f"window does not cover symbol {sym!r}")
+    return by_symbol[symbols[0]], by_symbol[symbols[1]]
 
 
 class _History:
@@ -469,10 +516,11 @@ class TickStream:
     """Iterator over per-tick AlertReports; .graph tracks the latest
     published graph version (refits and removals included).
 
-    Ticks run through tick_kernel. The edge columns of the current edge
-    collection are the only ones held; they are rebuilt when a tick
-    publishes a new collection (broken flags, refits, removals). `workers`
-    is accepted but unused: the output never depended on it.
+    Ticks run through tick_kernel. The stream builds the edge columns once,
+    on the first tick, and keeps them across ticks: broken flags are not a
+    column, and after a recompute the columns are patched from its
+    RecomputeSummary (EdgeColumns.patched) rather than rebuilt. `workers` is
+    accepted but unused: the output never depended on it.
 
     Under the onbreak policy the price history is kept as a trailing
     window (_History), advanced by every tick; a history whose series differ
@@ -513,15 +561,16 @@ class TickStream:
             return self._step(tick)
         except CointwatchError as exc:
             message = f"tick for epoch {self.graph.epoch + 1} failed: {exc}"
-            try:
-                wrapped = type(exc)(message)
-            except TypeError:
-                wrapped = CointwatchError(message)
+            # made without __init__, so the class is kept whatever its
+            # constructor takes, and so are its attributes (ParseError.line,
+            # SchemaViolation.path)
+            wrapped = type(exc).__new__(type(exc), message)
+            wrapped.__dict__.update(vars(exc))
             raise wrapped from exc
 
     def _step(self, tick: Mapping[str, float]) -> AlertReport:
         g = graphmod.update_prices(self.graph, tick)
-        if self._columns is None or self._columns.edges is not g.edges:
+        if self._columns is None:
             self._columns = EdgeColumns.of(g.edges)
         report, node_updates = tick_kernel(g, self._columns, self.config, self.health_fn)
 
@@ -542,6 +591,7 @@ class TickStream:
             window = self._history.window(g.epoch, endpoints)
             g, summary = selective_recompute(g, broken_ids, window, self.config)
             self.last_recompute = summary
+            self._columns = self._columns.patched(g.edges, summary)
 
         self.graph = g
         return report

@@ -3,15 +3,19 @@
 A pair fit regresses y on x and runs the unit-root test on the residuals,
 admitting the directed pair when the residual p-value clears the threshold.
 
+Many pairs are fitted at once by one row kernel (_fit_rows). The OLS step
+runs row by row with coint_fit's exact arithmetic, so the pair models'
+beta0, beta1, resid_mean and resid_std are bit-identical to it. The ADF
+regressions of all rows are solved together through their normal equations
+(stats.adf_statistic_batch), which matches coint_fit's least-squares solve
+to rounding. A degenerate or ill-conditioned row falls back to coint_fit
+itself, so every skip reason is coint_fit's own. Each row's result depends
+only on its own data: the scan's output is the same for any worker count,
+and a pair gets the same model bits from any batch.
+
 The scan fits every destination of one source at once, in blocks of a fixed
-size. The OLS step runs row by row with coint_fit's exact arithmetic, so the
-pair models' beta0, beta1, resid_mean and resid_std are bit-identical to it.
-The ADF regressions of a block are solved together through their normal
-equations (stats.adf_statistic_batch), which matches coint_fit's
-least-squares solve to rounding. A degenerate or ill-conditioned row falls
-back to coint_fit itself, so every skip reason is coint_fit's own. Each
-row's result depends only on its own data, so the output is the same for
-any worker count.
+size; coint_fit_batch fits arbitrary pairs of equal length together (the
+refits of a tick's broken edges).
 
 Caveat documented on purpose: the residual test reuses the plain
 Dickey-Fuller p-value surface. Residuals from a fitted regression are known
@@ -25,7 +29,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import groupby, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -166,47 +170,101 @@ def _fit_one(values, symbols, window_id, lags, pair):
 _BLOCK = 64
 
 
-def _fit_source(values, symbols, window_id, lags, i, js):
-    """Fit i -> j for every j in js, one block of destinations at a time.
-
-    The OLS step runs row by row exactly as stats.ols_fit does, so beta0,
-    beta1, resid_mean and resid_std equal coint_fit's bit for bit; the ADF
-    step runs batched (stats.adf_statistic_batch). Any pair the batch cannot
-    vouch for, and every pair of a source too short or too flat to fit, goes
-    through _fit_one, so skip reasons are coint_fit's own.
-    """
-    x = values[i]
-    n = x.shape[0]
+def _batch_lag(n: int, lags: int | None) -> int | None:
+    """The ADF lag order coint_fit uses on n samples, or None when the batch
+    cannot fit them (too short for the lag rule, or no more regression rows
+    than coefficients); coint_fit then decides the outcome."""
     if lags is not None:
         lag = lags
     else:
         lag = stats.default_lag(n) if n >= 4 else -1  # default_lag raises below 4
     if lag < 0 or n - lag - 1 <= lag + 2:
-        return [_fit_one(values, symbols, window_id, lags, (i, j)) for j in js]
-    x_mean = x.mean()
-    xc = x - x_mean
-    sxx = xc @ xc
-    if sxx == 0.0:
-        return [_fit_one(values, symbols, window_id, lags, (i, j)) for j in js]
-    out = []
-    for start in range(0, len(js), _BLOCK):
-        block = js[start : start + _BLOCK]
-        ys = values[block]
-        y_mean = ys.mean(axis=1)
-        beta1 = np.array([xc @ (y - ym) for y, ym in zip(ys, y_mean)]) / sxx
+        return None
+    return lag
+
+
+def _fit_rows(x: np.ndarray, ys: np.ndarray, lag: int) -> list[tuple | None]:
+    """Fit x -> ys[r] for every row r as coint_fit does, all rows at once.
+
+    x is one regressor shared by every row (1-d) or one per row (2-d, same
+    shape as ys). The OLS step runs row by row exactly as stats.ols_fit
+    does, so beta0, beta1, resid_mean and resid_std equal coint_fit's bit for
+    bit; the ADF step runs batched (stats.adf_statistic_batch), and a row's
+    result depends on that row alone. Returns one (beta0, beta1, resid_mean,
+    resid_std, pvalue, adf_stat) tuple per row, or None for a row the batch
+    cannot vouch for (zero regressor or residual spread, an untrusted ADF
+    solve, a non-finite value): coint_fit must decide that row.
+    """
+    x_mean = x.mean(axis=-1)
+    xc = x - x_mean[..., None]
+    if x.ndim == 1:
+        sxx, xc_rows = xc @ xc, repeat(xc)
+    else:
+        sxx, xc_rows = np.array([r @ r for r in xc]), xc
+    y_mean = ys.mean(axis=1)
+    sxy = np.array([a @ (y - ym) for a, y, ym in zip(xc_rows, ys, y_mean)])
+    # a constant regressor (sxx == 0) makes its row NaN, declined below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        beta1 = sxy / sxx
         beta0 = y_mean - beta1 * x_mean
         resid = ys - beta0[:, None] - beta1[:, None] * x
         resid_mean = resid.mean(axis=1)
         resid_std = resid.std(axis=1, ddof=1)
-        stat, ok = stats.adf_statistic_batch(resid, lag)
-        ok &= (resid_std != 0.0) & np.isfinite(beta0 + beta1 + resid_mean + resid_std)
-        fields = zip(beta0.tolist(), beta1.tolist(), resid_mean.tolist(),
-                     resid_std.tolist(), stat.tolist())
-        for j, good, (b0, b1, mean, std, adf) in zip(block, ok, fields):
-            if good:
-                out.append((i, j, (b0, b1, mean, std, stats.adf_pvalue(adf), adf), None))
-            else:
+    stat, ok = stats.adf_statistic_batch(resid, lag)
+    ok &= (resid_std != 0.0) & np.isfinite(beta0 + beta1 + resid_mean + resid_std)
+    fields = zip(beta0.tolist(), beta1.tolist(), resid_mean.tolist(), resid_std.tolist(),
+                 stat.tolist())
+    return [
+        (b0, b1, mean, std, stats.adf_pvalue(adf), adf) if good else None
+        for good, (b0, b1, mean, std, adf) in zip(ok.tolist(), fields)
+    ]
+
+
+def _fit_source(values, symbols, window_id, lags, i, js):
+    """Fit i -> j for every j in js, one block of destinations at a time
+    (_fit_rows). Any pair the batch cannot vouch for, and every pair of a
+    source too short to fit, goes through _fit_one, so skip reasons are
+    coint_fit's own.
+    """
+    x = values[i]
+    lag = _batch_lag(x.shape[0], lags)
+    if lag is None:
+        return [_fit_one(values, symbols, window_id, lags, (i, j)) for j in js]
+    out = []
+    for start in range(0, len(js), _BLOCK):
+        block = js[start : start + _BLOCK]
+        for j, fields in zip(block, _fit_rows(x, values[block], lag)):
+            if fields is None:
                 out.append(_fit_one(values, symbols, window_id, lags, (i, j)))
+            else:
+                out.append((i, j, fields, None))
+    return out
+
+
+def coint_fit_batch(pairs: Sequence[tuple[PriceSeries, PriceSeries]]) -> list[CointModel | None]:
+    """coint_fit(x, y) for every (x, y) in pairs, fitted together.
+
+    Pairs of equal length share one batched fit (_fit_rows), whatever their
+    symbols. Returns each pair's model, the same as coint_fit's but for the
+    last digits of pvalue and adf_stat, or None for a pair the batch cannot
+    vouch for: a pair of different windows or lengths, one too short for
+    the lag rule, or a row _fit_rows declines. Call coint_fit on those; it
+    gives their model or raises their error. Never raises.
+    """
+    out: list[CointModel | None] = [None] * len(pairs)
+    by_length: dict[int, list[int]] = {}
+    for r, (x, y) in enumerate(pairs):
+        if x.window_id == y.window_id and len(x) == len(y):
+            by_length.setdefault(len(x), []).append(r)
+    for n, rows in by_length.items():
+        lag = _batch_lag(n, None)
+        if lag is None:
+            continue
+        xs = np.array([pairs[r][0].values for r in rows])
+        ys = np.array([pairs[r][1].values for r in rows])
+        for r, fields in zip(rows, _fit_rows(xs, ys, lag)):
+            if fields is not None:
+                out[r] = CointModel(*fields, window_id=pairs[r][0].window_id)
     return out
 
 

@@ -199,7 +199,8 @@ def neighbors(g: CointGraph, node_id: int) -> list[tuple[CointEdge, int]]:
 
 
 def remove_edges(g: CointGraph, edge_ids: Iterable[int]) -> CointGraph:
-    """Drop the given edges; node set and prices are untouched."""
+    """Drop the given edges; node set and prices are untouched. Only the
+    adjacency tuples of the dropped edges' endpoints are rebuilt."""
     ids = list(edge_ids)
     for eid in ids:
         if eid not in g.edges:
@@ -207,9 +208,16 @@ def remove_edges(g: CointGraph, edge_ids: Iterable[int]) -> CointGraph:
     if not ids:
         return g
     doomed = set(ids)
-    edges = {eid: e for eid, e in g.edges.items() if eid not in doomed}
-    out_adj, in_adj = _index_adjacency(len(g.nodes), edges)
-    return replace(g, edges=edges, out_edges=out_adj, in_edges=in_adj)
+    edges = dict(g.edges)
+    for eid in doomed:
+        del edges[eid]
+    out_adj = list(g.out_edges)
+    in_adj = list(g.in_edges)
+    for v in {g.edges[eid].src for eid in doomed}:
+        out_adj[v] = tuple(eid for eid in out_adj[v] if eid not in doomed)
+    for v in {g.edges[eid].dst for eid in doomed}:
+        in_adj[v] = tuple(eid for eid in in_adj[v] if eid not in doomed)
+    return replace(g, edges=edges, out_edges=tuple(out_adj), in_edges=tuple(in_adj))
 
 
 def mark_broken(g: CointGraph, edge_ids: Iterable[int]) -> CointGraph:
@@ -220,19 +228,28 @@ def mark_broken(g: CointGraph, edge_ids: Iterable[int]) -> CointGraph:
             raise UnknownEdge(f"edge id {eid} is not in the graph")
     if not ids:
         return g
-    edges = {
-        eid: replace(e, broken=True) if eid in ids and not e.broken else e
-        for eid, e in g.edges.items()
-    }
+    edges = dict(g.edges)
+    for eid in ids:
+        if not edges[eid].broken:
+            edges[eid] = replace(edges[eid], broken=True)
     return replace(g, edges=edges)
 
 
 def replace_model(g: CointGraph, edge_id: int, model: CointModel) -> CointGraph:
     """Swap in a refit model and clear the broken flag."""
-    if edge_id not in g.edges:
-        raise UnknownEdge(f"edge id {edge_id} is not in the graph")
+    return replace_models(g, {edge_id: model})
+
+
+def replace_models(g: CointGraph, models: Mapping[int, CointModel]) -> CointGraph:
+    """Swap in refit models, keyed by edge id, and clear their broken flags."""
+    for eid in models:
+        if eid not in g.edges:
+            raise UnknownEdge(f"edge id {eid} is not in the graph")
+    if not models:
+        return g
     edges = dict(g.edges)
-    edges[edge_id] = replace(edges[edge_id], model=model, broken=False)
+    for eid, model in models.items():
+        edges[eid] = replace(edges[eid], model=model, broken=False)
     return replace(g, edges=edges)
 
 

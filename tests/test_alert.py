@@ -11,7 +11,14 @@ from cointwatch.alert import (
     selective_recompute,
     tick_loop,
 )
-from cointwatch.errors import InsufficientWindow, UnknownSymbol, ZeroSigma
+from cointwatch.errors import (
+    InsufficientWindow,
+    ParseError,
+    SchemaViolation,
+    UnknownEdge,
+    UnknownSymbol,
+    ZeroSigma,
+)
 from cointwatch.graph import ALERTED, CLEAR, build_graph, update_prices
 from cointwatch.coint import PriceSeries
 
@@ -211,6 +218,11 @@ class TestSelectiveRecompute:
         with pytest.raises(InsufficientWindow):
             selective_recompute(g, [sorted(g.edges)[0]], stubs, AlertConfig())
 
+    def test_unknown_edge_id(self, small_planted):
+        g, _, series = small_planted
+        with pytest.raises(UnknownEdge, match="edge id 999 is not in the graph"):
+            selective_recompute(g, [999], series, AlertConfig())
+
 
 class TestTickLoop:
     def test_in_band_stream_never_breaks(self, small_planted):
@@ -281,6 +293,28 @@ class TestTickLoop:
         next(stream)
         with pytest.raises(UnknownSymbol, match="epoch 2"):
             next(stream)
+
+    @pytest.mark.parametrize(
+        "error, field, value",
+        [
+            (SchemaViolation("graph.nodes[3]", "not an object"), "path", "graph.nodes[3]"),
+            (ParseError("row is not numeric", line=7), "line", 7),
+        ],
+        ids=["SchemaViolation", "ParseError"],
+    )
+    def test_failed_tick_keeps_error_class_and_fields(self, small_planted, error, field, value):
+        g, base, _ = small_planted
+
+        def failing_health(graph, report, config):
+            raise error
+
+        stream = tick_loop(g, [base], AlertConfig(), health_fn=failing_health)
+        with pytest.raises(type(error)) as info:
+            next(stream)
+        assert type(info.value) is type(error)
+        assert getattr(info.value, field) == value
+        assert str(info.value) == f"tick for epoch 1 failed: {error}"
+        assert info.value.__cause__ is error
 
     def test_recompute_off_never_mutates_topology(self, small_planted):
         g, base, _ = small_planted
