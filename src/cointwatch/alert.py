@@ -16,6 +16,15 @@ run_supersteps, then assemble_report) stays as reference_tick, the oracle
 the kernel is tested against: both give the same reports and node
 versions, byte for byte.
 
+Node state on the tick path is arrays too: last price, last-update epoch
+and alert state, plus one append-only log of each tick's evaluated nodes
+and their new states (graph.NodeSnapshot). A tick validates its prices
+(graph.tick_prices, shared with update_prices), copies the three arrays
+and appends one log entry, so its cost follows the edges and the
+evaluated nodes, not the run's length. Each published version builds its
+SymbolNode tuple, alert histories included, only when a caller reads
+.nodes or exports it.
+
 Refits read a trailing price window. Under the onbreak policy the stream
 keeps it as one float64 array (one row per graph symbol of the supplied
 history, oldest column first), shifted by one column per tick, and
@@ -42,6 +51,7 @@ from .engine import VertexMessage, VertexProgram, run_supersteps
 from .errors import (
     CointwatchError,
     DegeneratePair,
+    DegenerateRegressor,
     InsufficientWindow,
     TooShort,
     UnknownEdge,
@@ -330,23 +340,24 @@ def tick_kernel(
     columns: EdgeColumns,
     config: AlertConfig,
     health_fn: HealthFn | None = None,
-) -> tuple[AlertReport, dict[int, graphmod.SymbolNode]]:
-    """One tick's checks as one pass over edge arrays; same results as
-    reference_tick, bit for bit.
+) -> tuple[AlertReport, np.ndarray, np.ndarray]:
+    """One tick's checks as one pass over edge and node arrays; same results
+    as reference_tick, bit for bit.
 
-    `columns` must describe g.edges (EdgeColumns.of(g.edges), or columns
-    patched to match). Returns the epoch report and the new versions of the
-    nodes that evaluated at least one check.
+    g is a priced version whose nodes are held as a graph.NodeSnapshot (as
+    TickStream publishes them); `columns` must describe g.edges
+    (EdgeColumns.of(g.edges), or columns patched to match). Returns the
+    epoch report, the ids of the nodes that evaluated at least one check
+    and their new alerted flags. No node object is built, unless health_fn
+    reads g.nodes.
 
     Raises:
         ZeroSigma: a checked edge has resid_std <= 0.
     """
+    nodes = g.node_source
     epoch = g.epoch
-    fresh_list = [n.last_update_epoch == epoch and n.last_price is not None for n in g.nodes]
-    fresh = np.array(fresh_list, dtype=bool)
-    price = np.array(
-        [n.last_price if f else 0.0 for n, f in zip(g.nodes, fresh_list)], dtype=np.float64
-    )
+    price = nodes.price
+    fresh = (nodes.updated == epoch) & ~np.isnan(price)
 
     checked = np.flatnonzero(fresh[columns.src] & fresh[columns.dst])
     src = columns.src[checked]
@@ -382,22 +393,11 @@ def tick_kernel(
     )
     report = replace(partial, global_alert=global_reduce(g, partial, config, health_fn))
 
-    updates: dict[int, graphmod.SymbolNode] = {}
-    for nid in np.flatnonzero(evaluated).tolist():
-        node = g.nodes[nid]
-        if alerted[nid] or (config.latch_alerts and node.alert_state == ALERTED):
-            new_alert = ALERTED
-        else:
-            new_alert = CLEAR
-        updates[nid] = graphmod.SymbolNode(
-            id=node.id,
-            symbol=node.symbol,
-            last_price=node.last_price,
-            alert_state=new_alert,
-            alert_history=node.alert_history + ((epoch, new_alert),),
-            last_update_epoch=node.last_update_epoch,
-        )
-    return report, updates
+    ids = np.flatnonzero(evaluated)
+    flags = alerted[ids]
+    if config.latch_alerts:
+        flags |= nodes.alerted[ids]
+    return report, ids, flags
 
 
 @dataclass(frozen=True)
@@ -427,8 +427,10 @@ def selective_recompute(
         UnknownEdge: a broken id is not an edge of g.
         InsufficientWindow: the window lacks an endpoint's symbol, or is
             too short to fit.
-        Whatever else coint_fit raises, except DegeneratePair, which
-            removes the edge.
+        Whatever else coint_fit raises, except DegeneratePair and
+            DegenerateRegressor: a pair with zero residual spread or a
+            constant source carries no testable leash, so the edge is
+            removed.
     """
     by_symbol = {p.symbol: p for p in window}
     pairs: dict[int, tuple[PriceSeries, PriceSeries]] = {}
@@ -449,7 +451,7 @@ def selective_recompute(
                 model = coint_fit(x, y)
             except TooShort as exc:
                 raise InsufficientWindow(f"{x.symbol}->{y.symbol}: {exc}") from exc
-            except DegeneratePair:
+            except (DegeneratePair, DegenerateRegressor):
                 removed.append(eid)
                 continue
         if model.pvalue < config.epsilon:
@@ -468,7 +470,7 @@ def _endpoint_series(
     if eid not in g.edges:
         raise UnknownEdge(f"edge id {eid} is not in the graph")
     edge = g.edges[eid]
-    symbols = (g.nodes[edge.src].symbol, g.nodes[edge.dst].symbol)
+    symbols = (g.symbol(edge.src), g.symbol(edge.dst))
     for sym in symbols:
         if sym not in by_symbol:
             raise InsufficientWindow(f"window does not cover symbol {sym!r}")
@@ -488,22 +490,23 @@ class _History:
         kept = [p for p in window if p.symbol in g.symbol_ids]
         self.length = len(window[0])
         self.symbols = [p.symbol for p in kept]
-        self.node_ids = [g.symbol_ids[p.symbol] for p in kept]
-        self.rows = {nid: row for row, nid in enumerate(self.node_ids)}
+        node_ids = [g.symbol_ids[p.symbol] for p in kept]
+        self.node_ids = np.array(node_ids, dtype=np.intp)
+        self.rows = {nid: row for row, nid in enumerate(node_ids)}
         self.prices = np.array([p.values for p in kept], dtype=np.float64).reshape(
             len(kept), self.length
         )
 
-    def push(self, g: CointGraph):
-        """Append every node's last price, dropping the oldest column."""
+    def push(self, price: np.ndarray):
+        """Append every node's last price (a node-id indexed array, NaN
+        while unpriced), dropping the oldest column."""
         if not self.length:  # an empty window has no column to shift
             return
-        nodes = g.nodes
-        latest = [nodes[nid].last_price for nid in self.node_ids]
-        newest = self.prices[:, -1].tolist()
+        latest = price[self.node_ids]
         self.prices[:, :-1] = self.prices[:, 1:]
-        # a node never priced keeps its previous value
-        self.prices[:, -1] = [old if p is None else p for p, old in zip(latest, newest)]
+        # a node never priced keeps its previous value (the last column,
+        # which the shift left in place)
+        self.prices[:, -1] = np.where(np.isnan(latest), self.prices[:, -1], latest)
 
     def window(self, epoch: int, node_ids: Iterable[int]) -> list[PriceSeries]:
         """The trailing series of those given nodes that the history holds."""
@@ -521,6 +524,12 @@ class TickStream:
     column, and after a recompute the columns are patched from its
     RecomputeSummary (EdgeColumns.patched) rather than rebuilt. `workers` is
     accepted but unused: the output never depended on it.
+
+    Node state is kept as a graph.NodeSnapshot: per-node arrays plus the
+    run's append-only alert log. No tick builds a SymbolNode; each version
+    in .graph holds its own copy of the arrays and the log length at its
+    epoch, and builds its nodes once, when read or exported. A failed tick
+    publishes nothing and appends nothing to the log.
 
     Under the onbreak policy the price history is kept as a trailing
     window (_History), advanced by every tick; a history whose series differ
@@ -551,6 +560,7 @@ class TickStream:
             _History(history, g) if history and recompute_policy == RECOMPUTE_ON_BREAK else None
         )
         self._columns: EdgeColumns | None = None
+        self._nodes = graphmod.NodeSnapshot.start(g)
 
     def __iter__(self) -> Iterator[AlertReport]:
         return self
@@ -569,17 +579,19 @@ class TickStream:
             raise wrapped from exc
 
     def _step(self, tick: Mapping[str, float]) -> AlertReport:
-        g = graphmod.update_prices(self.graph, tick)
+        ids, prices = graphmod.tick_prices(self.graph.symbol_ids, tick)
+        epoch = self.graph.epoch + 1
+        priced = self._nodes.priced(ids, prices, epoch)
+        g = replace(self.graph, node_source=priced, epoch=epoch)
         if self._columns is None:
             self._columns = EdgeColumns.of(g.edges)
-        report, node_updates = tick_kernel(g, self._columns, self.config, self.health_fn)
+        report, evaluated, flags = tick_kernel(g, self._columns, self.config, self.health_fn)
 
-        g = graphmod.with_nodes(g, node_updates)
         broken_ids = [eid for eid, _ in report.broken_edges]
         g = graphmod.mark_broken(g, broken_ids)
 
         if self._history is not None:
-            self._history.push(g)
+            self._history.push(priced.price)
 
         self.last_recompute = None
         if self.policy == RECOMPUTE_ON_BREAK and broken_ids:
@@ -593,7 +605,10 @@ class TickStream:
             self.last_recompute = summary
             self._columns = self._columns.patched(g.edges, summary)
 
-        self.graph = g
+        # published last, so a failed tick leaves the stream and its log as
+        # they were
+        self._nodes = priced.evaluated(epoch, evaluated, flags)
+        self.graph = replace(g, node_source=self._nodes)
         return report
 
 

@@ -5,6 +5,16 @@ returns a new CointGraph that shares unchanged nodes/edges with its parent,
 so readers of the previous epoch keep a consistent view while the next tick
 is being assembled.
 
+A version holds its nodes either as a tuple of SymbolNode (built, loaded,
+or made by update_prices/with_nodes) or, when a TickStream published it, as
+a NodeSnapshot: the node arrays at its epoch plus the length of the run's
+append-only alert log. A snapshot builds its SymbolNode tuple, alert_history
+included, the first time a caller reads .nodes or exports the version, so a
+tick costs the same however long the run; versions stay immutable by
+snapshot plus log length rather than by copying histories (path copying, as
+in Driscoll, Sarnak, Sleator and Tarjan, "Making Data Structures
+Persistent", JCSS 1989).
+
 Node ids are dense integers assigned at build time; adjacency is stored as
 per-node in/out edge-id tuples and kept exactly consistent with the edge
 collection (audit_adjacency re-derives and compares).
@@ -15,7 +25,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
+from itertools import islice
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .coint import CointModel, PairResult
 from .errors import (
@@ -64,9 +78,99 @@ class CointEdge:
     broken: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
+class NodeSnapshot:
+    """The nodes of one graph version a TickStream published, as arrays.
+
+    price (NaN while unpriced), updated (last_update_epoch) and alerted are
+    this version's own arrays, never written after it is published. All
+    versions of one run share base, the nodes the run started from, and
+    log, the run's append-only alert record: one (epoch, ids of the nodes
+    that evaluated at least one check, their new alerted flags) entry per
+    tick, never written again. length is the number of entries at this
+    version's epoch, so entries appended later never reach it. nodes builds
+    the SymbolNode tuple on first read, in O(its history), and keeps it.
+    """
+
+    symbols: tuple[str, ...]
+    price: np.ndarray
+    updated: np.ndarray
+    alerted: np.ndarray
+    base: tuple[SymbolNode, ...]
+    log: list[tuple[int, np.ndarray, np.ndarray]]
+    length: int
+
+    @classmethod
+    def start(cls, g: CointGraph) -> NodeSnapshot:
+        """The nodes of g at the head of a new, empty log."""
+        nodes = g.nodes
+        return cls(
+            symbols=tuple(n.symbol for n in nodes),
+            price=np.array(
+                [np.nan if n.last_price is None else n.last_price for n in nodes],
+                dtype=np.float64,
+            ),
+            updated=np.array([n.last_update_epoch for n in nodes], dtype=np.int64),
+            alerted=np.array([n.alert_state == ALERTED for n in nodes], dtype=bool),
+            base=nodes,
+            log=[],
+            length=0,
+        )
+
+    def __len__(self) -> int:
+        return len(self.symbols)
+
+    def priced(self, ids: Sequence[int], prices: Sequence[float], epoch: int) -> NodeSnapshot:
+        """These nodes after one tick's prices (see tick_prices) at epoch."""
+        price = self.price.copy()
+        price[ids] = prices
+        updated = self.updated.copy()
+        updated[ids] = epoch
+        return replace(self, price=price, updated=updated)
+
+    def evaluated(self, epoch: int, ids: np.ndarray, alerted: np.ndarray) -> NodeSnapshot:
+        """These nodes after one tick's checks: the evaluated nodes' alerted
+        flags written, and their log entry appended."""
+        if self.length != len(self.log):
+            raise RuntimeError("only the newest version of a run can take its next tick")
+        flags = self.alerted.copy()
+        flags[ids] = alerted
+        self.log.append((epoch, ids, alerted))
+        return replace(self, alerted=flags, length=self.length + 1)
+
+    @cached_property
+    def nodes(self) -> tuple[SymbolNode, ...]:
+        added: list[list[tuple[int, str]]] = [[] for _ in self.base]
+        for epoch, ids, alerted in islice(self.log, self.length):
+            for nid, flag in zip(ids.tolist(), alerted.tolist()):
+                added[nid].append((epoch, ALERTED if flag else CLEAR))
+        return tuple(
+            SymbolNode(
+                id=b.id,
+                symbol=b.symbol,
+                # a node no tick of the run priced keeps its own price object
+                last_price=b.last_price if updated == b.last_update_epoch else price,
+                alert_state=ALERTED if flag else CLEAR,
+                alert_history=b.alert_history + tuple(history),
+                last_update_epoch=updated,
+            )
+            for b, price, updated, flag, history in zip(
+                self.base, self.price.tolist(), self.updated.tolist(), self.alerted.tolist(), added
+            )
+        )
+
+
+@dataclass(frozen=True, eq=False)
 class CointGraph:
-    nodes: tuple[SymbolNode, ...]
+    """One graph version.
+
+    node_source holds the nodes as a tuple, or as the NodeSnapshot of a
+    version a TickStream published; read them through .nodes, which builds
+    a snapshot's tuple once. Versions compare by value, whichever way they
+    hold their nodes.
+    """
+
+    node_source: tuple[SymbolNode, ...] | NodeSnapshot
     edges: dict[int, CointEdge]
     out_edges: tuple[tuple[int, ...], ...]
     in_edges: tuple[tuple[int, ...], ...]
@@ -74,12 +178,24 @@ class CointGraph:
     symbol_ids: dict[str, int]
 
     @property
+    def nodes(self) -> tuple[SymbolNode, ...]:
+        source = self.node_source
+        return source.nodes if isinstance(source, NodeSnapshot) else source
+
+    @property
     def n_nodes(self) -> int:
-        return len(self.nodes)
+        return len(self.node_source)
 
     @property
     def n_edges(self) -> int:
         return len(self.edges)
+
+    def symbol(self, node_id: int) -> str:
+        """The symbol of a node, without building a snapshot's nodes."""
+        source = self.node_source
+        if isinstance(source, NodeSnapshot):
+            return source.symbols[node_id]
+        return source[node_id].symbol
 
     def node_of(self, symbol: str) -> SymbolNode:
         try:
@@ -90,6 +206,18 @@ class CointGraph:
     def is_fresh(self, node_id: int) -> bool:
         node = self.nodes[node_id]
         return node.last_update_epoch == self.epoch and node.last_price is not None
+
+    def __eq__(self, other):
+        if not isinstance(other, CointGraph):
+            return NotImplemented
+        return (
+            self.epoch == other.epoch
+            and self.symbol_ids == other.symbol_ids
+            and self.edges == other.edges
+            and self.out_edges == other.out_edges
+            and self.in_edges == other.in_edges
+            and self.nodes == other.nodes
+        )
 
 
 def _index_adjacency(n_nodes: int, edges: Mapping[int, CointEdge]):
@@ -148,7 +276,7 @@ def build_graph(
     }
     out_adj, in_adj = _index_adjacency(len(nodes), edges)
     return CointGraph(
-        nodes=nodes,
+        node_source=nodes,
         edges=edges,
         out_edges=out_adj,
         in_edges=in_adj,
@@ -157,40 +285,58 @@ def build_graph(
     )
 
 
+def tick_prices(
+    symbol_ids: Mapping[str, int], tick: Mapping[str, float]
+) -> tuple[list[int], list[float]]:
+    """Validate one tick: the node ids and float prices of its symbols, in
+    tick order. Both price paths (update_prices, TickStream) call it.
+
+    Raises:
+        UnknownSymbol: a symbol is not in the graph.
+        NonPositivePrice: a price is not a positive finite number (a bool is
+            not a price).
+    """
+    ids: list[int] = []
+    prices: list[float] = []
+    for symbol, price in tick.items():
+        nid = symbol_ids.get(symbol)
+        if nid is None:
+            raise UnknownSymbol(f"tick references unknown symbol {symbol!r}")
+        if isinstance(price, bool) or not (
+            isinstance(price, (int, float)) and math.isfinite(price) and price > 0
+        ):
+            raise NonPositivePrice(f"{symbol}: price {price!r} is not a positive finite number")
+        ids.append(nid)
+        prices.append(float(price))
+    return ids, prices
+
+
 def update_prices(g: CointGraph, tick: Mapping[str, float]) -> CointGraph:
     """Apply one tick: supplied symbols get the new price and become fresh
     for the new epoch; the rest keep their prior price and are stale.
 
     Never touches topology. Epoch increments by exactly 1.
     """
-    for symbol, price in tick.items():
-        if symbol not in g.symbol_ids:
-            raise UnknownSymbol(f"tick references unknown symbol {symbol!r}")
-        if isinstance(price, bool) or not (
-            isinstance(price, (int, float)) and math.isfinite(price) and price > 0
-        ):
-            raise NonPositivePrice(f"{symbol}: price {price!r} is not a positive finite number")
+    ids, prices = tick_prices(g.symbol_ids, tick)
     epoch = g.epoch + 1
-    nodes = tuple(
-        SymbolNode(
+    nodes = list(g.nodes)
+    for nid, price in zip(ids, prices):
+        n = nodes[nid]
+        nodes[nid] = SymbolNode(
             id=n.id,
             symbol=n.symbol,
-            last_price=float(tick[n.symbol]),
+            last_price=price,
             alert_state=n.alert_state,
             alert_history=n.alert_history,
             last_update_epoch=epoch,
         )
-        if n.symbol in tick
-        else n
-        for n in g.nodes
-    )
-    return replace(g, nodes=nodes, epoch=epoch)
+    return replace(g, node_source=tuple(nodes), epoch=epoch)
 
 
 def neighbors(g: CointGraph, node_id: int) -> list[tuple[CointEdge, int]]:
     """All incident edges (both directions) with the opposite endpoint,
     sorted by neighbor id then edge id."""
-    if not 0 <= node_id < len(g.nodes):
+    if not 0 <= node_id < g.n_nodes:
         raise UnknownNode(f"node id {node_id} is not in the graph")
     found = [(g.edges[eid], g.edges[eid].dst) for eid in g.out_edges[node_id]]
     found += [(g.edges[eid], g.edges[eid].src) for eid in g.in_edges[node_id]]
@@ -258,15 +404,15 @@ def with_nodes(g: CointGraph, new_nodes: Mapping[int, SymbolNode]) -> CointGraph
     if not new_nodes:
         return g
     for nid in new_nodes:
-        if not 0 <= nid < len(g.nodes):
+        if not 0 <= nid < g.n_nodes:
             raise UnknownNode(f"node id {nid} is not in the graph")
     nodes = tuple(new_nodes.get(i, n) for i, n in enumerate(g.nodes))
-    return replace(g, nodes=nodes)
+    return replace(g, node_source=nodes)
 
 
 def audit_adjacency(g: CointGraph) -> bool:
     """Verify adjacency lists agree exactly with the edge collection."""
-    out_adj, in_adj = _index_adjacency(len(g.nodes), g.edges)
+    out_adj, in_adj = _index_adjacency(g.n_nodes, g.edges)
     if out_adj != g.out_edges or in_adj != g.in_edges:
         raise RuntimeError("adjacency lists disagree with the edge collection")
     pairs = [(e.src, e.dst) for e in g.edges.values()]
@@ -356,7 +502,7 @@ def from_json_obj(obj: dict) -> CointGraph:
         )
     out_adj, in_adj = _index_adjacency(len(nodes), edges)
     return CointGraph(
-        nodes=nodes,
+        node_source=nodes,
         edges=edges,
         out_edges=out_adj,
         in_edges=in_adj,

@@ -5,7 +5,11 @@ import numpy as np
 import pytest
 
 from cointwatch.cli import main
-from cointwatch.pipeline import load_graph, write_prices_csv
+from cointwatch.coint import PairResult
+from cointwatch.graph import build_graph
+from cointwatch.pipeline import load_graph, save_graph, write_prices_csv
+
+from conftest import dummy_model
 
 
 def run(argv):
@@ -149,6 +153,37 @@ class TestRunCommand:
         )
         assert code == 0
         assert len(reports.read_text().splitlines()) == 3
+
+    def test_onbreak_removes_the_edges_of_a_symbol_that_never_moves(self, tmp_path, capsys):
+        # K is constant over the refit window: its broken edge as a source
+        # (a constant regressor) is removed, as is the one as a destination
+        # (zero residual spread), and the run goes on
+        rng = np.random.default_rng(4)
+        calendar = [date(2020, 1, 1) + timedelta(days=k) for k in range(122)]
+        series = {f"W{k}": 100.0 + np.cumsum(rng.standard_normal(122)) for k in range(2)}
+        series["K"] = [42.0] * 122
+        prices, ticks = tmp_path / "prices.csv", tmp_path / "ticks.csv"
+        write_prices_csv(prices, calendar[:120], {s: v[:120] for s, v in series.items()})
+        write_prices_csv(ticks, calendar[120:], {s: v[120:] for s, v in series.items()})
+        pairs = [("K", "W0"), ("W0", "K"), ("W0", "W1")]
+        results = [PairResult(a, b, dummy_model(), admitted=True) for a, b in pairs]
+        graph = tmp_path / "graph.json"
+        save_graph(build_graph(results, 1.0, ["K", "W0", "W1"]), graph)
+        reports, after = tmp_path / "reports.jsonl", tmp_path / "after.json"
+        code = run(
+            [
+                "run", "--graph", str(graph), "--ticks", str(ticks),
+                "--prices", str(prices), "--recompute", "onbreak",
+                "--out", str(reports), "--graph-out", str(after),
+            ]
+        )
+        assert code == 0, capsys.readouterr().err
+        first = json.loads(reports.read_text().splitlines()[0])
+        assert {0, 1} <= {eid for eid, _ in first["broken_edges"]}  # K->W0, W0->K
+        assert len(reports.read_text().splitlines()) == 2
+        g = load_graph(after)
+        assert all("K" not in (g.nodes[e.src].symbol, g.nodes[e.dst].symbol)
+                   for e in g.edges.values())
 
     def test_shock_scenario_detected(self, tmp_path, built_graph, universe_csv):
         g = load_graph(built_graph)
