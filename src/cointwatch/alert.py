@@ -31,10 +31,11 @@ history, oldest column first), shifted by one column per tick, and
 materialises PriceSeries only for the endpoints of the edges that broke in
 that tick. With recompute off no history is kept. All of a tick's broken
 edges are fitted together (coint.coint_fit_batch: the scan's row kernel, one
-stacked ADF solve); rows it cannot vouch for go through coint_fit alone, so
-outcomes and errors are those of one coint_fit per edge, and the refit
-models' pvalue and adf_stat agree with coint_fit's to rounding. The refits
-and removals are published by patching only the edges they change.
+stacked Cholesky factorization of the pairs' ADF moment matrices); rows it
+cannot vouch for go through coint_fit alone, so outcomes and errors are
+those of one coint_fit per edge, and the refit models' pvalue and adf_stat
+agree with coint_fit's to rounding. The refits and removals are published
+by patching only the edges they change.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from .errors import (
     DegeneratePair,
     DegenerateRegressor,
     InsufficientWindow,
+    SingularDesign,
     TooShort,
     UnknownEdge,
     ZeroSigma,
@@ -427,10 +429,11 @@ def selective_recompute(
         UnknownEdge: a broken id is not an edge of g.
         InsufficientWindow: the window lacks an endpoint's symbol, or is
             too short to fit.
-        Whatever else coint_fit raises, except DegeneratePair and
-            DegenerateRegressor: a pair with zero residual spread or a
-            constant source carries no testable leash, so the edge is
-            removed.
+        Whatever else coint_fit raises, except DegeneratePair,
+            DegenerateRegressor and SingularDesign: a pair with zero
+            residual spread, a constant source, or residuals whose ADF
+            design is rank-deficient (a window that repeats one price long
+            enough) carries no testable leash, so the edge is removed.
     """
     by_symbol = {p.symbol: p for p in window}
     pairs: dict[int, tuple[PriceSeries, PriceSeries]] = {}
@@ -451,7 +454,7 @@ def selective_recompute(
                 model = coint_fit(x, y)
             except TooShort as exc:
                 raise InsufficientWindow(f"{x.symbol}->{y.symbol}: {exc}") from exc
-            except (DegeneratePair, DegenerateRegressor):
+            except (DegeneratePair, DegenerateRegressor, SingularDesign):
                 removed.append(eid)
                 continue
         if model.pvalue < config.epsilon:

@@ -6,16 +6,22 @@ admitting the directed pair when the residual p-value clears the threshold.
 Many pairs are fitted at once by one row kernel (_fit_rows). The OLS step
 runs row by row with coint_fit's exact arithmetic, so the pair models'
 beta0, beta1, resid_mean and resid_std are bit-identical to it. The ADF
-regressions of all rows are solved together through their normal equations
-(stats.adf_statistic_batch), which matches coint_fit's least-squares solve
-to rounding. A degenerate or ill-conditioned row falls back to coint_fit
-itself, so every skip reason is coint_fit's own. Each row's result depends
-only on its own data: the scan's output is the same for any worker count,
-and a pair gets the same model bits from any batch.
+step never builds a pair's residual design: each symbol's centered ADF
+design is built once (stats.adf_designs), and a pair's residual moment
+matrix is combined from its two symbols' Gram matrices and one fixed-shape
+cross product of their designs, then factored by one Cholesky
+(stats.adf_pair_batch). That matches coint_fit's least-squares solve to
+rounding. A degenerate or ill-conditioned row (the trust gate of
+stats._BATCH_TRUST_LIMIT) falls back to coint_fit itself, so every skip
+reason is coint_fit's own. Each row's result depends only on its own data:
+the scan's output is the same for any worker count, and a pair gets the
+same model bits from any batch, in the scan or in a refit.
 
-The scan fits every destination of one source at once, in blocks of a fixed
-size; coint_fit_batch fits arbitrary pairs of equal length together (the
-refits of a tick's broken edges).
+The scan fits every destination of one source at once, from designs built
+once per scan; its per-source memory is O(destinations * k^2) for k ADF
+design columns. coint_fit_batch fits arbitrary pairs of equal length
+together (the refits of a tick's broken edges); it builds both series'
+designs for every pair, since a pair's bits must not depend on its caller.
 
 Caveat documented on purpose: the residual test reuses the plain
 Dickey-Fuller p-value surface. Residuals from a fitted regression are known
@@ -165,11 +171,6 @@ def _fit_one(values, symbols, window_id, lags, pair):
     return (i, j, (m.beta0, m.beta1, m.resid_mean, m.resid_std, m.pvalue, m.adf_stat), None)
 
 
-# Destinations per batched fit. Bounds the stacked ADF designs of one block
-# at 64 x rows x k floats (~2 MB at 250 days) whatever the universe size.
-_BLOCK = 64
-
-
 def _batch_lag(n: int, lags: int | None) -> int | None:
     """The ADF lag order coint_fit uses on n samples, or None when the batch
     cannot fit them (too short for the lag rule, or no more regression rows
@@ -183,17 +184,24 @@ def _batch_lag(n: int, lags: int | None) -> int | None:
     return lag
 
 
-def _fit_rows(x: np.ndarray, ys: np.ndarray, lag: int) -> list[tuple | None]:
+def _fit_rows(
+    x: np.ndarray, ys: np.ndarray, x_moments: stats.AdfMoments, y_moments: stats.AdfMoments,
+    cross: np.ndarray,
+) -> list[tuple | None]:
     """Fit x -> ys[r] for every row r as coint_fit does, all rows at once.
 
     x is one regressor shared by every row (1-d) or one per row (2-d, same
-    shape as ys). The OLS step runs row by row exactly as stats.ols_fit
-    does, so beta0, beta1, resid_mean and resid_std equal coint_fit's bit for
-    bit; the ADF step runs batched (stats.adf_statistic_batch), and a row's
-    result depends on that row alone. Returns one (beta0, beta1, resid_mean,
-    resid_std, pvalue, adf_stat) tuple per row, or None for a row the batch
-    cannot vouch for (zero regressor or residual spread, an untrusted ADF
-    solve, a non-finite value): coint_fit must decide that row.
+    shape as ys). x_moments and y_moments are the moments of their ADF
+    designs (stats.adf_designs; x's unbatched when x is 1-d), and cross
+    holds each row's product e_x @ e_y.T of the two designs. The OLS step
+    runs row by row exactly as stats.ols_fit does, so beta0, beta1,
+    resid_mean and resid_std equal coint_fit's bit for bit; the ADF step
+    runs on the rows' moments (stats.adf_pair_batch), and a row's result
+    depends on that row alone.
+    Returns one (beta0, beta1, resid_mean, resid_std, pvalue, adf_stat)
+    tuple per row, or None for a row the batch cannot vouch for (zero
+    regressor or residual spread, an untrusted ADF solve, a non-finite
+    value): coint_fit must decide that row.
     """
     x_mean = x.mean(axis=-1)
     xc = x - x_mean[..., None]
@@ -210,7 +218,7 @@ def _fit_rows(x: np.ndarray, ys: np.ndarray, lag: int) -> list[tuple | None]:
         resid = ys - beta0[:, None] - beta1[:, None] * x
         resid_mean = resid.mean(axis=1)
         resid_std = resid.std(axis=1, ddof=1)
-    stat, ok = stats.adf_statistic_batch(resid, lag)
+    stat, ok = stats.adf_pair_batch(x_moments, y_moments, cross, beta0, beta1)
     ok &= (resid_std != 0.0) & np.isfinite(beta0 + beta1 + resid_mean + resid_std)
     fields = zip(beta0.tolist(), beta1.tolist(), resid_mean.tolist(), resid_std.tolist(),
                  stat.tolist())
@@ -220,25 +228,27 @@ def _fit_rows(x: np.ndarray, ys: np.ndarray, lag: int) -> list[tuple | None]:
     ]
 
 
-def _fit_source(values, symbols, window_id, lags, i, js):
-    """Fit i -> j for every j in js, one block of destinations at a time
-    (_fit_rows). Any pair the batch cannot vouch for, and every pair of a
-    source too short to fit, goes through _fit_one, so skip reasons are
-    coint_fit's own.
+def _fit_source(values, designs, symbols, window_id, lags, i, js):
+    """Fit i -> j for every j in js at once (_fit_rows), from the universe's
+    ADF designs (stats.adf_designs; None when the window is too short to
+    fit). Any pair the batch cannot vouch for, and every pair of a window
+    too short, goes through _fit_one, so skip reasons are coint_fit's own.
     """
-    x = values[i]
-    lag = _batch_lag(x.shape[0], lags)
-    if lag is None:
+    if designs is None:
         return [_fit_one(values, symbols, window_id, lags, (i, j)) for j in js]
-    out = []
-    for start in range(0, len(js), _BLOCK):
-        block = js[start : start + _BLOCK]
-        for j, fields in zip(block, _fit_rows(x, values[block], lag)):
-            if fields is None:
-                out.append(_fit_one(values, symbols, window_id, lags, (i, j)))
-            else:
-                out.append((i, j, fields, None))
-    return out
+    e, moments = designs
+    # one fixed-shape product per pair, taken over slices of the designs so
+    # that no destination's design is copied: a run of consecutive ids is
+    # one slice
+    js = np.asarray(js)
+    runs = np.split(js, np.flatnonzero(np.diff(js) != 1) + 1)
+    cross = np.concatenate([e[i] @ e[run[0] : run[-1] + 1].transpose(0, 2, 1) for run in runs])
+    fitted = _fit_rows(values[i], values[js], moments.take(i), moments.take(js), cross)
+    return [
+        (i, j, fields, None) if fields is not None
+        else _fit_one(values, symbols, window_id, lags, (i, j))
+        for j, fields in zip(js.tolist(), fitted)
+    ]
 
 
 def coint_fit_batch(pairs: Sequence[tuple[PriceSeries, PriceSeries]]) -> list[CointModel | None]:
@@ -260,30 +270,38 @@ def coint_fit_batch(pairs: Sequence[tuple[PriceSeries, PriceSeries]]) -> list[Co
         lag = _batch_lag(n, None)
         if lag is None:
             continue
-        xs = np.array([pairs[r][0].values for r in rows])
-        ys = np.array([pairs[r][1].values for r in rows])
-        for r, fields in zip(rows, _fit_rows(xs, ys, lag)):
+        # every pair's x, then every pair's y
+        values = np.array([pairs[r][0].values for r in rows] + [pairs[r][1].values for r in rows])
+        x_rows, y_rows = slice(None, len(rows)), slice(len(rows), None)
+        e, moments = stats.adf_designs(values, lag)
+        cross = e[x_rows] @ e[y_rows].transpose(0, 2, 1)
+        fitted = _fit_rows(
+            values[x_rows], values[y_rows], moments.take(x_rows), moments.take(y_rows), cross
+        )
+        for r, fields in zip(rows, fitted):
             if fields is not None:
                 out[r] = CointModel(*fields, window_id=pairs[r][0].window_id)
     return out
 
 
-def _fit_pairs(values, symbols, window_id, lags, pairs):
+def _fit_pairs(values, designs, symbols, window_id, lags, pairs):
     """Fit a run of (src, dst) pairs, batching consecutive pairs that share a
     source. A chunk boundary may split one source's destinations; no row's
     result depends on which others share its batch."""
     out = []
     for i, group in groupby(pairs, key=lambda p: p[0]):
-        out.extend(_fit_source(values, symbols, window_id, lags, i, [j for _, j in group]))
+        out.extend(
+            _fit_source(values, designs, symbols, window_id, lags, i, [j for _, j in group])
+        )
     return out
 
 
 _SCAN_CTX = None
 
 
-def _scan_init(values, symbols, window_id, lags):
+def _scan_init(*context):
     global _SCAN_CTX
-    _SCAN_CTX = (np.asarray(values), tuple(symbols), window_id, lags)
+    _SCAN_CTX = context
 
 
 def _scan_chunk(pairs):
@@ -342,14 +360,19 @@ def scan_pairs(
     pairs = _ordered_pairs(symbols, direction_policy)
     values = np.vstack([p.values for p in universe])
 
+    # what every chunk shares, each symbol's ADF designs included: they are
+    # built once per scan
+    lag = _batch_lag(values.shape[1], lags)
+    designs = None if lag is None else stats.adf_designs(values, lag)
+    context = (values, designs, tuple(symbols), window_id, lags)
     if workers <= 1 or len(pairs) < 64:
-        raw = _fit_pairs(values, symbols, window_id, lags, pairs)
+        raw = _fit_pairs(*context, pairs)
     else:
         chunks = _split(pairs, workers * 4)
         with ProcessPoolExecutor(
             max_workers=workers,
             initializer=_scan_init,
-            initargs=(values, symbols, window_id, lags),
+            initargs=context,
         ) as pool:
             raw = [r for chunk in pool.map(_scan_chunk, chunks) for r in chunk]
 

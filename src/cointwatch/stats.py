@@ -4,6 +4,16 @@ All operations are pure functions over immutable inputs. Non-finite samples
 are rejected once, at :class:`Series` construction, so downstream code never
 re-validates.
 
+Many ADF regressions run at once in one batch kernel, adf_pair_batch. It
+takes the residual series u = y - b0 - b1*x of many pairs from moments:
+each series' centered ADF design and Gram matrix are built once
+(adf_designs), a pair's moment matrix is combined from its two series'
+Gram matrices and their cross product, and one stacked Cholesky
+factorization gives every t-ratio. adf_statistic_batch is the same kernel
+for plain series. Rows the normal equations cannot vouch for are flagged
+by a trust gate on the condition number of the uncentered design's Gram
+matrix (_BATCH_TRUST_LIMIT); callers recompute those with adf_statistic.
+
 The p-value mapping embeds the MacKinnon (1994) response-surface regression
 for the constant-only Dickey-Fuller distribution (single series, no trend),
 the same published coefficients used by the major econometrics packages.
@@ -18,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -190,10 +201,12 @@ def adf_statistic(s, lags: int) -> tuple[float, int]:
     return float(beta[1] / stderr), rows
 
 
-# Trust limit of the batched ADF solve. A row goes back to adf_statistic
-# when cond1(G) * (y'y / rss) exceeds it: cond1(G) = ||G||_1 ||G^-1||_1 bounds
-# the normal equations' loss of accuracy, and y'y / rss (at least 1, about
-# 1-3 on price data) grows without bound when the lags fit the differences
+# Trust limit of the batched ADF kernel. A row goes back to adf_statistic
+# when cond1(G) * (y'y / rss) exceeds it, where G is the Gram matrix of the
+# row's uncentered ADF design (constant, lagged level, lagged differences)
+# and y the uncentered target: cond1(G) = ||G||_1 ||G^-1||_1 bounds the
+# normal equations' loss of accuracy, and y'y / rss (at least 1, about 1-3
+# on price data) grows without bound when the lags fit the differences
 # almost exactly, where the t-ratio is rounding noise on either path. On
 # price data the product stays below ~1e4. lstsq's rank cut-off in
 # adf_statistic only bites near cond ~ 1e26, so every row under the limit is
@@ -201,22 +214,202 @@ def adf_statistic(s, lags: int) -> tuple[float, int]:
 _BATCH_TRUST_LIMIT = 1e8
 
 
+class AdfMoments(NamedTuple):
+    """Moments of stacked centered ADF designs (see adf_designs).
+
+    take() gives one row's moments (unbatched arrays) or a stack of rows.
+    """
+
+    gram: np.ndarray  # (m, k, k): each design's Gram matrix, e @ e.T
+    mean: np.ndarray  # (m, k): each design's column means before centering
+    rows: int  # regression rows
+
+    def take(self, index) -> "AdfMoments":
+        return AdfMoments(self.gram[index], self.mean[index], self.rows)
+
+
+def adf_designs(s: np.ndarray, lags: int) -> tuple[np.ndarray, AdfMoments]:
+    """The centered ADF design of every row of the 2-d array s, transposed
+    (shape (m, k, rows)), and its moments.
+
+    Row r's design has one column per regression term of adf_statistic
+    except the constant: the `lags` lagged differences (longest lag first),
+    then the lagged level, then the target difference, each centered over
+    the regression rows. Centering partials out the constant
+    (Frisch-Waugh-Lovell), so the moment matrix of a residual series
+    u = y - b0 - b1*x is a combination of x's and y's moments and their
+    cross product (adf_pair_batch). Each row's arrays depend on that row
+    alone, bit for bit, so a series gets the same design from any stack it
+    is part of.
+    """
+    m, n = s.shape
+    rows = n - lags - 1
+    d = np.ascontiguousarray(np.diff(s, axis=1))
+    # window w of the differences starts at w: lag i is window lags - i, and
+    # the target is window lags
+    step = d.strides[1]
+    windows = np.ndarray((m, lags + 1, rows), d.dtype, d, 0, (d.strides[0], step, step))
+    e = np.empty((m, lags + 2, rows))
+    e[:, :lags] = windows[:, :lags]
+    e[:, lags] = s[:, lags : n - 1]
+    e[:, lags + 1] = windows[:, lags]
+    mean = e.sum(axis=2) / rows
+    e -= mean[:, :, None]
+    # a copy on the right makes this a general product per row, which runs
+    # faster than the symmetric one numpy picks for an array and its own
+    # transpose
+    return e, AdfMoments(e @ e.copy().transpose(0, 2, 1), mean, rows)
+
+
+def adf_pair_batch(
+    x: AdfMoments, y: AdfMoments, cross: np.ndarray, b0: np.ndarray, b1: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """adf_statistic of every residual series u = y - b0 - b1*x, from moments.
+
+    x and y are the moments of the two sides' designs (x may be one
+    unbatched row shared by every row of y), cross the stacked products
+    X'Y of their designs (e_x @ e_y.T, one fixed-shape product per row), and
+    b0, b1 the fitted lines. Row r's moment matrix is
+
+        M = Y'Y - b1 (C + C') + b1^2 X'X,   C = X'Y,
+
+    the centered Gram matrix of u's design with the target last. One
+    Cholesky factor L of M gives the t-ratio of the lagged level,
+    L[-1,-2] * sqrt(rows - k) / L[-1,-1], and rss = L[-1,-1]^2; no design of
+    u is built. Agrees with adf_statistic to rounding (about 1e-12 relative
+    on price data), not bit for bit.
+
+    Returns (statistics, ok). ok is False for every row the kernel cannot
+    vouch for: a moment matrix that is not finite or not numerically
+    positive definite, one past the trust limit (see _BATCH_TRUST_LIMIT),
+    or a non-finite statistic. Those rows' statistics are meaningless;
+    callers recompute them with adf_statistic, which also decides the skip
+    reason. A row's result depends on that row alone.
+    """
+    rows = y.rows
+    b1c = b1[:, None, None]
+    # Y'Y + b1 (b1 X'X - C - C')
+    moments = b1c * x.gram
+    moments -= cross
+    moments -= cross.transpose(0, 2, 1)
+    moments *= b1c
+    moments += y.gram
+    mean = y.mean - b1[:, None] * x.mean
+    mean[:, -2] -= b0  # the lagged level carries the intercept
+    # k design columns (lags, level, target): as many as the regression has
+    # coefficients, the constant included
+    k = moments.shape[-1]
+    factor, ok = _cholesky(moments)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        rss = factor[:, -1, -1] * factor[:, -1, -1]
+        stat = factor[:, -1, -2] * math.sqrt(rows - k) / factor[:, -1, -1]
+        target = mean[:, -1]
+        fit = (moments[:, -1, -1] + rows * (target * target)) / rss
+        ok &= np.isfinite(stat) & _trusted(moments, factor, mean, rows, fit, ok)
+    return stat, ok
+
+
+def _cholesky(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower Cholesky factor of each stacked matrix, and whether it exists.
+
+    A matrix that is not numerically positive definite gets ok False and an
+    identity factor; the others' factors do not depend on it. A NaN (a
+    constant regressor's slope) reaches every diagonal entry, so it is
+    caught before the factorization.
+    """
+    ok = np.diagonal(a, axis1=1, axis2=2).min(axis=1) > 0.0
+    if not ok.all():
+        a = np.where(ok[:, None, None], a, np.eye(a.shape[-1]))
+    try:
+        return np.linalg.cholesky(a), ok
+    except np.linalg.LinAlgError:
+        out = np.empty_like(a)
+        for r, matrix in enumerate(a):
+            try:
+                out[r] = np.linalg.cholesky(matrix)
+            except np.linalg.LinAlgError:
+                out[r], ok[r] = np.eye(a.shape[-1]), False
+        return out, ok
+
+
+def _trusted(moments, factor, mean, rows, fit, ok) -> np.ndarray:
+    """Whether cond1(G) * fit <= _BATCH_TRUST_LIMIT, for each row with ok set.
+
+    G is the Gram matrix of the row's uncentered design. A row whose upper
+    bound (_cond1_bound, O(k) per row) clears the limit is trusted outright;
+    on price data that is more than 90% of rows, in a scan or a refit. The
+    other rows get cond1(G) exactly (_uncentered_cond1).
+    """
+    a, mu = moments[:, :-1, :-1], mean[:, :-1]
+    budget = _BATCH_TRUST_LIMIT / fit
+    trusted = _cond1_bound(a, factor[:, :-1, :-1], mu, rows) <= budget
+    rest = np.flatnonzero(ok & ~trusted)
+    if rest.size:
+        trusted[rest] = _uncentered_cond1(a[rest], mu[rest], rows) <= budget[rest]
+    return trusted
+
+
+def _cond1_bound(a, r, mu, rows) -> np.ndarray:
+    """An upper bound on cond1(G) for each G = [[n, n mu'], [n mu, A + n mu mu']].
+
+    A is the regressors' centered Gram matrix (p x p), r its Cholesky factor,
+    mu their means and n = rows; costs O(p) per row. With d = diag(A) and
+    c = 1 + ||mu||_1:
+    - lambda_min(A) >= det(A) / prod(d) / e * min(d): the scaled matrix
+      D^-1/2 A D^-1/2 has trace p, so by the AM-GM inequality its smallest
+      eigenvalue exceeds its determinant over (p / (p - 1))^(p - 1) < e;
+    - ||A^-1||_1 <= sqrt(p) / lambda_min(A) and ||A^-1 mu||_2 <=
+      ||mu||_2 / lambda_min(A) bound the bordered inverse of G (see
+      _uncentered_cond1): ||G^-1||_1 <= 1/n + c (c - 1 + sqrt(p)) / lambda;
+    - ||G||_1 <= n c^2 + sqrt(p) trace(A).
+    """
+    root_p = math.sqrt(a.shape[-1])
+    d = np.diagonal(a, axis1=1, axis2=2)
+    pivots = np.diagonal(r, axis1=1, axis2=2)
+    lam = np.prod(pivots * pivots / d, axis=1) * d.min(axis=1)
+    c = 1.0 + np.abs(mu).sum(axis=1)
+    g_norm = rows * (c * c) + root_p * d.sum(axis=1)
+    return g_norm * (1.0 / rows + math.e * c * (c + (root_p - 1.0)) / lam)
+
+
+def _uncentered_cond1(a, mu, rows) -> np.ndarray:
+    """cond1 of each G = [[n, n mu'], [n mu, A + n mu mu']], n = rows.
+
+    G^-1 is assembled by the bordered-inverse identity,
+    [[1/n + mu'A^-1 mu, -(A^-1 mu)'], [-A^-1 mu, A^-1]], from the centered
+    A alone. An exactly singular A has an infinite condition number; it is
+    found one row at a time, so it affects only its own row.
+    """
+    m, p = mu.shape
+    try:
+        a_inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        a_inv = np.full_like(a, np.inf)
+        for r, matrix in enumerate(a):
+            try:
+                a_inv[r] = np.linalg.inv(matrix)
+            except np.linalg.LinAlgError:
+                pass
+    w = a_inv @ mu[:, :, None]
+    g, g_inv = np.empty((2, m, p + 1, p + 1))
+    g[:, 0, 0] = rows
+    g[:, 0, 1:] = g[:, 1:, 0] = rows * mu
+    np.add(a, g[:, 1:, :1] * mu[:, None, :], out=g[:, 1:, 1:])
+    g_inv[:, 0, 0] = 1.0 / rows + (mu[:, None, :] @ w)[:, 0, 0]
+    g_inv[:, 1:, :1] = -w
+    g_inv[:, 0, 1:] = g_inv[:, 1:, 0]
+    g_inv[:, 1:, 1:] = a_inv
+    # both are symmetric up to rounding: the largest absolute column sum is
+    # the 1-norm
+    return np.abs(g).sum(axis=1).max(axis=1) * np.abs(g_inv).sum(axis=1).max(axis=1)
+
+
 def adf_statistic_batch(s: np.ndarray, lags: int) -> tuple[np.ndarray, np.ndarray]:
     """adf_statistic for every row of the 2-d array s at once.
 
-    Builds the stacked ADF designs (one per row, same layout as
-    adf_statistic) and solves them through their normal equations: stacked
-    Gram matrices and a stacked inverse, with the t-ratio taken from the
-    inverse's level-term diagonal. Agrees with adf_statistic to rounding
-    (about 1e-13 relative on price-like data), not bit for bit.
-
-    Returns (statistics, ok). ok is False for every row the normal equations
-    cannot vouch for: a singular or ill-conditioned Gram matrix (1-norm
-    condition above 1e8), a regression whose lags fit the differences almost
-    exactly (see _BATCH_TRUST_LIMIT), zero residual variance, or a
-    non-finite value. Those rows' statistics are meaningless; callers
-    recompute them with adf_statistic, which also decides the skip reason.
-    A row's result depends on that row alone.
+    The residual-series entry point of adf_pair_batch: each row is taken as
+    u = s - 0 - 0*s, so its moment matrix is its own design's Gram matrix.
+    Returns (statistics, ok) as adf_pair_batch does.
 
     Requires lags >= 0 and more regression rows than coefficients
     (n - lags - 1 > lags + 2), the cases adf_statistic does not reject.
@@ -226,47 +419,9 @@ def adf_statistic_batch(s: np.ndarray, lags: int) -> tuple[np.ndarray, np.ndarra
     k = lags + 2
     if lags < 0 or rows <= k:
         raise ValueError(f"{n} samples cannot identify {k} coefficients at lags={lags}")
-    d = np.diff(s, axis=1)
-    # design_t[r] is the transpose of row r's ADF design: one contiguous
-    # regressor per row of it, which makes the copies below plain slices
-    design_t = np.empty((m, k, rows))
-    design_t[:, 0] = 1.0
-    design_t[:, 1] = s[:, lags : n - 1]
-    for i in range(1, lags + 1):
-        design_t[:, 1 + i] = d[:, lags - i : n - 1 - i]
-    y = d[:, lags:, None]
-    design = design_t.transpose(0, 2, 1)
-    gram = design_t @ design
-    gram_inv = _stacked_inv(gram)
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        beta = gram_inv @ (design_t @ y)
-        resid = (y - design @ beta)[:, :, 0]
-        rss = (resid * resid).sum(axis=1)
-        sigma2 = rss / (rows - k)
-        stat = beta[:, 1, 0] / np.sqrt(sigma2 * gram_inv[:, 1, 1])
-        cond = _norm1(gram) * _norm1(gram_inv)
-        fit = (y[:, :, 0] * y[:, :, 0]).sum(axis=1) / rss
-        ok = (sigma2 > 0.0) & (cond * fit <= _BATCH_TRUST_LIMIT) & np.isfinite(stat)
-    return stat, ok
-
-
-def _norm1(a: np.ndarray) -> np.ndarray:
-    """Matrix 1-norm (largest absolute column sum) of each stacked matrix."""
-    return np.abs(a).sum(axis=1).max(axis=1)
-
-
-def _stacked_inv(a: np.ndarray) -> np.ndarray:
-    """Inverse of each stacked matrix; NaN for any matrix that is singular."""
-    try:
-        return np.linalg.inv(a)
-    except np.linalg.LinAlgError:
-        out = np.full_like(a, np.nan)
-        for r, matrix in enumerate(a):
-            try:
-                out[r] = np.linalg.inv(matrix)
-            except np.linalg.LinAlgError:
-                pass
-        return out
+    moments = adf_designs(s, lags)[1]
+    zero = np.zeros(m)
+    return adf_pair_batch(moments, moments, moments.gram, zero, zero)
 
 
 # MacKinnon (1994) response-surface coefficients, constant-only case, one

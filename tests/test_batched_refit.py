@@ -26,6 +26,7 @@ from cointwatch.errors import (
     InsufficientWindow,
     LengthMismatch,
     MisalignedCalendar,
+    SingularDesign,
     TooShort,
 )
 from cointwatch.graph import audit_adjacency, build_graph
@@ -55,7 +56,7 @@ def per_edge_recompute(g, broken, window, config):
             model = coint_fit(by_symbol[src_sym], by_symbol[dst_sym])
         except TooShort as exc:
             raise InsufficientWindow(f"{src_sym}->{dst_sym}: {exc}") from exc
-        except (DegeneratePair, DegenerateRegressor):
+        except (DegeneratePair, DegenerateRegressor, SingularDesign):
             removed.append(eid)
             continue
         if model.pvalue < config.epsilon:
@@ -218,6 +219,21 @@ def test_windows_of_two_lengths_and_a_misaligned_pair(planted):
     with pytest.raises(MisalignedCalendar):
         per_edge_recompute(g, list(g.edges), window, AlertConfig())
     assert_matches_oracle(g, list(g.edges), window)
+
+
+def test_repeated_price_window_is_removed():
+    # both symbols repeat one price over the last 110 of 120 days: the fit
+    # itself is fine, but the residuals' early lagged differences are all
+    # zero, so coint_fit raises SingularDesign and the edge is removed
+    rng = np.random.default_rng(11)
+    walks = [np.concatenate([100.0 + np.cumsum(rng.standard_normal(10)), np.zeros(110)])
+             for _ in range(2)]
+    window = [PriceSeries(s, np.maximum.accumulate(w), "w") for s, w in zip("XY", walks)]
+    with pytest.raises(SingularDesign):
+        coint_fit(*window)
+    g = build_graph([PairResult("X", "Y", dummy_model(), admitted=True)], 1.0, ["X", "Y"])
+    summary = assert_matches_oracle(g, [0], window, AlertConfig(epsilon=0.5))
+    assert summary == RecomputeSummary(removed=(0,))
 
 
 def test_constant_symbol_rows():

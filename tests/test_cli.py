@@ -4,12 +4,13 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
+from cointwatch import synth
 from cointwatch.cli import main
 from cointwatch.coint import PairResult
 from cointwatch.graph import build_graph
 from cointwatch.pipeline import load_graph, save_graph, write_prices_csv
 
-from conftest import dummy_model
+from conftest import dummy_model, planted_instance
 
 
 def run(argv):
@@ -184,6 +185,33 @@ class TestRunCommand:
         g = load_graph(after)
         assert all("K" not in (g.nodes[e.src].symbol, g.nodes[e.dst].symbol)
                    for e in g.edges.values())
+
+    def test_onbreak_removes_an_edge_whose_refit_window_repeats_one_price(self, tmp_path, capsys):
+        # one unchanged baseline tick, replayed with an 8-sigma shock every
+        # 25 ticks: once the trailing window is mostly that tick, the
+        # residuals' differences vanish, the ADF design of a broken edge is
+        # rank-deficient, and the edge is removed instead of aborting the run
+        g, base, series = planted_instance(3, n_clusters=2, cluster_size=4, n_days=120)
+        symbols = sorted(base)
+        calendar = [date(2020, 1, 1) + timedelta(days=k) for k in range(320)]
+        prices, ticks = tmp_path / "prices.csv", tmp_path / "ticks.csv"
+        write_prices_csv(prices, calendar[:120], {p.symbol: p.values for p in series})
+        replay = [synth.shock_tick(g, base, symbols[t // 25 % len(symbols)], sigmas=8.0)[0]
+                  if t % 25 == 24 else base for t in range(200)]
+        write_prices_csv(ticks, calendar[120:], {s: [tick[s] for tick in replay] for s in symbols})
+        graph = tmp_path / "graph.json"
+        save_graph(g, graph)
+        reports, after = tmp_path / "reports.jsonl", tmp_path / "after.json"
+        code = run(
+            [
+                "run", "--graph", str(graph), "--ticks", str(ticks),
+                "--prices", str(prices), "--recompute", "onbreak",
+                "--out", str(reports), "--graph-out", str(after),
+            ]
+        )
+        assert code == 0, capsys.readouterr().err
+        assert len(reports.read_text().splitlines()) == 200
+        assert load_graph(after).n_edges < g.n_edges
 
     def test_shock_scenario_detected(self, tmp_path, built_graph, universe_csv):
         g = load_graph(built_graph)

@@ -181,3 +181,34 @@ def test_worker_count_invariance(direction, lags, seed):
     duo = scan_pairs(universe, direction_policy=direction, workers=2, lags=lags)
     assert solo.skipped
     assert repr(solo) == repr(duo)
+
+
+@settings(max_examples=5, deadline=None)
+@given(universe=universes(), seed=st.integers(0, 2**32 - 1))
+def test_pair_bits_do_not_depend_on_the_batch(universe, seed):
+    # a pair's model is the same, bit for bit, from a one- or two-worker
+    # scan and from coint_fit_batch alone or among unrelated pairs of the
+    # same length; a row the batch declines is coint_fit's in every case
+    n_days, window_id = len(universe[0]), universe[0].window_id
+    rng = np.random.default_rng(seed)
+    # at least 9 symbols (72 ordered pairs), so the two-worker scan runs in
+    # the process pool
+    universe += [
+        PriceSeries(f"W{k}", 200.0 + np.cumsum(rng.standard_normal(n_days)), window_id)
+        for k in range(max(0, 9 - len(universe)))
+    ]
+    solo = scan_pairs(universe, workers=1)
+    assert repr(solo) == repr(scan_pairs(universe, workers=2))
+    strangers = [
+        PriceSeries(f"Z{k}", 80.0 + np.cumsum(rng.standard_normal(n_days)), window_id)
+        for k in range(6)
+    ]
+    others = list(zip(strangers[::2], strangers[1::2]))
+    by_symbol = {p.symbol: p for p in universe}
+    for k, result in enumerate(solo.pairs):
+        pair = (by_symbol[result.src_symbol], by_symbol[result.dst_symbol])
+        at = k % (len(others) + 1)
+        alone = coint.coint_fit_batch([pair])[0] or coint.coint_fit(*pair)
+        mixed = coint.coint_fit_batch(others[:at] + [pair] + others[at:])[at]
+        assert repr(alone) == repr(result.model)
+        assert repr(mixed or coint.coint_fit(*pair)) == repr(result.model)

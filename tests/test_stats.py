@@ -199,6 +199,46 @@ class TestAdfStatistic:
         assert n_eff == 100 - 4 - 1
 
 
+class TestAdfPairBatch:
+    """The moment kernel against adf_statistic on the OLS residuals."""
+
+    @staticmethod
+    def pairs(scale, n=250):
+        """Cointegrated and unrelated walks, then a constant and an exactly
+        affine response, which the kernel must decline."""
+        rng = np.random.default_rng(21)
+        xs, ys = [], []
+        for k in range(12):
+            x = 100.0 + np.cumsum(rng.standard_normal(n))
+            noise = rng.standard_normal(n)
+            y = (50.0 + np.cumsum(rng.standard_normal(n)) if k % 3 == 0
+                 else 20.0 + 0.8 * x + (noise if k % 3 == 1 else np.cumsum(noise) * 0.3))
+            xs.append(x)
+            ys.append(y)
+        steps = 500.0 + np.cumsum(rng.integers(-3, 4, n))
+        xs += [xs[0], steps]
+        ys += [np.full(n, 42.0), 1.0 + 2.0 * steps]
+        return np.array(xs) * scale, np.array(ys) * scale
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("lags", [0, 1, 3, stats.default_lag(250)])
+    def test_matches_adf_statistic_where_ok(self, lags, scale):
+        xs, ys = self.pairs(scale)
+        fits = [stats.ols_fit(x, y) for x, y in zip(xs, ys)]
+        b0 = np.array([f.beta0 for f in fits])
+        b1 = np.array([f.beta1 for f in fits])
+        ex, x_moments = stats.adf_designs(xs, lags)
+        ey, y_moments = stats.adf_designs(ys, lags)
+        stat, ok = stats.adf_pair_batch(x_moments, y_moments, ex @ ey.transpose(0, 2, 1), b0, b1)
+        assert not ok[-2:].any()  # constant and exactly affine responses
+        # the trust gate is not scale-free: at x1e-3 with 15 lags it declines
+        # the rows whose residuals are white noise
+        assert ok[:-2].sum() >= 8
+        for r in np.flatnonzero(ok):
+            want = stats.adf_statistic(fits[r].residuals, lags)[0]
+            assert stat[r] == pytest.approx(want, rel=1e-9)
+
+
 class TestAdfPvalue:
     def test_five_percent_anchor(self):
         # -2.86 is the tabulated 5% critical value for the constant case
