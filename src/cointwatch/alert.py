@@ -18,30 +18,34 @@ versions, byte for byte.
 
 Node state on the tick path is arrays too: last price, last-update epoch
 and alert state, plus one append-only log of each tick's evaluated nodes
-and their new states (graph.NodeSnapshot). A tick validates its prices
-(graph.tick_prices, shared with update_prices), copies the three arrays
-and appends one log entry, so its cost follows the edges and the
-evaluated nodes, not the run's length. Each published version builds its
+and their new states (graph.NodeSnapshot). A tick validates its prices in
+bulk (graph.tick_prices, shared with update_prices), copies the three
+arrays and appends one log entry, so its cost follows the edges and the
+evaluated nodes, not the run's length. The kernel computes every edge's
+deviation and reads only the checked ones; whether any edge has a zero
+sigma is decided once per EdgeColumns. Each published version builds its
 SymbolNode tuple, alert histories included, only when a caller reads
 .nodes or exports it.
 
 Refits read a trailing price window. Under the onbreak policy the stream
 keeps it as one float64 array (one row per graph symbol of the supplied
-history, oldest column first), shifted by one column per tick, and
-materialises PriceSeries only for the endpoints of the edges that broke in
-that tick. With recompute off no history is kept. All of a tick's broken
-edges are fitted together (coint.coint_fit_batch: the scan's row kernel, one
-stacked Cholesky factorization of the pairs' ADF moment matrices); rows it
-cannot vouch for go through coint_fit alone, so outcomes and errors are
-those of one coint_fit per edge, and the refit models' pvalue and adf_stat
-agree with coint_fit's to rounding. The refits and removals are published
-by patching only the edges they change.
+history) used as a ring: each published tick overwrites the oldest column,
+in O(symbols), and a tick that fails writes nothing. PriceSeries, oldest
+price first, are materialised only for the endpoints of the edges that
+broke in that tick. With recompute off no history is kept. All of a tick's
+broken edges are fitted together (coint.coint_fit_batch: the scan's row
+kernel, one stacked Cholesky factorization of the pairs' ADF moment
+matrices); rows it cannot vouch for go through coint_fit alone, so outcomes
+and errors are those of one coint_fit per edge, and the refit models'
+pvalue and adf_stat agree with coint_fit's to rounding. The refits and
+removals are published by patching only the edges they change.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -304,6 +308,11 @@ class EdgeColumns:
     resid_mean: np.ndarray
     resid_std: np.ndarray
 
+    @cached_property
+    def zero_sigma(self) -> np.ndarray:
+        """Rows whose resid_std <= 0: a tick that checks one of them raises."""
+        return np.flatnonzero(self.resid_std <= 0.0)
+
     @classmethod
     def of(cls, edges: Mapping[int, graphmod.CointEdge]) -> "EdgeColumns":
         ordered = [edges[eid] for eid in sorted(edges)]
@@ -328,7 +337,8 @@ class EdgeColumns:
         """
         if not summary.refitted and not summary.removed:
             return self
-        keep = np.isin(self.eid, summary.removed, invert=True)
+        keep = np.ones(len(self.eid), dtype=bool)
+        keep[np.searchsorted(self.eid, summary.removed)] = False
         cols = {f.name: getattr(self, f.name)[keep] for f in fields(self)}
         rows = np.searchsorted(cols["eid"], summary.refitted)
         models = [edges[eid].model for eid in summary.refitted]
@@ -353,6 +363,9 @@ def tick_kernel(
     and their new alerted flags. No node object is built, unless health_fn
     reads g.nodes.
 
+    Deviations are computed over every edge, stale ones included, and only
+    the checked edges' are read.
+
     Raises:
         ZeroSigma: a checked edge has resid_std <= 0.
     """
@@ -361,39 +374,40 @@ def tick_kernel(
     price = nodes.price
     fresh = (nodes.updated == epoch) & ~np.isnan(price)
 
-    checked = np.flatnonzero(fresh[columns.src] & fresh[columns.dst])
-    src = columns.src[checked]
-    dst = columns.dst[checked]
-    sd = columns.resid_std[checked]
-    if np.any(sd <= 0.0):
+    src, dst = columns.src, columns.dst
+    checked = fresh[src] & fresh[dst]
+    if len(columns.zero_sigma) and checked[columns.zero_sigma].any():
         raise ZeroSigma("leash check on a zero-sigma model; such edges must be excluded")
     # leash_check's operation order, so every deviation is bit-identical;
-    # like Python floats, overflow gives inf/nan silently
+    # like Python floats, overflow gives inf/nan silently, and so do the
+    # stale (NaN-priced) and zero-sigma edges that are never read
     with np.errstate(all="ignore"):
-        u = price[dst] - (columns.beta0[checked] + columns.beta1[checked] * price[src])
-        deviation = np.abs(u - columns.resid_mean[checked]) / sd
-    failing = deviation > config.sigma_k
+        # |y - (beta0 + beta1*x) - resid_mean| / resid_std, in place
+        fitted = price[src]
+        fitted *= columns.beta1
+        fitted += columns.beta0
+        deviation = price[dst]
+        deviation -= fitted
+        deviation -= columns.resid_mean
+        np.abs(deviation, out=deviation)
+        deviation /= columns.resid_std
+        failing = np.flatnonzero(checked & (deviation > config.sigma_k))
 
     alerted = np.zeros(g.n_nodes, dtype=bool)
     alerted[src[failing]] = True
     alerted[dst[failing]] = True
     evaluated = np.zeros(g.n_nodes, dtype=bool)
-    evaluated[src] = True
-    evaluated[dst] = True
+    evaluated[src[checked]] = True
+    evaluated[dst[checked]] = True
 
     # each edge is scheduled once per endpoint
-    edges_checked = 2 * len(checked)
-    partial = AlertReport(
-        epoch=epoch,
-        node_alerts=tuple(np.flatnonzero(alerted).tolist()),
-        broken_edges=tuple(
-            zip(columns.eid[checked[failing]].tolist(), deviation[failing].tolist())
-        ),
-        global_alert=False,
-        edges_checked=edges_checked,
-        edges_skipped_stale=2 * g.n_edges - edges_checked,
-    )
-    report = replace(partial, global_alert=global_reduce(g, partial, config, health_fn))
+    edges_checked = 2 * int(np.count_nonzero(checked))
+    node_alerts = tuple(np.flatnonzero(alerted).tolist())
+    broken = tuple(zip(columns.eid[failing].tolist(), deviation[failing].tolist()))
+    skipped = 2 * g.n_edges - edges_checked
+    report = AlertReport(epoch, node_alerts, broken, False, edges_checked, skipped)
+    if global_reduce(g, report, config, health_fn):
+        report = AlertReport(epoch, node_alerts, broken, True, edges_checked, skipped)
 
     ids = np.flatnonzero(evaluated)
     flags = alerted[ids]
@@ -484,8 +498,12 @@ class _History:
     """Trailing price window used for selective refits.
 
     One float64 row per graph symbol the supplied history holds (refits
-    touch edge endpoints only), oldest column first; rows are keyed by
-    node id, resolved once.
+    touch edge endpoints only); rows are keyed by node id, resolved once.
+    The columns form a ring: column `start` holds the oldest price, and
+    the one before it the newest. A tick first makes its column (column),
+    reads its refit windows with that column appended (window), and only
+    once it publishes overwrites the oldest column with it (push), so a
+    tick costs O(symbols) and a failed tick leaves the history as it was.
     """
 
     def __init__(self, window: Sequence[PriceSeries], g: CointGraph):
@@ -499,23 +517,36 @@ class _History:
         self.prices = np.array([p.values for p in kept], dtype=np.float64).reshape(
             len(kept), self.length
         )
+        self.start = 0
 
-    def push(self, price: np.ndarray):
-        """Append every node's last price (a node-id indexed array, NaN
-        while unpriced), dropping the oldest column."""
-        if not self.length:  # an empty window has no column to shift
-            return
+    def column(self, price: np.ndarray) -> np.ndarray:
+        """The column a tick appends: every node's last price (a node-id
+        indexed array, NaN while unpriced); a node never priced repeats its
+        newest value."""
         latest = price[self.node_ids]
-        self.prices[:, :-1] = self.prices[:, 1:]
-        # a node never priced keeps its previous value (the last column,
-        # which the shift left in place)
-        self.prices[:, -1] = np.where(np.isnan(latest), self.prices[:, -1], latest)
+        if not self.length:  # an empty window has no column to repeat
+            return latest
+        return np.where(np.isnan(latest), self.prices[:, self.start - 1], latest)
 
-    def window(self, epoch: int, node_ids: Iterable[int]) -> list[PriceSeries]:
-        """The trailing series of those given nodes that the history holds."""
+    def push(self, column: np.ndarray):
+        """Publish a tick's column in place of the oldest."""
+        if self.length:
+            self.prices[:, self.start] = column
+            self.start = (self.start + 1) % self.length
+
+    def window(self, epoch: int, node_ids: Iterable[int], column: np.ndarray) -> list[PriceSeries]:
+        """The trailing series of those given nodes that the history holds,
+        as they would be once `column` is pushed."""
         wid = f"trailing-{self.length}@{epoch}"
         rows = sorted(self.rows[nid] for nid in set(node_ids) if nid in self.rows)
-        return [PriceSeries(self.symbols[row], self.prices[row], wid) for row in rows]
+        block = self.prices[rows]
+        if self.length:
+            block[:, self.start] = column[rows]
+            # oldest first: the columns after the overwritten one, then the
+            # rest up to the new column
+            split = self.start + 1
+            block = np.concatenate((block[:, split:], block[:, :split]), axis=1)
+        return [PriceSeries(self.symbols[row], values, wid) for row, values in zip(rows, block)]
 
 
 class TickStream:
@@ -532,12 +563,14 @@ class TickStream:
     run's append-only alert log. No tick builds a SymbolNode; each version
     in .graph holds its own copy of the arrays and the log length at its
     epoch, and builds its nodes once, when read or exported. A failed tick
-    publishes nothing and appends nothing to the log.
+    publishes nothing, appends nothing to the log and leaves
+    last_recompute as it was.
 
     Under the onbreak policy the price history is kept as a trailing
-    window (_History), advanced by every tick; a history whose series differ
-    in window id or length raises MisalignedCalendar here. With recompute
-    off the history is ignored.
+    window (_History), advanced by every tick that publishes; a failed tick
+    leaves it as it was. A history whose series differ in window id or
+    length raises MisalignedCalendar here. With recompute off the history
+    is ignored.
     """
 
     def __init__(
@@ -583,9 +616,10 @@ class TickStream:
 
     def _step(self, tick: Mapping[str, float]) -> AlertReport:
         ids, prices = graphmod.tick_prices(self.graph.symbol_ids, tick)
-        epoch = self.graph.epoch + 1
+        g = self.graph
+        epoch = g.epoch + 1
         priced = self._nodes.priced(ids, prices, epoch)
-        g = replace(self.graph, node_source=priced, epoch=epoch)
+        g = CointGraph(priced, g.edges, g.out_edges, g.in_edges, epoch, g.symbol_ids)
         if self._columns is None:
             self._columns = EdgeColumns.of(g.edges)
         report, evaluated, flags = tick_kernel(g, self._columns, self.config, self.health_fn)
@@ -593,25 +627,25 @@ class TickStream:
         broken_ids = [eid for eid, _ in report.broken_edges]
         g = graphmod.mark_broken(g, broken_ids)
 
-        if self._history is not None:
-            self._history.push(priced.price)
-
-        self.last_recompute = None
+        column = None if self._history is None else self._history.column(priced.price)
+        summary = None
         if self.policy == RECOMPUTE_ON_BREAK and broken_ids:
             if self._history is None:
                 raise InsufficientWindow(
                     "recompute policy is on but no price history window was provided"
                 )
             endpoints = [v for eid in broken_ids for v in (g.edges[eid].src, g.edges[eid].dst)]
-            window = self._history.window(g.epoch, endpoints)
+            window = self._history.window(epoch, endpoints, column)
             g, summary = selective_recompute(g, broken_ids, window, self.config)
-            self.last_recompute = summary
             self._columns = self._columns.patched(g.edges, summary)
 
-        # published last, so a failed tick leaves the stream and its log as
-        # they were
+        # published last, so a failed tick leaves the stream, its log and
+        # its history as they were
         self._nodes = priced.evaluated(epoch, evaluated, flags)
-        self.graph = replace(g, node_source=self._nodes)
+        if column is not None:
+            self._history.push(column)
+        self.graph = CointGraph(self._nodes, g.edges, g.out_edges, g.in_edges, epoch, g.symbol_ids)
+        self.last_recompute = summary
         return report
 
 

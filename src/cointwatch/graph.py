@@ -120,13 +120,15 @@ class NodeSnapshot:
     def __len__(self) -> int:
         return len(self.symbols)
 
-    def priced(self, ids: Sequence[int], prices: Sequence[float], epoch: int) -> NodeSnapshot:
+    def priced(self, ids: np.ndarray, prices: np.ndarray, epoch: int) -> NodeSnapshot:
         """These nodes after one tick's prices (see tick_prices) at epoch."""
         price = self.price.copy()
         price[ids] = prices
         updated = self.updated.copy()
         updated[ids] = epoch
-        return replace(self, price=price, updated=updated)
+        return NodeSnapshot(
+            self.symbols, price, updated, self.alerted, self.base, self.log, self.length
+        )
 
     def evaluated(self, epoch: int, ids: np.ndarray, alerted: np.ndarray) -> NodeSnapshot:
         """These nodes after one tick's checks: the evaluated nodes' alerted
@@ -136,7 +138,9 @@ class NodeSnapshot:
         flags = self.alerted.copy()
         flags[ids] = alerted
         self.log.append((epoch, ids, alerted))
-        return replace(self, alerted=flags, length=self.length + 1)
+        return NodeSnapshot(
+            self.symbols, self.price, self.updated, flags, self.base, self.log, self.length + 1
+        )
 
     @cached_property
     def nodes(self) -> tuple[SymbolNode, ...]:
@@ -285,19 +289,38 @@ def build_graph(
     )
 
 
+# value types a tick's prices are converted in bulk from; anything else,
+# bool included, is checked entry by entry
+_PLAIN_PRICE_TYPES = frozenset((float, int, np.float64))
+
+
 def tick_prices(
     symbol_ids: Mapping[str, int], tick: Mapping[str, float]
-) -> tuple[list[int], list[float]]:
-    """Validate one tick: the node ids and float prices of its symbols, in
-    tick order. Both price paths (update_prices, TickStream) call it.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Validate one tick: the node ids (intp) and float64 prices of its
+    symbols, in tick order. Both price paths (update_prices, TickStream)
+    call it.
+
+    A tick of known symbols and plain int/float prices is checked in bulk;
+    otherwise, or when the bulk check fails, the entries are checked one by
+    one, so the first bad one in tick order raises.
 
     Raises:
         UnknownSymbol: a symbol is not in the graph.
         NonPositivePrice: a price is not a positive finite number (a bool is
             not a price).
     """
-    ids: list[int] = []
-    prices: list[float] = []
+    values = list(tick.values())
+    if _PLAIN_PRICE_TYPES.issuperset(map(type, values)):
+        try:
+            ids = np.fromiter(map(symbol_ids.get, tick), dtype=np.intp, count=len(values))
+            prices = np.array(values, dtype=np.float64)
+        except (TypeError, OverflowError):  # an unknown symbol, an int beyond float
+            pass
+        else:
+            if np.isfinite(prices).all() and (prices > 0.0).all():
+                return ids, prices
+    id_list: list[int] = []
     for symbol, price in tick.items():
         nid = symbol_ids.get(symbol)
         if nid is None:
@@ -306,9 +329,8 @@ def tick_prices(
             isinstance(price, (int, float)) and math.isfinite(price) and price > 0
         ):
             raise NonPositivePrice(f"{symbol}: price {price!r} is not a positive finite number")
-        ids.append(nid)
-        prices.append(float(price))
-    return ids, prices
+        id_list.append(nid)
+    return np.array(id_list, dtype=np.intp), np.array([float(p) for p in values], dtype=np.float64)
 
 
 def update_prices(g: CointGraph, tick: Mapping[str, float]) -> CointGraph:
@@ -320,7 +342,7 @@ def update_prices(g: CointGraph, tick: Mapping[str, float]) -> CointGraph:
     ids, prices = tick_prices(g.symbol_ids, tick)
     epoch = g.epoch + 1
     nodes = list(g.nodes)
-    for nid, price in zip(ids, prices):
+    for nid, price in zip(ids.tolist(), prices.tolist()):
         n = nodes[nid]
         nodes[nid] = SymbolNode(
             id=n.id,
@@ -363,7 +385,9 @@ def remove_edges(g: CointGraph, edge_ids: Iterable[int]) -> CointGraph:
         out_adj[v] = tuple(eid for eid in out_adj[v] if eid not in doomed)
     for v in {g.edges[eid].dst for eid in doomed}:
         in_adj[v] = tuple(eid for eid in in_adj[v] if eid not in doomed)
-    return replace(g, edges=edges, out_edges=tuple(out_adj), in_edges=tuple(in_adj))
+    return CointGraph(
+        g.node_source, edges, tuple(out_adj), tuple(in_adj), g.epoch, g.symbol_ids
+    )
 
 
 def mark_broken(g: CointGraph, edge_ids: Iterable[int]) -> CointGraph:
@@ -376,9 +400,10 @@ def mark_broken(g: CointGraph, edge_ids: Iterable[int]) -> CointGraph:
         return g
     edges = dict(g.edges)
     for eid in ids:
-        if not edges[eid].broken:
-            edges[eid] = replace(edges[eid], broken=True)
-    return replace(g, edges=edges)
+        e = edges[eid]
+        if not e.broken:
+            edges[eid] = CointEdge(e.id, e.src, e.dst, e.model, True)
+    return CointGraph(g.node_source, edges, g.out_edges, g.in_edges, g.epoch, g.symbol_ids)
 
 
 def replace_model(g: CointGraph, edge_id: int, model: CointModel) -> CointGraph:
@@ -395,8 +420,9 @@ def replace_models(g: CointGraph, models: Mapping[int, CointModel]) -> CointGrap
         return g
     edges = dict(g.edges)
     for eid, model in models.items():
-        edges[eid] = replace(edges[eid], model=model, broken=False)
-    return replace(g, edges=edges)
+        e = edges[eid]
+        edges[eid] = CointEdge(e.id, e.src, e.dst, model, False)
+    return CointGraph(g.node_source, edges, g.out_edges, g.in_edges, g.epoch, g.symbol_ids)
 
 
 def with_nodes(g: CointGraph, new_nodes: Mapping[int, SymbolNode]) -> CointGraph:

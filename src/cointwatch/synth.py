@@ -17,6 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import graph as graphmod
+from .alert import EdgeColumns
 from .coint import PairResult, PriceSeries, coint_fit
 from .errors import DegeneratePair
 from .graph import CointGraph, neighbors
@@ -172,22 +173,27 @@ def jittered_tick(
 
     Each node moves at most half the budget against its most sensitive
     incident edge, so no edge deviation shifts by more than budget_sigmas
-    from the baseline (which itself is under BASELINE_GUARD).
+    from the baseline (which itself is under BASELINE_GUARD). A node
+    without edges moves at most 0.5% of its price. One uniform draw per
+    node, in node order.
     """
     rng = np.random.default_rng(seed)
+    symbols = [node.symbol for node in g.nodes]
+    price = np.array([base[s] for s in symbols], dtype=np.float64)
+    draw = rng.uniform(-1.0, 1.0, size=len(symbols))
+    # per node, the smallest resid_std / role coefficient over its edges
+    # (_role_coefficient: 1 where the node is dst, |beta1| where it is src)
+    cols = EdgeColumns.of(g.edges)
+    limit = np.full(len(symbols), np.inf)
+    np.minimum.at(limit, cols.src, cols.resid_std / np.maximum(np.abs(cols.beta1), 1e-12))
+    np.minimum.at(limit, cols.dst, cols.resid_std)
+    wired = np.zeros(len(symbols), dtype=bool)
+    wired[cols.src] = True
+    wired[cols.dst] = True
+    delta = draw * 0.005 * price
+    delta[wired] = draw[wired] * 0.5 * budget_sigmas * limit[wired]
     tick = dict(base)
-    for node in g.nodes:
-        incident = neighbors(g, node.id)
-        price = tick[node.symbol]
-        if incident:
-            limit = min(
-                e.model.resid_std / max(_role_coefficient(e, node.id), 1e-12)
-                for e, _ in incident
-            )
-            delta = rng.uniform(-1.0, 1.0) * 0.5 * budget_sigmas * limit
-        else:
-            delta = rng.uniform(-1.0, 1.0) * 0.005 * price
-        tick[node.symbol] = price + delta
+    tick.update(zip(symbols, (price + delta).tolist()))
     return tick
 
 
