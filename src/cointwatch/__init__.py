@@ -1,10 +1,11 @@
 """Cointegration graph construction and tick-by-tick pair monitoring.
 
 Build a directed graph over a price universe (pairwise regression plus a
-unit-root test on the residuals), then watch it tick by tick with a
-synchronous vertex-centric job: fresh prices are broadcast along edges,
-every node leash-checks its neighborhood, local alerts fold into a global
-health verdict, and only the edges that broke their leash are refit.
+unit-root test on the residuals), then watch it tick by tick: every node
+with a fresh price leash-checks the edges to its fresh neighbours, local
+alerts fold into a global health verdict, and only the edges that broke
+their leash are refit. Each tick runs as one array pass over the edges;
+the node-by-node loop (alert.reference_tick) is kept as its oracle.
 """
 
 from .alert import (
@@ -17,7 +18,6 @@ from .alert import (
     tick_loop,
 )
 from .coint import CointModel, PairResult, PriceSeries, ScanResult, coint_fit, scan_pairs
-from .engine import SuperstepResult, VertexMessage, VertexProgram, audit_determinism, run_supersteps
 from .errors import CointwatchError
 from .graph import (
     CointEdge,
@@ -30,7 +30,7 @@ from .graph import (
     remove_edges,
     update_prices,
 )
-from .pipeline import PriceTable, RunConfig, load_graph, load_prices, save_graph, slice_window
+from .pipeline import PriceTable, load_graph, load_prices, save_graph, slice_window
 from .stats import AdfResult, LinearModel, Series, adf_test, default_lag, diff, ols_fit
 
 __version__ = "0.1.0"
@@ -48,16 +48,11 @@ __all__ = [
     "PriceSeries",
     "PriceTable",
     "RecomputeSummary",
-    "RunConfig",
     "ScanResult",
     "Series",
-    "SuperstepResult",
     "SymbolNode",
-    "VertexMessage",
-    "VertexProgram",
     "adf_test",
     "audit_adjacency",
-    "audit_determinism",
     "build_graph",
     "coint_fit",
     "default_lag",
@@ -70,7 +65,6 @@ __all__ = [
     "neighbors",
     "ols_fit",
     "remove_edges",
-    "run_supersteps",
     "save_graph",
     "scan_pairs",
     "selective_recompute",

@@ -6,15 +6,16 @@ health verdict -> optionally, edges observed outside their leash are refit
 on a trailing window and either re-admitted or dropped.
 
 The paper's monitor is a synchronous vertex-centric job: fresh nodes
-broadcast their prices along incident edges, and in a single superstep
-each node checks the edges it received a price for. That job sends no
-further messages, so it is one scan over the edges. The tick path runs it
-as one numpy pass over edge arrays (tick_kernel over EdgeColumns), built
-once per stream and patched after each refit (EdgeColumns.patched). The
-vertex program (AlertVertexProgram fed by price_broadcast_messages through
-run_supersteps, then assemble_report) stays as reference_tick, the oracle
-the kernel is tested against: both give the same reports and node
-versions, byte for byte.
+broadcast their prices along incident edges, and each node checks the
+edges it received a price for. That job sends no further messages, so it
+is one scan over the edges. The tick path runs it as one numpy pass over
+edge arrays (tick_kernel over EdgeColumns), built once per stream and
+patched after each refit (EdgeColumns.patched). The per-node view stays
+as reference_tick, the oracle the kernel is tested against: a plain loop
+in which each node, given its fresh neighbours' prices
+(price_broadcast_messages), checks its own neighbourhood
+(AlertVertexProgram.compute), folded by assemble_report. Both give the
+same reports and node versions, byte for byte.
 
 Node state on the tick path is arrays too: last price, last-update epoch
 and alert state, plus one append-only log of each tick's evaluated nodes
@@ -52,7 +53,6 @@ import numpy as np
 
 from . import graph as graphmod
 from .coint import CointModel, PriceSeries, check_aligned, coint_fit, coint_fit_batch
-from .engine import VertexMessage, VertexProgram, run_supersteps
 from .errors import (
     CointwatchError,
     DegeneratePair,
@@ -79,8 +79,6 @@ class AlertConfig:
     global_fraction: alerted-node fraction above which the default health
         reducer declares a global alert (an arbitrary, documented default;
         set per deployment).
-    max_supersteps: vertex-job cap per tick on the reference path. The job
-        halts after one superstep, so no value changes any output.
     latch_alerts: when True an alerted node stays alerted even if later
         ticks check clean; default re-evaluates every tick.
     """
@@ -88,7 +86,6 @@ class AlertConfig:
     sigma_k: float = 3.0
     epsilon: float = 0.05
     global_fraction: float = 0.2
-    max_supersteps: int = 1
     latch_alerts: bool = False
 
     def __post_init__(self):
@@ -98,8 +95,6 @@ class AlertConfig:
             raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
         if not 0.0 <= self.global_fraction <= 1.0:
             raise ValueError(f"global_fraction must be in [0, 1], got {self.global_fraction}")
-        if self.max_supersteps < 1:
-            raise ValueError(f"max_supersteps must be >= 1, got {self.max_supersteps}")
 
 
 @dataclass(frozen=True)
@@ -146,16 +141,17 @@ def leash_check(model, x_price: float, y_price: float, sigma_k: float):
     return deviation > sigma_k, deviation
 
 
-def price_broadcast_messages(g: CointGraph) -> list[list[VertexMessage]]:
-    """Initial-messages policy: every fresh node sends its last price along
-    every incident edge (stale nodes stay silent)."""
-    inboxes: list[list[VertexMessage]] = [[] for _ in range(g.n_nodes)]
+def price_broadcast_messages(g: CointGraph) -> list[dict[int, float]]:
+    """Every fresh node sends its last price along every incident edge
+    (stale nodes stay silent); returns, per node id, the {sender id: price}
+    map it receives."""
+    inboxes: list[dict[int, float]] = [{} for _ in range(g.n_nodes)]
     for eid in sorted(g.edges):
         e = g.edges[eid]
         if g.is_fresh(e.src):
-            inboxes[e.dst].append(VertexMessage(e.src, g.nodes[e.src].last_price))
+            inboxes[e.dst][e.src] = g.nodes[e.src].last_price
         if g.is_fresh(e.dst):
-            inboxes[e.src].append(VertexMessage(e.dst, g.nodes[e.dst].last_price))
+            inboxes[e.src][e.dst] = g.nodes[e.dst].last_price
     return inboxes
 
 
@@ -170,23 +166,21 @@ class AlertVertexState:
     evaluated: bool = False
 
 
-class AlertVertexProgram(VertexProgram):
+class AlertVertexProgram:
     """Each node leash-checks every incident edge for which both endpoint
     prices are fresh this epoch; any failing check raises its local alert.
 
     The program is bound to one published graph version for topology and
-    models; neighbor prices arrive as messages."""
+    models; neighbor prices are passed in."""
 
     def __init__(self, g: CointGraph, config: AlertConfig):
         self.graph = g
         self.config = config
 
-    def init_state(self, node):
-        return AlertVertexState(node=node)
-
-    def compute(self, state: AlertVertexState, inbox, epoch):
-        node = state.node
-        prices = {m.src: m.payload for m in inbox}
+    def compute(
+        self, node: graphmod.SymbolNode, prices: Mapping[int, float], epoch: int
+    ) -> AlertVertexState:
+        """The node's outcome, given its fresh neighbours' prices by id."""
         self_fresh = self.graph.is_fresh(node.id)
         checked = 0
         skipped = 0
@@ -214,14 +208,13 @@ class AlertVertexProgram(VertexProgram):
                 new_alert = CLEAR
             history = node.alert_history + ((epoch, new_alert),)
             node = replace(node, alert_state=new_alert, alert_history=history)
-        new_state = AlertVertexState(
+        return AlertVertexState(
             node=node,
             failed=tuple(failed),
             checked=checked,
             skipped=skipped,
             evaluated=evaluated,
         )
-        return new_state, [], True
 
 
 HealthFn = Callable[[CointGraph, AlertReport, AlertConfig], bool]
@@ -281,18 +274,15 @@ def reference_tick(
     config: AlertConfig,
     health_fn: HealthFn | None = None,
 ) -> tuple[list[AlertVertexState], AlertReport]:
-    """One tick's checks as the vertex-centric job on a priced graph version.
+    """One tick's checks node by node on a priced graph version: each node
+    checks its neighbourhood against its fresh neighbours' prices.
 
     Slow; kept as the oracle that tick_kernel must match. Returns the
     per-node states (indexed by node id) and the epoch report.
     """
     program = AlertVertexProgram(g, config)
-    states, _ = run_supersteps(
-        g,
-        program,
-        max_supersteps=config.max_supersteps,
-        initial_messages=price_broadcast_messages,
-    )
+    inboxes = price_broadcast_messages(g)
+    states = [program.compute(node, inboxes[node.id], g.epoch) for node in g.nodes]
     return states, assemble_report(g, states, config, health_fn)
 
 
@@ -556,8 +546,7 @@ class TickStream:
     Ticks run through tick_kernel. The stream builds the edge columns once,
     on the first tick, and keeps them across ticks: broken flags are not a
     column, and after a recompute the columns are patched from its
-    RecomputeSummary (EdgeColumns.patched) rather than rebuilt. `workers` is
-    accepted but unused: the output never depended on it.
+    RecomputeSummary (EdgeColumns.patched) rather than rebuilt.
 
     Node state is kept as a graph.NodeSnapshot: per-node arrays plus the
     run's append-only alert log. No tick builds a SymbolNode; each version
@@ -579,7 +568,6 @@ class TickStream:
         ticks: Iterable[Mapping[str, float]],
         config: AlertConfig,
         recompute_policy: str = RECOMPUTE_OFF,
-        workers: int = 1,
         history: Sequence[PriceSeries] | None = None,
         health_fn: HealthFn | None = None,
     ):
@@ -663,13 +651,15 @@ def tick_loop(
     Returns a TickStream yielding one AlertReport per tick, in order; the
     whole run is deterministic for fixed inputs, config, and seeds. A
     failing tick aborts iteration with the epoch number in the diagnostic.
+
+    `workers` is accepted and ignored: a tick is one array pass, so no
+    worker count changes the work or the output.
     """
     return TickStream(
         g,
         ticks,
         config,
         recompute_policy=recompute_policy,
-        workers=workers,
         history=history,
         health_fn=health_fn,
     )

@@ -46,6 +46,16 @@ def _iso_date(text: str) -> date:
         raise argparse.ArgumentTypeError(f"{text!r} is not an ISO-8601 date") from None
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _edge_ids(text: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",") if part.strip() != ""]
@@ -76,22 +86,14 @@ def _report_skips(skipped) -> None:
 
 
 def _cmd_build(args) -> int:
-    config = pipeline.RunConfig(
-        epsilon=args.alpha,
-        window_start=args.window_start,
-        window_end=args.window_end,
-        prices_path=args.prices,
-        out_path=args.out,
-        workers=args.workers,
-    )
-    table, window = _window_series(config.prices_path, config.window_start, config.window_end)
+    table, window = _window_series(args.prices, args.window_start, args.window_end)
     for symbol, reason in table.excluded + window.excluded:
         print(f"excluded {symbol}: {reason}", file=sys.stderr)
     scan = coint.scan_pairs(
         window.series,
-        epsilon=config.epsilon,
+        epsilon=args.alpha,
         direction_policy=args.direction,
-        workers=config.workers,
+        workers=args.workers,
         lags=args.lags,
     )
     _report_skips(scan.skipped)
@@ -105,32 +107,14 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    run_config = pipeline.RunConfig(
-        sigma_k=args.sigma,
-        epsilon=args.epsilon,
-        global_fraction=args.global_fraction,
-        max_supersteps=args.max_supersteps,
-        window_start=args.window_start,
-        window_end=args.window_end,
-        prices_path=args.prices,
-        ticks_path=args.ticks,
-        graph_path=args.graph,
-        out_path=args.out,
-        workers=args.workers,
-    )
-    g = pipeline.load_graph(run_config.graph_path)
-    ticks = pipeline.load_ticks(run_config.ticks_path)
+    g = pipeline.load_graph(args.graph)
+    ticks = pipeline.load_ticks(args.ticks)
     config = alert.AlertConfig(
-        sigma_k=run_config.sigma_k,
-        epsilon=run_config.epsilon,
-        global_fraction=run_config.global_fraction,
-        max_supersteps=run_config.max_supersteps,
+        sigma_k=args.sigma, epsilon=args.epsilon, global_fraction=args.global_fraction
     )
     history = None
-    if run_config.prices_path is not None:
-        _, window = _window_series(
-            run_config.prices_path, run_config.window_start, run_config.window_end
-        )
+    if args.prices is not None:
+        _, window = _window_series(args.prices, args.window_start, args.window_end)
         history = window.series
     if args.recompute == alert.RECOMPUTE_ON_BREAK and history is None:
         raise CointwatchError("--recompute onbreak requires --prices for the refit window")
@@ -140,7 +124,6 @@ def _cmd_run(args) -> int:
         (tick for _, tick in ticks),
         config,
         recompute_policy=args.recompute,
-        workers=run_config.workers,
         history=history,
     )
     with open(args.out, "w") as fh:
@@ -268,7 +251,7 @@ def build_parser() -> _Parser:
         default=coint.DIRECTION_BOTH,
     )
     p.add_argument("--lags", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_build)
 
@@ -278,8 +261,6 @@ def build_parser() -> _Parser:
     p.add_argument("--sigma", type=float, default=3.0)
     p.add_argument("--epsilon", type=float, default=0.05)
     p.add_argument("--global-fraction", dest="global_fraction", type=float, default=0.2)
-    p.add_argument("--max-supersteps", dest="max_supersteps", type=int, default=1)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument(
         "--recompute", choices=(alert.RECOMPUTE_OFF, alert.RECOMPUTE_ON_BREAK),
         default=alert.RECOMPUTE_OFF,
@@ -339,6 +320,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_EXIT
+    start, end = getattr(args, "window_start", None), getattr(args, "window_end", None)
+    if start is not None and end is not None and start > end:
+        return parser.exit_with(f"window start {start} is after end {end}")
     if args.command == "gen" and args.kind != "universe":
         if args.graph is None or args.prices is None:
             return parser.exit_with(f"gen {args.kind} requires --graph and --prices")

@@ -63,12 +63,6 @@ class NonPositivePrice(CointwatchError):
     """A price update is not a finite positive number."""
 
 
-# -- engine -----------------------------------------------------------------
-
-class InvalidDestination(CointwatchError):
-    """A vertex program emitted a message to a nonexistent node."""
-
-
 # -- alert ------------------------------------------------------------------
 
 class ZeroSigma(CointwatchError):

@@ -50,36 +50,6 @@ class WindowSlice:
     window_id: str
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Bundle of everything one CLI invocation needs."""
-
-    sigma_k: float = 3.0
-    epsilon: float = 0.05
-    global_fraction: float = 0.2
-    max_supersteps: int = 1
-    window_start: date | None = None
-    window_end: date | None = None
-    prices_path: str | None = None
-    ticks_path: str | None = None
-    graph_path: str | None = None
-    out_path: str | None = None
-    workers: int = 1
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if (
-            self.window_start is not None
-            and self.window_end is not None
-            and self.window_start > self.window_end
-        ):
-            raise ValueError(
-                f"window start {self.window_start} is after end {self.window_end}"
-            )
-
-
 def _parse_close(text: str, line_no: int) -> float:
     try:
         value = float(text)

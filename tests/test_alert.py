@@ -380,7 +380,6 @@ class TestAlertConfig:
             {"epsilon": 1.0},
             {"global_fraction": -0.1},
             {"global_fraction": 1.5},
-            {"max_supersteps": 0},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):

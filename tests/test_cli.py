@@ -104,6 +104,14 @@ class TestBuild:
         assert run(["frobnicate"]) == 1
         assert run([]) == 1
 
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_is_usage_error(self, tmp_path, universe_csv, capsys, workers):
+        out = tmp_path / "g.json"
+        argv = ["build", "--prices", str(universe_csv), "--workers", workers, "--out", str(out)]
+        assert run(argv) == 1
+        assert "--workers" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRunCommand:
     def test_reports_one_line_per_tick(self, tmp_path, built_graph, universe_csv):
@@ -242,26 +250,6 @@ class TestRunCommand:
         after = load_graph(out_graph)
         assert all(after.edges[eid].broken for eid in broken_ids)
 
-    def test_run_determinism_across_workers(self, tmp_path, built_graph, universe_csv):
-        ticks = tmp_path / "t.csv"
-        run(
-            [
-                "gen", "ticks", "--graph", str(built_graph), "--prices", str(universe_csv),
-                "--count", "3", "--seed", "2", "--out", str(ticks),
-            ]
-        )
-        outs = []
-        for workers in ("1", "2"):
-            out = tmp_path / f"r{workers}.jsonl"
-            run(
-                [
-                    "run", "--graph", str(built_graph), "--ticks", str(ticks),
-                    "--workers", workers, "--out", str(out),
-                ]
-            )
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
-
     def test_corrupt_graph_is_data_error(self, tmp_path, universe_csv):
         bad = tmp_path / "bad.json"
         bad.write_text('{"epoch": -1}')
@@ -296,6 +284,24 @@ class TestRecompute:
             ]
         )
         assert code == 2
+
+
+@pytest.mark.parametrize("command", ["build", "run", "recompute"])
+def test_window_start_after_end_is_usage_error(tmp_path, built_graph, universe_csv, capsys,
+                                               command):
+    out = tmp_path / "out"
+    argv = {
+        "build": ["build", "--prices", str(universe_csv)],
+        "run": ["run", "--graph", str(built_graph), "--ticks", str(universe_csv),
+                "--prices", str(universe_csv)],
+        "recompute": ["recompute", "--graph", str(built_graph), "--broken", "0",
+                      "--prices", str(universe_csv)],
+    }[command]
+    capsys.readouterr()
+    code = run(argv + ["--from", "2024-06-01", "--to", "2024-01-01", "--out", str(out)])
+    assert code == 1
+    assert "window start 2024-06-01 is after end 2024-01-01" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestExport:
