@@ -303,7 +303,7 @@ def build_parser() -> _Parser:
     p.add_argument("--start", type=_iso_date, default=synth.DEFAULT_START)
     p.add_argument("--graph", default=None)
     p.add_argument("--prices", default=None)
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--count", type=_positive_int, default=1)
     p.add_argument("--symbol", default=None)
     p.add_argument("--sigmas", type=float, default=6.0)
     p.add_argument("--mode", choices=("all", "none"), default="all")

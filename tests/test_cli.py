@@ -112,6 +112,14 @@ class TestBuild:
         assert "--workers" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_field_over_the_csv_limit_is_data_error(self, tmp_path, capsys):
+        prices = tmp_path / "prices.csv"
+        prices.write_text(f"date,symbol,close\n2015-01-02,{'A' * 131073},1.0\n")
+        out = tmp_path / "g.json"
+        assert run(["build", "--prices", str(prices), "--out", str(out)]) == 2
+        assert "line 2: field larger than field limit" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRunCommand:
     def test_reports_one_line_per_tick(self, tmp_path, built_graph, universe_csv):
@@ -345,6 +353,19 @@ class TestGen:
 
     def test_gen_ticks_requires_graph(self, tmp_path):
         assert run(["gen", "ticks", "--out", str(tmp_path / "t.csv")]) == 1
+
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_ticks_count_below_one_is_usage_error(
+        self, tmp_path, built_graph, universe_csv, capsys, count
+    ):
+        out = tmp_path / "t.csv"
+        argv = [
+            "gen", "ticks", "--graph", str(built_graph), "--prices", str(universe_csv),
+            "--count", count, "--out", str(out),
+        ]
+        assert run(argv) == 1
+        assert "--count" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_turbulent_covers_fraction(self, tmp_path):
         prices = tmp_path / "p.csv"

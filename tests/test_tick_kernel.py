@@ -1,9 +1,10 @@
 """The columnar tick kernel against the vertex-program oracle.
 
 tick_loop runs every tick through tick_kernel; reference_tick runs the same
-tick as the single-superstep vertex job (AlertVertexProgram fed by the
-price broadcast, then assemble_report). Both must publish the same report
-bytes and the same node versions, tick after tick.
+tick as a plain loop over nodes (each node's AlertVertexProgram.compute fed
+its neighbours' prices by price_broadcast_messages, then assemble_report).
+Both must publish the same report bytes and the same node versions, tick
+after tick.
 """
 
 import pytest
