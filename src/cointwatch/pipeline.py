@@ -112,11 +112,16 @@ def load_prices(path, start: date | None = None, end: date | None = None) -> Pri
 
 
 def _records(fh):
-    """csv records of an open file; the csv module's own errors (such as a
-    field over ``csv.field_size_limit()``) become a ParseError naming the line."""
+    """(line, record) for each csv record of an open file, line being the
+    physical line the record starts on (a quoted field may span lines); the
+    csv module's own errors (such as a field over ``csv.field_size_limit()``)
+    become a ParseError naming the line."""
     reader = csv.reader(fh)
     try:
-        yield from reader
+        line = 1
+        for record in reader:
+            yield line, record
+            line = reader.line_num + 1
     except csv.Error as exc:
         raise ParseError(f"line {reader.line_num}: {exc}", reader.line_num) from None
 
@@ -127,12 +132,12 @@ def _read_rows(path) -> tuple[tuple[date, ...], tuple[str, ...], np.ndarray]:
     rows: dict[tuple[date, str], float] = {}
     with open(path, newline="") as fh:
         records = _records(fh)
-        header = next(records, None)
+        _, header = next(records, (1, None))
         if header is None:
             raise EmptyInput(f"{path}: file is empty")
         if [h.strip().lower() for h in header[:3]] != _HEADER:
             raise ParseError(f"line 1: expected header date,symbol,close, got {header!r}", 1)
-        for line_no, row in enumerate(records, start=2):
+        for line_no, row in records:
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) < 3:

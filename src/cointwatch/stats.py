@@ -213,6 +213,16 @@ def adf_statistic(s, lags: int) -> tuple[float, int]:
 # one that path also fits.
 _BATCH_TRUST_LIMIT = 1e8
 
+# Second trust limit of the batched ADF kernel, on a scale-free product.
+# Forming a pair's moment matrix M = Y'Y - b1 (C + C') + b1^2 X'X cancels
+# terms of size trace(Y'Y) + b1^2 trace(X'X) down to trace(M), and the
+# relative rounding error that leaves in M is amplified by y'y / rss in the
+# t-ratio. A row goes back to adf_statistic when the cancellation ratio
+# times y'y / rss exceeds this. On 250-day price data the product stays
+# below ~25; on 4- to 12-day windows, rows past ~3e5 gave t-ratios more
+# than 1e-9 relative off adf_statistic's while passing the limit above.
+_BATCH_CANCEL_LIMIT = 1e4
+
 
 class AdfMoments(NamedTuple):
     """Moments of stacked centered ADF designs (see adf_designs).
@@ -281,10 +291,10 @@ def adf_pair_batch(
 
     Returns (statistics, ok). ok is False for every row the kernel cannot
     vouch for: a moment matrix that is not finite or not numerically
-    positive definite, one past the trust limit (see _BATCH_TRUST_LIMIT),
-    or a non-finite statistic. Those rows' statistics are meaningless;
-    callers recompute them with adf_statistic, which also decides the skip
-    reason. A row's result depends on that row alone.
+    positive definite, one past either trust limit (_BATCH_TRUST_LIMIT,
+    _BATCH_CANCEL_LIMIT), or a non-finite statistic. Those rows' statistics
+    are meaningless; callers recompute them with adf_statistic, which also
+    decides the skip reason. A row's result depends on that row alone.
     """
     rows = y.rows
     b1c = b1[:, None, None]
@@ -305,7 +315,11 @@ def adf_pair_batch(
         stat = factor[:, -1, -2] * math.sqrt(rows - k) / factor[:, -1, -1]
         target = mean[:, -1]
         fit = (moments[:, -1, -1] + rows * (target * target)) / rss
-        ok &= np.isfinite(stat) & _trusted(moments, factor, mean, rows, fit, ok)
+        terms = y.gram.diagonal(0, -2, -1).sum(-1)
+        terms += b1 * b1 * x.gram.diagonal(0, -2, -1).sum(-1)
+        cancel = terms / moments.diagonal(0, 1, 2).sum(1)
+        ok &= np.isfinite(stat) & (cancel * fit <= _BATCH_CANCEL_LIMIT)
+        ok &= _trusted(moments, factor, mean, rows, fit, ok)
     return stat, ok
 
 

@@ -252,10 +252,12 @@ def price_file(draw):
     for k, defect in enumerate(defects):
         # a defect row has a cell of its own, so it is the only fault it adds
         day = (SPARE_DAY + timedelta(days=k)).isoformat()
-        if defect == "wrapped" and len(lines) >= 2:
+        # an earlier defect (a short row, a blank line) may have no comma
+        wrappable = [k for k in range(len(lines) - 1) if "," in lines[k]]
+        if defect == "wrapped" and wrappable:
             # one row's close moved to the start of the next line: the field
             # count still averages three per line
-            at = draw(st.integers(0, len(lines) - 2))
+            at = draw(st.sampled_from(wrappable))
             head, close = lines[at].rsplit(",", 1)
             lines[at: at + 2] = [head, f"{close},{lines[at + 1]}"]
             continue
@@ -410,6 +412,24 @@ class TestLoadPricesMatchesRowLoop:
         )
         assert pipeline._read_bulk(path) is None
         with pytest.raises(ParseError, match="line 3: field larger than field limit") as err:
+            load_prices(path)
+        assert err.value.line == 3
+
+    @pytest.mark.parametrize("later", ["oops", "field"])
+    def test_errors_name_physical_lines_after_a_multiline_field(self, tmp_path, later):
+        # the quoted symbol spans lines 2-3, so the bad row starts on line 4
+        # whichever error it raises
+        close = "1.5".rjust(csv.field_size_limit() + 1) if later == "field" else "oops"
+        path = tmp_path / "p.csv"
+        path.write_text(f'date,symbol,close\n2015-01-02,"A\nB",1.0\n2015-01-03,AAA,{close}\n')
+        with pytest.raises(ParseError, match="^line 4: ") as err:
+            load_prices(path)
+        assert err.value.line == 4
+
+    def test_a_multiline_record_is_named_by_its_first_line(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text('date,symbol,close\n\n2015-01-02,"A\nB",oops\n')
+        with pytest.raises(ParseError, match="^line 3: close 'oops'") as err:
             load_prices(path)
         assert err.value.line == 3
 

@@ -1,11 +1,13 @@
 """The batched pair-fit kernel of scan_pairs against the per-pair path.
 
-scan_pairs fits every destination of one source at once; coint._fit_one
-(coint_fit on one pair) is the oracle. The OLS fields must match bit for bit,
-the ADF statistic and p-value to rounding, and admission and skip reasons
-exactly. Rows the kernel cannot vouch for go back to the oracle, so they
-must match it exactly.
+scan_pairs fits blocks of unordered pairs, both directions of each pair at
+once; coint._fit_one (coint_fit on one pair) is the oracle. The OLS fields
+must match bit for bit, the ADF statistic and p-value to rounding, and
+admission and skip reasons exactly. Rows the kernel cannot vouch for go
+back to the oracle, so they must match it exactly.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,9 +25,12 @@ def oracle(universe, direction, lags):
     values = np.vstack([p.values for p in universe])
     symbols = [p.symbol for p in universe]
     window_id = universe[0].window_id
+    idx = range(len(symbols))
     return {
         (symbols[i], symbols[j]): coint._fit_one(values, symbols, window_id, lags, (i, j))
-        for i, j in coint._ordered_pairs(symbols, direction)
+        for i in idx
+        for j in idx
+        if i != j and (direction == DIRECTION_BOTH or symbols[i] < symbols[j])
     }
 
 
@@ -174,11 +179,13 @@ def test_batch_rows_are_independent():
                        (DIRECTION_SINGLE, 2)]
 )
 def test_worker_count_invariance(direction, lags, seed):
-    # 12 symbols: 132 ordered pairs (66 single-direction), above the inline
-    # cutoff of 64, so the two-worker scan really runs in the process pool
+    # 12 symbols, 66 unordered pairs: far below the pool's size threshold,
+    # which is lowered here so that the two-worker scan really runs in the
+    # process pool
     universe = walkers(seed, 11, 100) + [PriceSeries("K", np.full(100, 9.0), "w")]
     solo = scan_pairs(universe, direction_policy=direction, workers=1, lags=lags)
-    duo = scan_pairs(universe, direction_policy=direction, workers=2, lags=lags)
+    with mock.patch.object(coint, "_POOL_MIN_FITS", 0):
+        duo = scan_pairs(universe, direction_policy=direction, workers=2, lags=lags)
     assert solo.skipped
     assert repr(solo) == repr(duo)
 
@@ -191,14 +198,15 @@ def test_pair_bits_do_not_depend_on_the_batch(universe, seed):
     # same length; a row the batch declines is coint_fit's in every case
     n_days, window_id = len(universe[0]), universe[0].window_id
     rng = np.random.default_rng(seed)
-    # at least 9 symbols (72 ordered pairs), so the two-worker scan runs in
-    # the process pool
+    # at least 9 symbols, with the pool's size threshold lowered so that
+    # the two-worker scan runs in the process pool
     universe += [
         PriceSeries(f"W{k}", 200.0 + np.cumsum(rng.standard_normal(n_days)), window_id)
         for k in range(max(0, 9 - len(universe)))
     ]
     solo = scan_pairs(universe, workers=1)
-    assert repr(solo) == repr(scan_pairs(universe, workers=2))
+    with mock.patch.object(coint, "_POOL_MIN_FITS", 0):
+        assert repr(solo) == repr(scan_pairs(universe, workers=2))
     strangers = [
         PriceSeries(f"Z{k}", 80.0 + np.cumsum(rng.standard_normal(n_days)), window_id)
         for k in range(6)
