@@ -9,10 +9,10 @@ The paper's monitor is a synchronous vertex-centric job: fresh nodes
 broadcast their prices along incident edges, and each node checks the
 edges it received a price for. That job sends no further messages, so it
 is one scan over the edges. The tick path runs it as one numpy pass over
-edge arrays (tick_kernel over EdgeColumns), built once per stream and
-patched after each refit (EdgeColumns.patched). The per-node view stays
-as reference_tick, the oracle the kernel is tested against: a plain loop
-in which each node, given its fresh neighbours' prices
+the graph's own edge columns (tick_kernel over graph.EdgeColumns), which
+the graph's mutators replace when edges break, refit or go. The per-node
+view stays as reference_tick, the oracle the kernel is tested against: a
+plain loop in which each node, given its fresh neighbours' prices
 (price_broadcast_messages), checks its own neighbourhood
 (AlertVertexProgram.compute), folded by assemble_report. Both give the
 same reports and node versions, byte for byte.
@@ -24,7 +24,7 @@ bulk (graph.tick_prices, shared with update_prices), copies the three
 arrays and appends one log entry, so its cost follows the edges and the
 evaluated nodes, not the run's length. The kernel computes every edge's
 deviation and reads only the checked ones; whether any edge has a zero
-sigma is decided once per EdgeColumns. Each published version builds its
+sigma is decided once per columns object. Each published version builds its
 SymbolNode tuple, alert histories included, only when a caller reads
 .nodes or exports it.
 
@@ -39,14 +39,14 @@ kernel, one stacked Cholesky factorization of the pairs' ADF moment
 matrices); rows it cannot vouch for go through coint_fit alone, so outcomes
 and errors are those of one coint_fit per edge, and the refit models'
 pvalue and adf_stat agree with coint_fit's to rounding. The refits and
-removals are published by patching only the edges they change.
+removals are published as new edge columns (graph.replace_models,
+graph.remove_edges).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields, replace
-from functools import cached_property
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -286,60 +286,8 @@ def reference_tick(
     return states, assemble_report(g, states, config, health_fn)
 
 
-@dataclass(frozen=True, eq=False)
-class EdgeColumns:
-    """One edge collection as arrays in edge-id order."""
-
-    eid: np.ndarray
-    src: np.ndarray
-    dst: np.ndarray
-    beta0: np.ndarray
-    beta1: np.ndarray
-    resid_mean: np.ndarray
-    resid_std: np.ndarray
-
-    @cached_property
-    def zero_sigma(self) -> np.ndarray:
-        """Rows whose resid_std <= 0: a tick that checks one of them raises."""
-        return np.flatnonzero(self.resid_std <= 0.0)
-
-    @classmethod
-    def of(cls, edges: Mapping[int, graphmod.CointEdge]) -> "EdgeColumns":
-        ordered = [edges[eid] for eid in sorted(edges)]
-        models = [e.model for e in ordered]
-        return cls(
-            eid=np.array([e.id for e in ordered], dtype=np.int64),
-            src=np.array([e.src for e in ordered], dtype=np.intp),
-            dst=np.array([e.dst for e in ordered], dtype=np.intp),
-            beta0=np.array([m.beta0 for m in models], dtype=np.float64),
-            beta1=np.array([m.beta1 for m in models], dtype=np.float64),
-            resid_mean=np.array([m.resid_mean for m in models], dtype=np.float64),
-            resid_std=np.array([m.resid_std for m in models], dtype=np.float64),
-        )
-
-    def patched(
-        self, edges: Mapping[int, graphmod.CointEdge], summary: RecomputeSummary
-    ) -> "EdgeColumns":
-        """The columns after a recompute that left `edges`: the removed
-        edges' rows dropped, the refit edges' model columns overwritten.
-        Equal to EdgeColumns.of(edges) when these columns were the ones of
-        the recomputed graph; built without a pass over every edge object.
-        """
-        if not summary.refitted and not summary.removed:
-            return self
-        keep = np.ones(len(self.eid), dtype=bool)
-        keep[np.searchsorted(self.eid, summary.removed)] = False
-        cols = {f.name: getattr(self, f.name)[keep] for f in fields(self)}
-        rows = np.searchsorted(cols["eid"], summary.refitted)
-        models = [edges[eid].model for eid in summary.refitted]
-        for name in ("beta0", "beta1", "resid_mean", "resid_std"):
-            cols[name][rows] = [getattr(m, name) for m in models]
-        return EdgeColumns(**cols)
-
-
 def tick_kernel(
     g: CointGraph,
-    columns: EdgeColumns,
     config: AlertConfig,
     health_fn: HealthFn | None = None,
 ) -> tuple[AlertReport, np.ndarray, np.ndarray]:
@@ -347,9 +295,8 @@ def tick_kernel(
     as reference_tick, bit for bit.
 
     g is a priced version whose nodes are held as a graph.NodeSnapshot (as
-    TickStream publishes them); `columns` must describe g.edges
-    (EdgeColumns.of(g.edges), or columns patched to match). Returns the
-    epoch report, the ids of the nodes that evaluated at least one check
+    TickStream publishes them); its edges are read from g.columns. Returns
+    the epoch report, the ids of the nodes that evaluated at least one check
     and their new alerted flags. No node object is built, unless health_fn
     reads g.nodes.
 
@@ -360,6 +307,7 @@ def tick_kernel(
         ZeroSigma: a checked edge has resid_std <= 0.
     """
     nodes = g.node_source
+    columns = g.columns
     epoch = g.epoch
     price = nodes.price
     fresh = (nodes.updated == epoch) & ~np.isnan(price)
@@ -422,7 +370,7 @@ def selective_recompute(
 
     An edge whose refit clears pvalue < epsilon gets the new model (broken
     flag cleared); one that does not is removed from the graph. Edges not
-    listed are left untouched (same objects, same bytes).
+    listed are left untouched (same rows, same bytes).
 
     The broken edges are fitted together (coint_fit_batch); an edge the
     batch cannot vouch for is fitted by coint_fit alone. Outcomes, OLS
@@ -474,10 +422,8 @@ def selective_recompute(
 def _endpoint_series(
     g: CointGraph, eid: int, by_symbol: Mapping[str, PriceSeries]
 ) -> tuple[PriceSeries, PriceSeries]:
-    if eid not in g.edges:
-        raise UnknownEdge(f"edge id {eid} is not in the graph")
-    edge = g.edges[eid]
-    symbols = (g.symbol(edge.src), g.symbol(edge.dst))
+    (row,) = g.columns.rows([eid])
+    symbols = (g.symbol(g.columns.src[row]), g.symbol(g.columns.dst[row]))
     for sym in symbols:
         if sym not in by_symbol:
             raise InsufficientWindow(f"window does not cover symbol {sym!r}")
@@ -543,10 +489,10 @@ class TickStream:
     """Iterator over per-tick AlertReports; .graph tracks the latest
     published graph version (refits and removals included).
 
-    Ticks run through tick_kernel. The stream builds the edge columns once,
-    on the first tick, and keeps them across ticks: broken flags are not a
-    column, and after a recompute the columns are patched from its
-    RecomputeSummary (EdgeColumns.patched) rather than rebuilt.
+    Ticks run through tick_kernel over the edge columns of the latest
+    version. A tick with breaks publishes new columns (the edges marked
+    broken, or under onbreak refit or removed); one without passes the same
+    columns object on.
 
     Node state is kept as a graph.NodeSnapshot: per-node arrays plus the
     run's append-only alert log. No tick builds a SymbolNode; each version
@@ -583,7 +529,6 @@ class TickStream:
         self._history = (
             _History(history, g) if history and recompute_policy == RECOMPUTE_ON_BREAK else None
         )
-        self._columns: EdgeColumns | None = None
         self._nodes = graphmod.NodeSnapshot.start(g)
 
     def __iter__(self) -> Iterator[AlertReport]:
@@ -607,14 +552,10 @@ class TickStream:
         g = self.graph
         epoch = g.epoch + 1
         priced = self._nodes.priced(ids, prices, epoch)
-        g = CointGraph(priced, g.edges, g.out_edges, g.in_edges, epoch, g.symbol_ids)
-        if self._columns is None:
-            self._columns = EdgeColumns.of(g.edges)
-        report, evaluated, flags = tick_kernel(g, self._columns, self.config, self.health_fn)
+        g = CointGraph(priced, g.columns, epoch, g.symbol_ids)
+        report, evaluated, flags = tick_kernel(g, self.config, self.health_fn)
 
         broken_ids = [eid for eid, _ in report.broken_edges]
-        g = graphmod.mark_broken(g, broken_ids)
-
         column = None if self._history is None else self._history.column(priced.price)
         summary = None
         if self.policy == RECOMPUTE_ON_BREAK and broken_ids:
@@ -622,17 +563,21 @@ class TickStream:
                 raise InsufficientWindow(
                     "recompute policy is on but no price history window was provided"
                 )
-            endpoints = [v for eid in broken_ids for v in (g.edges[eid].src, g.edges[eid].dst)]
+            rows = g.columns.rows(broken_ids)
+            endpoints = g.columns.src[rows].tolist() + g.columns.dst[rows].tolist()
             window = self._history.window(epoch, endpoints, column)
+            # each broken edge is refit, which clears its flag, or removed,
+            # so none is marked broken first
             g, summary = selective_recompute(g, broken_ids, window, self.config)
-            self._columns = self._columns.patched(g.edges, summary)
+        else:
+            g = graphmod.mark_broken(g, broken_ids)
 
         # published last, so a failed tick leaves the stream, its log and
         # its history as they were
         self._nodes = priced.evaluated(epoch, evaluated, flags)
         if column is not None:
             self._history.push(column)
-        self.graph = CointGraph(self._nodes, g.edges, g.out_edges, g.in_edges, epoch, g.symbol_ids)
+        self.graph = CointGraph(self._nodes, g.columns, epoch, g.symbol_ids)
         self.last_recompute = summary
         return report
 
@@ -642,7 +587,6 @@ def tick_loop(
     ticks: Iterable[Mapping[str, float]],
     config: AlertConfig,
     recompute_policy: str = RECOMPUTE_OFF,
-    workers: int = 1,
     history: Sequence[PriceSeries] | None = None,
     health_fn: HealthFn | None = None,
 ) -> TickStream:
@@ -651,9 +595,6 @@ def tick_loop(
     Returns a TickStream yielding one AlertReport per tick, in order; the
     whole run is deterministic for fixed inputs, config, and seeds. A
     failing tick aborts iteration with the epoch number in the diagnostic.
-
-    `workers` is accepted and ignored: a tick is one array pass, so no
-    worker count changes the work or the output.
     """
     return TickStream(
         g,

@@ -153,8 +153,11 @@ def _cmd_recompute(args) -> int:
     g = pipeline.load_graph(args.graph)
     broken = args.broken
     if args.broken_file is not None:
-        broken = json.loads(Path(args.broken_file).read_text())
-        if not isinstance(broken, list) or not all(isinstance(i, int) for i in broken):
+        try:
+            broken = json.loads(Path(args.broken_file).read_text())
+        except ValueError as exc:  # JSONDecodeError, or an int too long to parse
+            raise CointwatchError(f"{args.broken_file}: invalid JSON input: {exc}") from exc
+        if not isinstance(broken, list) or not all(type(i) is int for i in broken):
             raise CointwatchError(f"{args.broken_file}: expected a JSON list of edge ids")
     if broken is None:
         raise CointwatchError("no broken edges given; pass --broken or --broken-file")
@@ -338,9 +341,6 @@ def main(argv=None) -> int:
         return DATA_EXIT
     except OSError as exc:
         print(f"cointwatch: error: {exc}", file=sys.stderr)
-        return DATA_EXIT
-    except json.JSONDecodeError as exc:
-        print(f"cointwatch: error: invalid JSON input: {exc}", file=sys.stderr)
         return DATA_EXIT
 
 

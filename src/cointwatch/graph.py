@@ -1,9 +1,10 @@
 """The attributed, directed cointegration graph.
 
 Graph versions are immutable once published: every mutating operation
-returns a new CointGraph that shares unchanged nodes/edges with its parent,
-so readers of the previous epoch keep a consistent view while the next tick
-is being assembled.
+returns a new CointGraph that shares what it leaves unchanged (the nodes,
+the edge columns it does not write) with its parent, so readers of the
+previous epoch keep a consistent view while the next tick is being
+assembled.
 
 A version holds its nodes either as a tuple of SymbolNode (built, loaded,
 or made by update_prices/with_nodes) or, when a TickStream published it, as
@@ -15,19 +16,23 @@ snapshot plus log length rather than by copying histories (path copying, as
 in Driscoll, Sarnak, Sleator and Tarjan, "Making Data Structures
 Persistent", JCSS 1989).
 
-Node ids are dense integers assigned at build time; adjacency is stored as
-per-node in/out edge-id tuples and kept exactly consistent with the edge
-collection (audit_adjacency re-derives and compares).
+Edges are held only as columns (EdgeColumns, as in column stores): one
+array per edge field, rows in ascending id order. The mutators return new
+columns; the tick kernel, refits, tick builders and export read them, and
+g.edges reads them as a mapping. Each node's in/out edge-id tuples are
+derived once per columns object (CSR), so adjacency cannot disagree with
+the edges. Node ids are dense integers assigned at build time.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Mapping
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import islice
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -42,7 +47,6 @@ from .errors import (
 
 CLEAR = "clear"
 ALERTED = "alerted"
-_STATES = (CLEAR, ALERTED)
 
 
 @dataclass(frozen=True)
@@ -164,20 +168,136 @@ class NodeSnapshot:
         )
 
 
+# CointModel's fields, a column each: the floats (float64), then window_id
+_MODEL_FLOATS = ("beta0", "beta1", "resid_mean", "resid_std", "pvalue", "adf_stat")
+_MODEL_FIELDS = (*_MODEL_FLOATS, "window_id")
+
+
+@dataclass(frozen=True, eq=False)
+class EdgeColumns(Mapping):
+    """The edges of a graph version as arrays, one row per edge in
+    ascending id order: eid (int64), src and dst (intp node ids), the six
+    CointModel floats (float64), window_id (object, str) and broken (bool).
+    Never written once made; columns compare by value.
+
+    Read as a mapping, they are {edge id: CointEdge} in id order, each
+    CointEdge built when its id is read. What is derived from them is
+    computed once per columns object: zero_sigma, and the adjacency for
+    each node count asked.
+    """
+
+    eid: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    beta0: np.ndarray
+    beta1: np.ndarray
+    resid_mean: np.ndarray
+    resid_std: np.ndarray
+    pvalue: np.ndarray
+    adf_stat: np.ndarray
+    window_id: np.ndarray
+    broken: np.ndarray
+    _adjacency: dict = field(default_factory=dict, init=False, repr=False)
+
+    @classmethod
+    def of_lists(cls, **values: Sequence) -> EdgeColumns:
+        """Columns from one sequence per field, rows in any id order."""
+        order = np.argsort(np.array(values["eid"], dtype=np.int64), kind="stable")
+        return cls(**{name: np.array(values[name], kind)[order] for name, kind in _DTYPES.items()})
+
+    def __eq__(self, other):
+        if not isinstance(other, EdgeColumns):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, name), getattr(other, name)) for name in _DTYPES)
+
+    def __len__(self) -> int:
+        return len(self.eid)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.eid.tolist())
+
+    def __getitem__(self, eid) -> CointEdge:
+        row = self._row(eid)
+        if row is None:
+            raise KeyError(eid)
+        return CointEdge(
+            id=int(self.eid[row]),
+            src=int(self.src[row]),
+            dst=int(self.dst[row]),
+            model=CointModel(
+                *(float(getattr(self, name)[row]) for name in _MODEL_FLOATS),
+                window_id=self.window_id[row],
+            ),
+            broken=bool(self.broken[row]),
+        )
+
+    def _row(self, eid) -> int | None:
+        """The row of an edge id; None for any other value, a bool included."""
+        if isinstance(eid, bool) or not isinstance(eid, (int, np.integer)):
+            return None
+        eid = int(eid)
+        if not -(2**63) <= eid < 2**63:
+            return None
+        row = int(self.eid.searchsorted(eid))
+        return row if row < len(self.eid) and self.eid.item(row) == eid else None
+
+    def rows(self, edge_ids: Iterable) -> np.ndarray:
+        """The rows of the given edge ids, in their order, repeats kept.
+
+        Raises:
+            UnknownEdge: naming the first id that is not an edge.
+        """
+        ids = list(edge_ids)
+        rows = [self._row(eid) for eid in ids]
+        if None in rows:
+            raise UnknownEdge(f"edge id {ids[rows.index(None)]} is not in the graph")
+        return np.array(rows, dtype=np.intp)
+
+    @cached_property
+    def zero_sigma(self) -> np.ndarray:
+        """Rows whose resid_std <= 0: a tick that checks one of them raises."""
+        return np.flatnonzero(self.resid_std <= 0.0)
+
+    def adjacency(self, n_nodes: int):
+        """(out_edges, in_edges): per node id below n_nodes, its out- and
+        in-edge ids, ascending; CSR splits of a stable argsort of src, dst."""
+        found = self._adjacency.get(n_nodes)
+        if found is None:
+            found = (_csr(self.src, self.eid, n_nodes), _csr(self.dst, self.eid, n_nodes))
+            self._adjacency[n_nodes] = found
+        return found
+
+
+_DTYPES = {
+    "eid": np.int64,
+    "src": np.intp,
+    "dst": np.intp,
+    **dict.fromkeys(_MODEL_FLOATS, np.float64),
+    "window_id": object,
+    "broken": bool,
+}
+
+
+def _csr(ends: np.ndarray, eid: np.ndarray, n_nodes: int) -> tuple[tuple[int, ...], ...]:
+    order = np.argsort(ends, kind="stable")  # eid ascends within each node
+    offsets = np.searchsorted(ends[order], np.arange(n_nodes + 1)).tolist()
+    ids = eid[order].tolist()
+    return tuple(tuple(ids[a:b]) for a, b in zip(offsets, offsets[1:]))
+
+
 @dataclass(frozen=True, eq=False)
 class CointGraph:
     """One graph version.
 
     node_source holds the nodes as a tuple, or as the NodeSnapshot of a
     version a TickStream published; read them through .nodes, which builds
-    a snapshot's tuple once. Versions compare by value, whichever way they
-    hold their nodes.
+    a snapshot's tuple once. columns holds the edges, also read as the
+    mapping .edges; out_edges and in_edges are derived from them. Versions
+    compare by value, whichever way they hold their nodes.
     """
 
     node_source: tuple[SymbolNode, ...] | NodeSnapshot
-    edges: dict[int, CointEdge]
-    out_edges: tuple[tuple[int, ...], ...]
-    in_edges: tuple[tuple[int, ...], ...]
+    columns: EdgeColumns
     epoch: int
     symbol_ids: dict[str, int]
 
@@ -187,12 +307,24 @@ class CointGraph:
         return source.nodes if isinstance(source, NodeSnapshot) else source
 
     @property
+    def edges(self) -> EdgeColumns:
+        return self.columns
+
+    @property
+    def out_edges(self) -> tuple[tuple[int, ...], ...]:
+        return self.columns.adjacency(self.n_nodes)[0]
+
+    @property
+    def in_edges(self) -> tuple[tuple[int, ...], ...]:
+        return self.columns.adjacency(self.n_nodes)[1]
+
+    @property
     def n_nodes(self) -> int:
         return len(self.node_source)
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return len(self.columns)
 
     def symbol(self, node_id: int) -> str:
         """The symbol of a node, without building a snapshot's nodes."""
@@ -217,21 +349,9 @@ class CointGraph:
         return (
             self.epoch == other.epoch
             and self.symbol_ids == other.symbol_ids
-            and self.edges == other.edges
-            and self.out_edges == other.out_edges
-            and self.in_edges == other.in_edges
+            and self.columns == other.columns
             and self.nodes == other.nodes
         )
-
-
-def _index_adjacency(n_nodes: int, edges: Mapping[int, CointEdge]):
-    out_lists: list[list[int]] = [[] for _ in range(n_nodes)]
-    in_lists: list[list[int]] = [[] for _ in range(n_nodes)]
-    for eid in sorted(edges):
-        e = edges[eid]
-        out_lists[e.src].append(eid)
-        in_lists[e.dst].append(eid)
-    return tuple(map(tuple, out_lists)), tuple(map(tuple, in_lists))
 
 
 def build_graph(
@@ -269,24 +389,15 @@ def build_graph(
             admitted.append(r)
 
     admitted.sort(key=lambda r: (r.src_symbol, r.dst_symbol))
-    edges = {
-        eid: CointEdge(
-            id=eid,
-            src=symbol_ids[r.src_symbol],
-            dst=symbol_ids[r.dst_symbol],
-            model=r.model,
-        )
-        for eid, r in enumerate(admitted)
-    }
-    out_adj, in_adj = _index_adjacency(len(nodes), edges)
-    return CointGraph(
-        node_source=nodes,
-        edges=edges,
-        out_edges=out_adj,
-        in_edges=in_adj,
-        epoch=0,
-        symbol_ids=symbol_ids,
+    models = [r.model for r in admitted]
+    columns = EdgeColumns.of_lists(
+        eid=range(len(admitted)),
+        src=[symbol_ids[r.src_symbol] for r in admitted],
+        dst=[symbol_ids[r.dst_symbol] for r in admitted],
+        broken=[False] * len(admitted),
+        **{name: [getattr(m, name) for m in models] for name in _MODEL_FIELDS},
     )
+    return CointGraph(node_source=nodes, columns=columns, epoch=0, symbol_ids=symbol_ids)
 
 
 # value types a tick's prices are converted in bulk from; anything else,
@@ -360,69 +471,51 @@ def neighbors(g: CointGraph, node_id: int) -> list[tuple[CointEdge, int]]:
     sorted by neighbor id then edge id."""
     if not 0 <= node_id < g.n_nodes:
         raise UnknownNode(f"node id {node_id} is not in the graph")
-    found = [(g.edges[eid], g.edges[eid].dst) for eid in g.out_edges[node_id]]
-    found += [(g.edges[eid], g.edges[eid].src) for eid in g.in_edges[node_id]]
+    found = [(e, e.dst) for e in map(g.edges.__getitem__, g.out_edges[node_id])]
+    found += [(e, e.src) for e in map(g.edges.__getitem__, g.in_edges[node_id])]
     found.sort(key=lambda pair: (pair[1], pair[0].id))
     return found
 
 
 def remove_edges(g: CointGraph, edge_ids: Iterable[int]) -> CointGraph:
-    """Drop the given edges; node set and prices are untouched. Only the
-    adjacency tuples of the dropped edges' endpoints are rebuilt."""
-    ids = list(edge_ids)
-    for eid in ids:
-        if eid not in g.edges:
-            raise UnknownEdge(f"edge id {eid} is not in the graph")
-    if not ids:
+    """Drop the given edges (UnknownEdge for an id that is not one); node
+    set and prices are untouched. No id gives the same version."""
+    columns = g.columns
+    rows = columns.rows(edge_ids)
+    if not len(rows):
         return g
-    doomed = set(ids)
-    edges = dict(g.edges)
-    for eid in doomed:
-        del edges[eid]
-    out_adj = list(g.out_edges)
-    in_adj = list(g.in_edges)
-    for v in {g.edges[eid].src for eid in doomed}:
-        out_adj[v] = tuple(eid for eid in out_adj[v] if eid not in doomed)
-    for v in {g.edges[eid].dst for eid in doomed}:
-        in_adj[v] = tuple(eid for eid in in_adj[v] if eid not in doomed)
-    return CointGraph(
-        g.node_source, edges, tuple(out_adj), tuple(in_adj), g.epoch, g.symbol_ids
-    )
+    keep = np.ones(len(columns), dtype=bool)
+    keep[rows] = False
+    kept = {name: getattr(columns, name)[keep] for name in _DTYPES}
+    return replace(g, columns=EdgeColumns(**kept))
 
 
 def mark_broken(g: CointGraph, edge_ids: Iterable[int]) -> CointGraph:
-    """Flag edges as broken (leash violation observed)."""
-    ids = set(edge_ids)
-    for eid in ids:
-        if eid not in g.edges:
-            raise UnknownEdge(f"edge id {eid} is not in the graph")
-    if not ids:
+    """Flag edges as broken (leash violation observed); UnknownEdge for an
+    id that is not an edge. No id gives the same version."""
+    rows = g.columns.rows(edge_ids)
+    if not len(rows):
         return g
-    edges = dict(g.edges)
-    for eid in ids:
-        e = edges[eid]
-        if not e.broken:
-            edges[eid] = CointEdge(e.id, e.src, e.dst, e.model, True)
-    return CointGraph(g.node_source, edges, g.out_edges, g.in_edges, g.epoch, g.symbol_ids)
-
-
-def replace_model(g: CointGraph, edge_id: int, model: CointModel) -> CointGraph:
-    """Swap in a refit model and clear the broken flag."""
-    return replace_models(g, {edge_id: model})
+    broken = g.columns.broken.copy()
+    broken[rows] = True
+    return replace(g, columns=replace(g.columns, broken=broken))
 
 
 def replace_models(g: CointGraph, models: Mapping[int, CointModel]) -> CointGraph:
-    """Swap in refit models, keyed by edge id, and clear their broken flags."""
-    for eid in models:
-        if eid not in g.edges:
-            raise UnknownEdge(f"edge id {eid} is not in the graph")
-    if not models:
+    """Swap in refit models, keyed by edge id, and clear their broken flags;
+    UnknownEdge for an id that is not an edge. No model gives the same
+    version."""
+    columns = g.columns
+    rows = columns.rows(models)
+    if not len(rows):
         return g
-    edges = dict(g.edges)
-    for eid, model in models.items():
-        e = edges[eid]
-        edges[eid] = CointEdge(e.id, e.src, e.dst, model, False)
-    return CointGraph(g.node_source, edges, g.out_edges, g.in_edges, g.epoch, g.symbol_ids)
+    changed = {}
+    for name in _MODEL_FIELDS:
+        changed[name] = getattr(columns, name).copy()
+        changed[name][rows] = [getattr(m, name) for m in models.values()]
+    changed["broken"] = columns.broken.copy()
+    changed["broken"][rows] = False
+    return replace(g, columns=replace(columns, **changed))
 
 
 def with_nodes(g: CointGraph, new_nodes: Mapping[int, SymbolNode]) -> CointGraph:
@@ -437,16 +530,19 @@ def with_nodes(g: CointGraph, new_nodes: Mapping[int, SymbolNode]) -> CointGraph
 
 
 def audit_adjacency(g: CointGraph) -> bool:
-    """Verify adjacency lists agree exactly with the edge collection."""
-    out_adj, in_adj = _index_adjacency(g.n_nodes, g.edges)
-    if out_adj != g.out_edges or in_adj != g.in_edges:
-        raise RuntimeError("adjacency lists disagree with the edge collection")
-    pairs = [(e.src, e.dst) for e in g.edges.values()]
-    if len(set(pairs)) != len(pairs):
-        raise RuntimeError("graph contains duplicate (src, dst) edges")
-    for e in g.edges.values():
-        if e.src == e.dst:
-            raise RuntimeError(f"edge {e.id} is a self-loop")
+    """Verify the edge columns, which the adjacency is derived from: ids
+    strictly ascending, endpoints in range, no self-loop and no repeated
+    (src, dst) pair."""
+    c, n = g.columns, g.n_nodes
+    ends = np.concatenate((c.src, c.dst))
+    pairs = np.sort(c.src * n + c.dst)
+    if (
+        np.any(c.eid[1:] <= c.eid[:-1])
+        or np.any((ends < 0) | (ends >= n))
+        or np.any(c.src == c.dst)
+        or np.any(pairs[1:] == pairs[:-1])
+    ):
+        raise RuntimeError("edge columns are not a simple directed graph on the nodes")
     return True
 
 
@@ -467,30 +563,21 @@ def _node_to_obj(n: SymbolNode) -> dict:
     }
 
 
-def _edge_to_obj(e: CointEdge) -> dict:
-    m = e.model
-    return {
-        "id": e.id,
-        "src": e.src,
-        "dst": e.dst,
-        "broken": e.broken,
-        "model": {
-            "beta0": m.beta0,
-            "beta1": m.beta1,
-            "resid_mean": m.resid_mean,
-            "resid_std": m.resid_std,
-            "pvalue": m.pvalue,
-            "adf_stat": m.adf_stat,
-            "window_id": m.window_id,
-        },
-    }
+def _edges_to_obj(c: EdgeColumns) -> list[dict]:
+    models = zip(*(getattr(c, name).tolist() for name in _MODEL_FIELDS))
+    return [
+        {"id": eid, "src": src, "dst": dst, "broken": broken, "model": dict(zip(_MODEL_FIELDS, m))}
+        for eid, src, dst, broken, m in zip(
+            c.eid.tolist(), c.src.tolist(), c.dst.tolist(), c.broken.tolist(), models
+        )
+    ]
 
 
 def to_json_obj(g: CointGraph) -> dict:
     return {
         "epoch": g.epoch,
         "nodes": [_node_to_obj(n) for n in g.nodes],
-        "edges": [_edge_to_obj(g.edges[eid]) for eid in sorted(g.edges)],
+        "edges": _edges_to_obj(g.columns),
     }
 
 
@@ -508,30 +595,18 @@ def from_json_obj(obj: dict) -> CointGraph:
         )
         for n in obj["nodes"]
     )
-    edges = {}
-    for e in obj["edges"]:
-        m = e["model"]
-        edges[e["id"]] = CointEdge(
-            id=e["id"],
-            src=e["src"],
-            dst=e["dst"],
-            broken=e["broken"],
-            model=CointModel(
-                beta0=m["beta0"],
-                beta1=m["beta1"],
-                resid_mean=m["resid_mean"],
-                resid_std=m["resid_std"],
-                pvalue=m["pvalue"],
-                adf_stat=m["adf_stat"],
-                window_id=m["window_id"],
-            ),
-        )
-    out_adj, in_adj = _index_adjacency(len(nodes), edges)
+    edges = obj["edges"]
+    models = [e["model"] for e in edges]
+    columns = EdgeColumns.of_lists(
+        eid=[e["id"] for e in edges],
+        src=[e["src"] for e in edges],
+        dst=[e["dst"] for e in edges],
+        broken=[e["broken"] for e in edges],
+        **{name: [m[name] for m in models] for name in _MODEL_FIELDS},
+    )
     return CointGraph(
         node_source=nodes,
-        edges=edges,
-        out_edges=out_adj,
-        in_edges=in_adj,
+        columns=columns,
         epoch=obj["epoch"],
         symbol_ids={n.symbol: n.id for n in nodes},
     )
@@ -556,17 +631,16 @@ def export(g: CointGraph, format: str = FORMAT_JSON) -> bytes:
         lines = ["digraph cointegration {"]
         for n in g.nodes:
             lines.append(f"  {n.id} [label={_dot_quote(n.symbol)}];")
-        for eid in sorted(g.edges):
-            e = g.edges[eid]
-            width = 1.0 / e.model.resid_std if e.model.resid_std > 0 else 0.0
-            attrs = [f"penwidth={format_float(width)}"]
-            if e.broken:
+        c = g.columns
+        for src, dst, resid_std, broken in zip(
+            c.src.tolist(), c.dst.tolist(), c.resid_std.tolist(), c.broken.tolist()
+        ):
+            width = 1.0 / resid_std if resid_std > 0 else 0.0
+            attrs = [f"penwidth={width:.6g}"]
+            if broken:
                 attrs.append("style=dashed")
-            lines.append(f"  {e.src} -> {e.dst} [{', '.join(attrs)}];")
+            lines.append(f"  {src} -> {dst} [{', '.join(attrs)}];")
         lines.append("}")
         return ("\n".join(lines) + "\n").encode("utf-8")
     raise ValueError(f"unknown export format {format!r}")
 
-
-def format_float(x: float) -> str:
-    return format(x, ".6g")

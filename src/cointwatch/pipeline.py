@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from dataclasses import dataclass
 from datetime import date
 from itertools import compress
@@ -37,6 +38,8 @@ DEFAULT_FFILL_GAP = 3
 _HEADER = ["date", "symbol", "close"]
 _BLOCK_CHARS = 1 << 18  # text parsed per block; bounds the loader's working memory
 _CSV_QUOTED = frozenset(',"\r\n')
+MAX_EPOCH = 2**62  # so a run can advance a loaded epoch as often again in int64
+_FLOAT_MAX = sys.float_info.max  # a number at most this in size is finite, an int one too
 
 
 @dataclass(frozen=True)
@@ -332,19 +335,14 @@ def _expect(obj, key, types, path):
     if not isinstance(obj, dict) or key not in obj:
         raise SchemaViolation(f"{path}.{key}", "missing field")
     value = obj[key]
-    if not isinstance(value, types) or isinstance(value, bool) and bool not in _as_tuple(types):
+    if not isinstance(value, types) or isinstance(value, bool) and types is not bool:
         raise SchemaViolation(f"{path}.{key}", f"expected {types}, got {type(value).__name__}")
     return value
 
 
-def _as_tuple(types):
-    return types if isinstance(types, tuple) else (types,)
-
-
 def _validate_model(obj, path):
     for key in ("beta0", "beta1", "resid_mean", "resid_std", "adf_stat"):
-        value = _expect(obj, key, (int, float), path)
-        if not math.isfinite(value):
+        if not abs(_expect(obj, key, (int, float), path)) <= _FLOAT_MAX:
             raise SchemaViolation(f"{path}.{key}", "must be finite")
     pvalue = _expect(obj, "pvalue", (int, float), path)
     if not 0.0 <= pvalue <= 1.0:
@@ -356,8 +354,8 @@ def _validate_model(obj, path):
 
 def _validate_graph_obj(obj) -> None:
     epoch = _expect(obj, "epoch", int, "$")
-    if epoch < 0:
-        raise SchemaViolation("$.epoch", f"must be >= 0, got {epoch}")
+    if not 0 <= epoch <= MAX_EPOCH:
+        raise SchemaViolation("$.epoch", f"must be in [0, 2**62], got {epoch}")
     nodes = _expect(obj, "nodes", list, "$")
     seen_symbols: set[str] = set()
     for i, node in enumerate(nodes):
@@ -373,7 +371,7 @@ def _validate_graph_obj(obj) -> None:
         if price is not None:
             if not isinstance(price, (int, float)) or isinstance(price, bool):
                 raise SchemaViolation(f"{path}.last_price", "must be a number or null")
-            if not math.isfinite(price) or price <= 0:
+            if not 0 < price <= _FLOAT_MAX:
                 raise SchemaViolation(f"{path}.last_price", f"must be positive, got {price}")
         state = _expect(node, "alert_state", str, path)
         if state not in (CLEAR, ALERTED):
@@ -399,9 +397,9 @@ def _validate_graph_obj(obj) -> None:
                 f"epoch {last_epoch} is after graph epoch {epoch}",
             )
         updated = _expect(node, "last_update_epoch", int, path)
-        if updated > epoch:
+        if not -1 <= updated <= epoch:  # -1: never priced
             raise SchemaViolation(
-                f"{path}.last_update_epoch", f"{updated} is after graph epoch {epoch}"
+                f"{path}.last_update_epoch", f"must be in [-1, graph epoch {epoch}], got {updated}"
             )
 
     edges = _expect(obj, "edges", list, "$")
@@ -410,6 +408,8 @@ def _validate_graph_obj(obj) -> None:
     for i, edge in enumerate(edges):
         path = f"edges[{i}]"
         eid = _expect(edge, "id", int, path)
+        if not -(2**63) <= eid < 2**63:
+            raise SchemaViolation(f"{path}.id", f"must fit in int64, got {eid}")
         if eid in seen_ids:
             raise SchemaViolation(f"{path}.id", f"duplicate edge id {eid}")
         seen_ids.add(eid)
@@ -431,7 +431,7 @@ def loads_graph(data: bytes | str) -> CointGraph:
     """Parse and validate a graph JSON document."""
     try:
         obj = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int too long to parse
         raise SchemaViolation("$", f"not valid JSON: {exc}") from exc
     _validate_graph_obj(obj)
     g = graphmod.from_json_obj(obj)

@@ -17,7 +17,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import graph as graphmod
-from .alert import EdgeColumns
 from .coint import PairResult, PriceSeries, coint_fit
 from .errors import DegeneratePair
 from .graph import CointGraph, neighbors
@@ -127,40 +126,29 @@ def baseline_tick(g: CointGraph, fallback: Mapping[str, float]) -> dict[str, flo
     pins isolated nodes). Raises if the solution leaves any edge beyond
     BASELINE_GUARD sigmas — planted graphs stay well under it.
     """
-    n = g.n_nodes
-    edge_ids = sorted(g.edges)
+    n, c = g.n_nodes, g.columns
+    edges = np.arange(len(c))
     anchor = 1e-3
-    rows = []
-    rhs = []
-    for eid in edge_ids:
-        e = g.edges[eid]
-        m = e.model
-        row = np.zeros(n)
-        row[e.dst] = 1.0 / m.resid_std
-        row[e.src] = -m.beta1 / m.resid_std
-        rows.append(row)
-        rhs.append((m.beta0 + m.resid_mean) / m.resid_std)
-    for node in g.nodes:
-        row = np.zeros(n)
-        row[node.id] = anchor
-        rows.append(row)
-        rhs.append(anchor * float(fallback[node.symbol]))
-    design = np.vstack(rows)
-    target = np.array(rhs)
+    # one row per edge in id order, then one anchor row per node
+    design = np.zeros((len(c) + n, n))
+    design[edges, c.dst] = 1.0 / c.resid_std
+    design[edges, c.src] = -c.beta1 / c.resid_std
+    design[len(c) + np.arange(n), np.arange(n)] = anchor
+    symbols = [node.symbol for node in g.nodes]
+    fallbacks = np.array([float(fallback[s]) for s in symbols])
+    target = np.concatenate(((c.beta0 + c.resid_mean) / c.resid_std, anchor * fallbacks))
     prices, *_ = np.linalg.lstsq(design, target, rcond=None)
 
-    for eid in edge_ids:
-        e = g.edges[eid]
-        m = e.model
-        deviation = abs(prices[e.dst] - m.beta0 - m.beta1 * prices[e.src] - m.resid_mean)
-        if deviation / m.resid_std > BASELINE_GUARD:
-            raise RuntimeError(
-                f"baseline tick leaves edge {eid} at {deviation / m.resid_std:.2f} sigmas; "
-                "graph is too inconsistent for scenario generation"
-            )
+    sigmas = np.abs(prices[c.dst] - c.beta0 - c.beta1 * prices[c.src] - c.resid_mean) / c.resid_std
+    beyond = np.flatnonzero(sigmas > BASELINE_GUARD)
+    if len(beyond):
+        raise RuntimeError(
+            f"baseline tick leaves edge {c.eid[beyond[0]]} at {sigmas[beyond[0]]:.2f} sigmas; "
+            "graph is too inconsistent for scenario generation"
+        )
     if prices.min() <= 0.0:
         raise RuntimeError("baseline tick produced a non-positive price")
-    return {node.symbol: float(prices[node.id]) for node in g.nodes}
+    return dict(zip(symbols, prices.tolist()))
 
 
 def jittered_tick(
@@ -183,7 +171,7 @@ def jittered_tick(
     draw = rng.uniform(-1.0, 1.0, size=len(symbols))
     # per node, the smallest resid_std / role coefficient over its edges
     # (_role_coefficient: 1 where the node is dst, |beta1| where it is src)
-    cols = EdgeColumns.of(g.edges)
+    cols = g.columns
     limit = np.full(len(symbols), np.inf)
     np.minimum.at(limit, cols.src, cols.resid_std / np.maximum(np.abs(cols.beta1), 1e-12))
     np.minimum.at(limit, cols.dst, cols.resid_std)

@@ -205,7 +205,7 @@ class TestSelectiveRecompute:
         eids = sorted(g.edges)
         g2, _ = selective_recompute(g, [eids[0]], series, AlertConfig())
         for eid in eids[1:]:
-            assert g2.edges[eid] is g.edges[eid]
+            assert g2.edges[eid] == g.edges[eid]
 
     def test_missing_symbol_insufficient_window(self, small_planted):
         g, _, series = small_planted

@@ -266,6 +266,27 @@ class TestRunCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "mutate, field",
+        [
+            (lambda o: o["edges"][0].update(id=2**70), "edges[0].id"),
+            (lambda o: o.update(epoch=2**63 - 1), "$.epoch"),
+        ],
+    )
+    def test_integers_a_run_cannot_hold_are_data_errors(
+        self, tmp_path, built_graph, universe_csv, capsys, mutate, field
+    ):
+        # such a graph used to load, then crash the run on tick 1
+        obj = json.loads(built_graph.read_text())
+        mutate(obj)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        code = run(
+            ["run", "--graph", str(bad), "--ticks", str(universe_csv), "--out", str(tmp_path / "r")]
+        )
+        assert code == 2
+        assert field in capsys.readouterr().err
+
 
 class TestRecompute:
     def test_refits_listed_edges(self, tmp_path, built_graph, universe_csv):
@@ -283,6 +304,31 @@ class TestRecompute:
         # the window is the same healthy fitting data: the edge survives
         assert eid in g2.edges
         assert not g2.edges[eid].broken
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[true]", "expected a JSON list of edge ids"),  # true is not edge id 1
+            ("[1,", "invalid JSON input"),
+            ("[" + "9" * 5000 + "]", "invalid JSON input"),  # over the int digit limit
+        ],
+        ids=["bool", "malformed", "long-int"],
+    )
+    def test_bad_broken_file_is_data_error(
+        self, tmp_path, built_graph, universe_csv, capsys, text, message
+    ):
+        broken = tmp_path / "broken.json"
+        broken.write_text(text)
+        out = tmp_path / "refit.json"
+        code = run(
+            [
+                "recompute", "--graph", str(built_graph), "--broken-file", str(broken),
+                "--prices", str(universe_csv), "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_requires_broken_list(self, tmp_path, built_graph, universe_csv):
         code = run(

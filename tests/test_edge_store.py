@@ -1,0 +1,186 @@
+"""The columnar edge store against the dict-backed store it replaced.
+
+The oracle keeps a graph's edges as a dict of CointEdge objects and
+derives each node's in/out edge-id tuples by a loop over the sorted ids;
+its mutators are the ones the graph had before its edges became columns.
+Random sequences of mark_broken, replace_models and remove_edges (repeated
+ids, unknown ids, empty lists) must leave both stores with the same edges,
+adjacency and exported bytes, and raise UnknownEdge alike; every earlier
+version must keep its bytes.
+"""
+
+import json
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cointwatch import synth
+from cointwatch.alert import AlertConfig, tick_loop
+from cointwatch.coint import CointModel
+from cointwatch.errors import UnknownEdge
+from cointwatch.graph import (
+    CointEdge,
+    audit_adjacency,
+    export,
+    from_json_obj,
+    mark_broken,
+    remove_edges,
+    replace_models,
+    to_json_obj,
+)
+
+from conftest import random_graph
+
+UNKNOWN = (10**6, -7, 2**63, 2**70, -(2**70))
+
+
+def oracle_adjacency(n_nodes, edges):
+    out_lists = [[] for _ in range(n_nodes)]
+    in_lists = [[] for _ in range(n_nodes)]
+    for eid in sorted(edges):
+        out_lists[edges[eid].src].append(eid)
+        in_lists[edges[eid].dst].append(eid)
+    return tuple(map(tuple, out_lists)), tuple(map(tuple, in_lists))
+
+
+def oracle_check(edges, ids):
+    for eid in ids:
+        if eid not in edges:
+            raise UnknownEdge(f"edge id {eid} is not in the graph")
+
+
+def oracle_remove(edges, edge_ids):
+    ids = list(edge_ids)
+    oracle_check(edges, ids)
+    out = dict(edges)
+    for eid in set(ids):
+        del out[eid]
+    return out
+
+
+def oracle_mark(edges, edge_ids):
+    ids = set(edge_ids)
+    oracle_check(edges, ids)
+    out = dict(edges)
+    for eid in ids:
+        e = out[eid]
+        out[eid] = CointEdge(e.id, e.src, e.dst, e.model, True)
+    return out
+
+
+def oracle_replace(edges, models):
+    oracle_check(edges, models)
+    out = dict(edges)
+    for eid, model in models.items():
+        e = out[eid]
+        out[eid] = CointEdge(e.id, e.src, e.dst, model, False)
+    return out
+
+
+def oracle_export(g, edges):
+    def edge_obj(e):
+        m = e.model
+        model = {name: getattr(m, name) for name in (
+            "beta0", "beta1", "resid_mean", "resid_std", "pvalue", "adf_stat", "window_id")}
+        return {"id": e.id, "src": e.src, "dst": e.dst, "broken": e.broken, "model": model}
+
+    obj = {"epoch": g.epoch, "nodes": to_json_obj(g)["nodes"],
+           "edges": [edge_obj(edges[eid]) for eid in sorted(edges)]}
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode() + b"\n"
+
+
+def shuffled(g, seed):
+    """g reloaded from JSON whose edges are listed in a shuffled order
+    under sparse ids, negative ones among them."""
+    obj = json.loads(export(g, "json"))
+    rng = random.Random(seed)
+    for e in obj["edges"]:
+        e["id"] = e["id"] * 37 - 200
+    rng.shuffle(obj["edges"])
+    return from_json_obj(obj)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+models = st.builds(CointModel, finite, finite, finite, finite, finite, finite, st.text(max_size=4))
+
+
+@st.composite
+def graphs_and_steps(draw):
+    seed = draw(st.integers(0, 50))
+    n_nodes = draw(st.integers(2, 9))
+    g = random_graph(seed, n_nodes, n_edges=draw(st.integers(0, min(12, n_nodes * (n_nodes - 1)))))
+    if draw(st.booleans()):
+        g = shuffled(g, seed)
+    ids = st.sampled_from(sorted(g.edges) + list(UNKNOWN)) if g.edges else st.sampled_from(UNKNOWN)
+    steps = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["mark", "replace", "remove"]))
+        # mostly known ids, so sequences reach deep; repeats allowed
+        known = st.sampled_from(sorted(g.edges)) if g.edges else ids
+        chosen = draw(st.lists(st.one_of(known, known, ids), max_size=4))
+        if kind == "replace":
+            chosen = {eid: draw(models) for eid in chosen}
+        steps.append((kind, chosen))
+    return g, steps
+
+
+MUTATORS = {"mark": (mark_broken, oracle_mark), "replace": (replace_models, oracle_replace),
+            "remove": (remove_edges, oracle_remove)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_and_steps())
+def test_mutators_match_the_dict_store(case):
+    g, steps = case
+    edges = dict(g.edges)
+    assert (g.out_edges, g.in_edges) == oracle_adjacency(g.n_nodes, edges)
+    versions = [(g, export(g, "json"))]
+    for kind, ids in steps:
+        mutate, oracle = MUTATORS[kind]
+        try:
+            want = oracle(edges, ids)
+        except UnknownEdge:
+            with pytest.raises(UnknownEdge) as err:
+                mutate(g, ids)
+            named = int(str(err.value).split()[2])
+            assert named in ids and named not in edges
+            assert named not in g.edges
+            continue
+        g2 = mutate(g, ids)
+        if not ids:
+            assert g2 is g
+        g, edges = g2, want
+        assert dict(g.edges) == edges
+        assert list(g.edges) == sorted(edges)
+        assert len(g.edges) == g.n_edges == len(edges)
+        assert (g.out_edges, g.in_edges) == oracle_adjacency(g.n_nodes, edges)
+        assert export(g, "json") == oracle_export(g, edges)
+        assert audit_adjacency(g)
+        versions.append((g, oracle_export(g, edges)))
+    # no mutator wrote to an earlier version
+    for version, data in versions:
+        assert export(version, "json") == data
+    for eid in UNKNOWN:
+        assert eid not in g.edges
+        with pytest.raises(KeyError):
+            g.edges[eid]
+
+
+def test_a_bool_is_not_an_edge_id():
+    g = random_graph(0, n_nodes=4, n_edges=3)
+    assert 1 in g.edges and True not in g.edges
+    for mutate in (mark_broken, remove_edges):
+        with pytest.raises(UnknownEdge, match="edge id True is not in the graph"):
+            mutate(g, [True])
+
+
+def test_calm_run_shares_one_columns_object(small_planted):
+    # a tick without breaks passes its edge columns on, so the zero-sigma
+    # rows and the adjacency are computed once for the whole run
+    g, base, _ = small_planted
+    ticks = [synth.jittered_tick(g, base, seed=k) for k in range(4)]
+    stream = tick_loop(g, ticks, AlertConfig())
+    for _ in stream:
+        assert stream.graph.columns is g.columns

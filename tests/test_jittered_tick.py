@@ -1,17 +1,22 @@
-"""synth.jittered_tick against the per-node loop it replaced.
+"""synth.jittered_tick and synth.baseline_tick against the loops they
+replaced.
 
-The oracle walks the nodes in order: one uniform draw per node, the limit
-taken over its incident edges, 0.5% of the price for a node without edges.
-The array version must give the same tick, key order and float bits
-included, on graphs with isolated nodes.
+The jitter oracle walks the nodes in order: one uniform draw per node, the
+limit taken over its incident edges, 0.5% of the price for a node without
+edges. The baseline oracle builds its least-squares design row by row, one
+row per edge in id order, then one anchor row per node. The array versions
+must give the same tick, key order and float bits included (and the same
+error), on graphs with isolated nodes and removed edges.
 """
+
+import re
 
 import numpy as np
 import pytest
 
 from cointwatch import synth
 from cointwatch.coint import PairResult
-from cointwatch.graph import build_graph, neighbors
+from cointwatch.graph import build_graph, neighbors, remove_edges
 
 from conftest import dummy_model, planted_instance, random_graph
 
@@ -97,3 +102,69 @@ def test_graph_without_edges():
     g = random_graph(0, n_nodes=3, n_edges=0)
     base = {n.symbol: 1.0 + n.id for n in g.nodes}
     assert_same_tick(synth.jittered_tick(g, base, seed=9), oracle_jittered_tick(g, base, 9))
+
+
+def oracle_baseline_tick(g, fallback):
+    n = g.n_nodes
+    edge_ids = sorted(g.edges)
+    anchor = 1e-3
+    rows = []
+    rhs = []
+    for eid in edge_ids:
+        e = g.edges[eid]
+        m = e.model
+        row = np.zeros(n)
+        row[e.dst] = 1.0 / m.resid_std
+        row[e.src] = -m.beta1 / m.resid_std
+        rows.append(row)
+        rhs.append((m.beta0 + m.resid_mean) / m.resid_std)
+    for node in g.nodes:
+        row = np.zeros(n)
+        row[node.id] = anchor
+        rows.append(row)
+        rhs.append(anchor * float(fallback[node.symbol]))
+    prices, *_ = np.linalg.lstsq(np.vstack(rows), np.array(rhs), rcond=None)
+    for eid in edge_ids:
+        e = g.edges[eid]
+        m = e.model
+        deviation = abs(prices[e.dst] - m.beta0 - m.beta1 * prices[e.src] - m.resid_mean)
+        if deviation / m.resid_std > synth.BASELINE_GUARD:
+            raise RuntimeError(
+                f"baseline tick leaves edge {eid} at {deviation / m.resid_std:.2f} sigmas; "
+                "graph is too inconsistent for scenario generation"
+            )
+    if prices.min() <= 0.0:
+        raise RuntimeError("baseline tick produced a non-positive price")
+    return {node.symbol: float(prices[node.id]) for node in g.nodes}
+
+
+def assert_same_baseline(g, fallback):
+    try:
+        want = oracle_baseline_tick(g, fallback)
+    except RuntimeError as exc:
+        with pytest.raises(RuntimeError, match=f"^{re.escape(str(exc))}$"):
+            synth.baseline_tick(g, fallback)
+        return False
+    assert_same_tick(synth.baseline_tick(g, fallback), want)
+    return True
+
+
+@pytest.mark.parametrize("instance", PLANTED, ids=lambda p: f"seed{p[0]}")
+def test_baseline_matches_the_row_loop(instance):
+    seed, clusters, size, independents = instance
+    g, _, series = planted_instance(
+        seed, n_clusters=clusters, cluster_size=size, n_independent=independents
+    )
+    fallback = {s.symbol: float(s.values[-1]) for s in series}
+    assert assert_same_baseline(g, fallback)
+    # sparse edge ids: rows and ids part ways
+    assert assert_same_baseline(remove_edges(g, sorted(g.edges)[1::3]), fallback)
+
+
+@pytest.mark.parametrize("graph_seed", range(5))
+def test_baseline_matches_on_random_topologies(graph_seed):
+    # placeholder models do not agree, so these raise, naming an edge
+    g = sparse_graph(graph_seed)
+    fallback = {n.symbol: 10.0 + n.id for n in g.nodes}
+    assert_same_baseline(g, fallback)
+    assert_same_baseline(remove_edges(g, sorted(g.edges)[::2]), fallback)

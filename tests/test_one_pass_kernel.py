@@ -12,7 +12,7 @@ import math
 import pytest
 
 from cointwatch.alert import AlertConfig
-from cointwatch.graph import replace_model, update_prices
+from cointwatch.graph import replace_models, update_prices
 
 from conftest import dummy_model
 from test_tick_kernel import assert_equivalent, two_node_graph
@@ -23,7 +23,7 @@ pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 def priced_zero_sigma_graph():
     """A -> B with sigma 0, both endpoints already holding a price."""
     g = update_prices(two_node_graph(), {"A": 10.0, "B": 22.0})
-    return replace_model(g, 0, dummy_model(beta0=1.0, beta1=2.0, resid_std=0.0))
+    return replace_models(g, {0: dummy_model(beta0=1.0, beta1=2.0, resid_std=0.0)})
 
 
 @pytest.mark.parametrize("tick", [{"A": 10.0}, {"B": 21.0}, {}], ids=["A", "B", "none"])
@@ -36,7 +36,7 @@ def test_a_stale_zero_sigma_edge_is_skipped_silently(tick):
 def test_a_stale_zero_sigma_edge_with_equal_fit_is_skipped_silently():
     # 21 - (1 + 2*10) = 0: the unread row is 0/0
     g = update_prices(two_node_graph(), {"A": 10.0, "B": 21.0})
-    g = replace_model(g, 0, dummy_model(beta0=1.0, beta1=2.0, resid_std=0.0))
+    g = replace_models(g, {0: dummy_model(beta0=1.0, beta1=2.0, resid_std=0.0)})
     (report,) = assert_equivalent(g, [{"A": 10.0}], AlertConfig())
     assert report.edges_skipped_stale == 2
 

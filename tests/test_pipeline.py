@@ -1,4 +1,5 @@
 import json
+import sys
 from datetime import date
 
 import numpy as np
@@ -11,6 +12,7 @@ from cointwatch.alert import RECOMPUTE_OFF, RECOMPUTE_ON_BREAK, AlertConfig, tic
 from cointwatch.errors import EmptyInput, EmptyWindow, ParseError, SchemaViolation
 from cointwatch.graph import export, update_prices
 from cointwatch.pipeline import (
+    MAX_EPOCH,
     load_graph,
     load_prices,
     load_ticks,
@@ -240,6 +242,39 @@ class TestGraphPersistence:
                 lambda o: o["nodes"][1].update(alert_history=[[0, "clear"], [1, "alerted"]]),
                 "nodes[1].alert_history[1]",
             ),
+            # integers the program cannot hold: a 401-digit number is beyond
+            # float range, edge ids are int64, and a run must be able to
+            # advance the epoch within int64
+            pytest.param(
+                lambda o: o["edges"][0]["model"].update(beta0=10**400),
+                "edges[0].model.beta0",
+                id="beta0-401-digits",
+            ),
+            pytest.param(
+                lambda o: o["edges"][0]["model"].update(resid_std=10**400),
+                "edges[0].model.resid_std",
+                id="resid_std-401-digits",
+            ),
+            pytest.param(
+                lambda o: o["nodes"][0].update(last_price=10**400),
+                "nodes[0].last_price",
+                id="last_price-401-digits",
+            ),
+            pytest.param(
+                lambda o: o["edges"][0].update(id=2**70), "edges[0].id", id="edge-id-2**70"
+            ),
+            pytest.param(
+                lambda o: o["edges"][0].update(id=-(2**63) - 1),
+                "edges[0].id",
+                id="edge-id-below-int64",
+            ),
+            pytest.param(lambda o: o.update(epoch=2**63 - 1), "$.epoch", id="epoch-int64-max"),
+            pytest.param(lambda o: o.update(epoch=2**70), "$.epoch", id="epoch-2**70"),
+            pytest.param(
+                lambda o: o["nodes"][0].update(last_update_epoch=-(2**70)),
+                "nodes[0].last_update_epoch",
+                id="last_update_epoch--2**70",
+            ),
         ],
     )
     def test_violations_name_their_field(self, tmp_path, mutate, path):
@@ -249,6 +284,33 @@ class TestGraphPersistence:
         with pytest.raises(SchemaViolation) as err:
             loads_graph(json.dumps(obj))
         assert err.value.path == path
+
+    def test_bounds_are_inclusive(self):
+        g = random_graph(2, n_nodes=4, n_edges=3)
+        obj = json.loads(export(g, "json"))
+        obj["epoch"] = MAX_EPOCH
+        obj["edges"][0]["id"] = 2**63 - 1
+        obj["edges"][1]["id"] = -(2**63)
+        obj["edges"].sort(key=lambda e: e["id"])
+        data = json.dumps(obj, sort_keys=True, separators=(",", ":")).encode() + b"\n"
+        g = loads_graph(data)
+        assert export(g, "json") == data
+        # a run can advance the largest epoch
+        stream = tick_loop(g, [{"S00": 10.0, "S01": 20.0}] * 2, AlertConfig())
+        assert [report.epoch for report in stream] == [MAX_EPOCH + 1, MAX_EPOCH + 2]
+
+    def test_integer_model_numbers_reexport_as_floats(self):
+        # the edge columns hold float64, so a model number written as a JSON
+        # integer (the program never writes one) comes back as a float
+        g = random_graph(2, n_nodes=4, n_edges=3)
+        obj = json.loads(export(g, "json"))
+        model = obj["edges"][0]["model"]
+        model.update(beta0=1, beta1=-2, resid_mean=0, resid_std=3, pvalue=0, adf_stat=-4)
+        text = export(loads_graph(json.dumps(obj)), "json").decode()
+        assert (
+            '"model":{"adf_stat":-4.0,"beta0":1.0,"beta1":-2.0,"pvalue":0.0,'
+            '"resid_mean":0.0,"resid_std":3.0,' in text
+        )
 
     def test_duplicate_edge_pair_rejected(self):
         g = random_graph(3, n_nodes=4, n_edges=3)
@@ -262,6 +324,15 @@ class TestGraphPersistence:
     def test_not_json(self):
         with pytest.raises(SchemaViolation):
             loads_graph(b"...garbage...")
+
+    def test_integer_too_long_to_parse_is_a_schema_violation(self):
+        # json.loads refuses integers longer than sys.get_int_max_str_digits(),
+        # where Python has that limit; past it, the epoch bound rejects this
+        data = export(random_graph(2, n_nodes=4, n_edges=3), "json")
+        data = data.replace(b'"epoch":0', b'"epoch":' + b"9" * 5000)
+        with pytest.raises(SchemaViolation) as err:
+            loads_graph(data)
+        assert err.value.path == ("$" if hasattr(sys, "get_int_max_str_digits") else "$.epoch")
 
 
 class TestGeneratorRoundTrip:

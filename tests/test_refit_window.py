@@ -12,7 +12,6 @@ byte.
 
 import re
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -23,7 +22,6 @@ from cointwatch.alert import (
     RECOMPUTE_OFF,
     RECOMPUTE_ON_BREAK,
     AlertConfig,
-    EdgeColumns,
     reference_tick,
     selective_recompute,
     tick_loop,
@@ -73,16 +71,8 @@ def stream_run(g, ticks, config, history):
     for report in stream:
         lines.append(report.to_json())
         summaries.append(stream.last_recompute)
-        # the stream patches its edge columns in place of a rebuild
         graphmod.audit_adjacency(stream.graph)
-        assert_same_columns(stream._columns, EdgeColumns.of(stream.graph.edges))
     return lines, summaries, stream.graph
-
-
-def assert_same_columns(got, want):
-    for field in ("eid", "src", "dst", "beta0", "beta1", "resid_mean", "resid_std"):
-        a, b = getattr(got, field), getattr(want, field)
-        assert a.dtype == b.dtype and np.array_equal(a, b), field
 
 
 @pytest.fixture(scope="module")

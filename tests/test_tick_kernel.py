@@ -16,7 +16,7 @@ from cointwatch import graph as graphmod
 from cointwatch.alert import AlertConfig, reference_tick, tick_loop
 from cointwatch.coint import PairResult
 from cointwatch.errors import ZeroSigma
-from cointwatch.graph import build_graph, mark_broken, replace_model, update_prices, with_nodes
+from cointwatch.graph import build_graph, mark_broken, replace_models, update_prices, with_nodes
 
 from conftest import dummy_model, planted_instance
 
@@ -140,7 +140,7 @@ def test_exactly_sigma_k_is_quiet():
 
 
 def test_zero_sigma_edge_raises_on_both_paths():
-    g = replace_model(two_node_graph(), 0, dummy_model(resid_std=0.0))
+    g = replace_models(two_node_graph(), {0: dummy_model(resid_std=0.0)})
     tick = {"A": 10.0, "B": 22.5}
     with pytest.raises(ZeroSigma):
         list(tick_loop(g, [tick], AlertConfig()))
@@ -149,7 +149,7 @@ def test_zero_sigma_edge_raises_on_both_paths():
 
 
 def test_zero_sigma_edge_with_a_stale_endpoint_is_skipped():
-    g = replace_model(two_node_graph(), 0, dummy_model(resid_std=0.0))
+    g = replace_models(two_node_graph(), {0: dummy_model(resid_std=0.0)})
     (report,) = assert_equivalent(g, [{"A": 10.0}], AlertConfig())
     assert report.edges_skipped_stale == 2
 
