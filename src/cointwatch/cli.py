@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from datetime import date, timedelta
 from pathlib import Path
@@ -331,6 +332,10 @@ def main(argv=None) -> int:
             return parser.exit_with(f"gen {args.kind} requires --graph and --prices")
     if args.command == "gen" and args.kind == "shock" and args.symbol is None:
         return parser.exit_with("gen shock requires --symbol")
+    if args.command == "gen" and not 0.0 < args.sigmas < math.inf:
+        return parser.exit_with(f"--sigmas must be a positive finite number, got {args.sigmas}")
+    if args.command == "gen" and not 0.0 < args.fraction <= 1.0:
+        return parser.exit_with(f"--fraction must be in (0, 1], got {args.fraction}")
     try:
         return args.func(args)
     except ValueError as exc:

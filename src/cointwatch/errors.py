@@ -73,6 +73,12 @@ class InsufficientWindow(CointwatchError):
     """The recompute window does not cover an edge's endpoints long enough."""
 
 
+# -- synth ------------------------------------------------------------------
+
+class ScenarioError(CointwatchError, RuntimeError):
+    """A synthetic scenario cannot be built on the given graph or seed."""
+
+
 # -- pipeline ---------------------------------------------------------------
 
 class ParseError(CointwatchError):

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -40,6 +41,7 @@ from .coint import CointModel, PairResult
 from .errors import (
     DuplicateEdge,
     NonPositivePrice,
+    SchemaViolation,
     UnknownEdge,
     UnknownNode,
     UnknownSymbol,
@@ -47,6 +49,8 @@ from .errors import (
 
 CLEAR = "clear"
 ALERTED = "alerted"
+MAX_EPOCH = 2**62  # so a run can advance a loaded epoch as often again in int64
+_FLOAT_MAX = sys.float_info.max  # a number at most this in size is finite, an int one too
 
 
 @dataclass(frozen=True)
@@ -581,35 +585,119 @@ def to_json_obj(g: CointGraph) -> dict:
     }
 
 
-def from_json_obj(obj: dict) -> CointGraph:
-    """Rebuild a graph from the export schema. Structural parse only; the
-    pipeline loader performs full field validation first."""
-    nodes = tuple(
-        SymbolNode(
-            id=n["id"],
-            symbol=n["symbol"],
-            last_price=n["last_price"],
-            alert_state=n["alert_state"],
-            alert_history=tuple((int(e), s) for e, s in n["alert_history"]),
-            last_update_epoch=n["last_update_epoch"],
+def _expect(obj, key, types, path):
+    """obj[key], checked to be of types (a bool only where types is bool)."""
+    try:
+        value = obj[key]
+    except (KeyError, TypeError):  # no such key, or obj is no JSON object
+        raise SchemaViolation(f"{path}.{key}", "missing field") from None
+    if not isinstance(value, types) or isinstance(value, bool) and types is not bool:
+        raise SchemaViolation(f"{path}.{key}", f"expected {types}, got {type(value).__name__}")
+    return value
+
+
+def _model_from_obj(obj, path) -> tuple:
+    """The checked CointModel fields of a model object, in _MODEL_FIELDS order."""
+    floats = []
+    for key in ("beta0", "beta1", "resid_mean", "resid_std", "adf_stat"):
+        floats.append(_expect(obj, key, (int, float), path))
+        if not abs(floats[-1]) <= _FLOAT_MAX:
+            raise SchemaViolation(f"{path}.{key}", "must be finite")
+    beta0, beta1, resid_mean, resid_std, adf_stat = floats
+    pvalue = _expect(obj, "pvalue", (int, float), path)
+    if not 0.0 <= pvalue <= 1.0:
+        raise SchemaViolation(f"{path}.pvalue", f"must be in [0, 1], got {pvalue}")
+    if resid_std <= 0.0:
+        raise SchemaViolation(f"{path}.resid_std", f"must be > 0, got {resid_std}")
+    window_id = _expect(obj, "window_id", str, path)
+    return beta0, beta1, resid_mean, resid_std, pvalue, adf_stat, window_id
+
+
+def _node_from_obj(node, i: int, epoch: int, symbol_ids: dict[str, int]) -> SymbolNode:
+    """Node i of a graph at epoch, checked; its symbol joins symbol_ids."""
+    path = f"nodes[{i}]"
+    node_id = _expect(node, "id", int, path)
+    if node_id != i:
+        raise SchemaViolation(f"{path}.id", f"ids must be dense, expected {i}, got {node_id}")
+    symbol = _expect(node, "symbol", str, path)
+    if symbol in symbol_ids:
+        raise SchemaViolation(f"{path}.symbol", f"duplicate symbol {symbol!r}")
+    symbol_ids[symbol] = i
+    if "last_price" not in node:
+        raise SchemaViolation(f"{path}.last_price", "missing field")
+    price = node["last_price"]
+    if price is not None:
+        if not isinstance(price, (int, float)) or isinstance(price, bool):
+            raise SchemaViolation(f"{path}.last_price", "must be a number or null")
+        if not 0 < price <= _FLOAT_MAX:
+            raise SchemaViolation(f"{path}.last_price", f"must be positive, got {price}")
+    state = _expect(node, "alert_state", str, path)
+    if state not in (CLEAR, ALERTED):
+        raise SchemaViolation(f"{path}.alert_state", f"unknown state {state!r}")
+    history: list[tuple[int, str]] = []
+    for k, item in enumerate(_expect(node, "alert_history", list, path)):
+        if (
+            not isinstance(item, list)
+            or len(item) != 2
+            or type(item[0]) is not int  # not a bool either
+            or item[1] not in (CLEAR, ALERTED)
+        ):
+            raise SchemaViolation(f"{path}.alert_history[{k}]", "expected [epoch, state]")
+        if history and item[0] <= history[-1][0]:
+            raise SchemaViolation(
+                f"{path}.alert_history[{k}]", "epochs must be strictly increasing"
+            )
+        history.append((item[0], item[1]))
+    if history and history[-1][0] > epoch:
+        raise SchemaViolation(
+            f"{path}.alert_history[{len(history) - 1}]",
+            f"epoch {history[-1][0]} is after graph epoch {epoch}",
         )
-        for n in obj["nodes"]
-    )
-    edges = obj["edges"]
-    models = [e["model"] for e in edges]
-    columns = EdgeColumns.of_lists(
-        eid=[e["id"] for e in edges],
-        src=[e["src"] for e in edges],
-        dst=[e["dst"] for e in edges],
-        broken=[e["broken"] for e in edges],
-        **{name: [m[name] for m in models] for name in _MODEL_FIELDS},
-    )
-    return CointGraph(
-        node_source=nodes,
-        columns=columns,
-        epoch=obj["epoch"],
-        symbol_ids={n.symbol: n.id for n in nodes},
-    )
+    updated = _expect(node, "last_update_epoch", int, path)
+    if not -1 <= updated <= epoch:  # -1: never priced
+        raise SchemaViolation(
+            f"{path}.last_update_epoch", f"must be in [-1, graph epoch {epoch}], got {updated}"
+        )
+    return SymbolNode(i, symbol, price, state, tuple(history), updated)
+
+
+def from_json_obj(obj) -> CointGraph:
+    """Rebuild a graph from the export schema, checking each field in the
+    walk that reads it; every field export writes is required. The checks
+    run in document order (epoch, each node, then each edge), so a document
+    with several faults raises a SchemaViolation naming the first."""
+    epoch = _expect(obj, "epoch", int, "$")
+    if not 0 <= epoch <= MAX_EPOCH:
+        raise SchemaViolation("$.epoch", f"must be in [0, 2**62], got {epoch}")
+    symbol_ids: dict[str, int] = {}
+    node_objs = _expect(obj, "nodes", list, "$")
+    nodes = tuple(_node_from_obj(node, i, epoch, symbol_ids) for i, node in enumerate(node_objs))
+    rows: list[tuple] = []  # one per edge, in _DTYPES order
+    seen_ids: set[int] = set()
+    seen_pairs: set[tuple[int, int]] = set()
+    for i, edge in enumerate(_expect(obj, "edges", list, "$")):
+        path = f"edges[{i}]"
+        eid = _expect(edge, "id", int, path)
+        if not -(2**63) <= eid < 2**63:
+            raise SchemaViolation(f"{path}.id", f"must fit in int64, got {eid}")
+        if eid in seen_ids:
+            raise SchemaViolation(f"{path}.id", f"duplicate edge id {eid}")
+        seen_ids.add(eid)
+        src = _expect(edge, "src", int, path)
+        dst = _expect(edge, "dst", int, path)
+        for name, value in (("src", src), ("dst", dst)):
+            if not 0 <= value < len(nodes):
+                raise SchemaViolation(f"{path}.{name}", f"node id {value} out of range")
+        if src == dst:
+            raise SchemaViolation(f"{path}.dst", "self-loops are not allowed")
+        if (src, dst) in seen_pairs:
+            raise SchemaViolation(f"{path}", f"duplicate edge {src}->{dst}")
+        seen_pairs.add((src, dst))
+        broken = _expect(edge, "broken", bool, path)
+        model = _model_from_obj(_expect(edge, "model", dict, path), f"{path}.model")
+        rows.append((eid, src, dst, *model, broken))
+    columns = dict(zip(_DTYPES, zip(*rows) if rows else [()] * len(_DTYPES)))
+    return CointGraph(nodes, EdgeColumns.of_lists(**columns), epoch, symbol_ids)
 
 
 def _dot_quote(s: str) -> str:

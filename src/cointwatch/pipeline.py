@@ -9,8 +9,8 @@ File formats:
       it and names the line of any error. Files are written in bulk too, one
       row per present (date, symbol) cell, byte for byte as ``csv.writer``
       would.
-  graph JSON — the canonical export schema from :mod:`cointwatch.graph`
-      (``epoch``, ``nodes`` array, ``edges`` array with model fields);
+  graph JSON — the canonical export schema of :mod:`cointwatch.graph`,
+      which alone knows and checks its fields (``graph.from_json_obj``);
       save -> load -> save is byte-stable.
 """
 
@@ -19,7 +19,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import sys
 from dataclasses import dataclass
 from datetime import date
 from itertools import compress
@@ -31,15 +30,13 @@ import numpy as np
 from . import graph as graphmod
 from .coint import PriceSeries
 from .errors import EmptyInput, EmptyWindow, ParseError, SchemaViolation
-from .graph import ALERTED, CLEAR, CointGraph
+from .graph import CointGraph
 
 MISSING_FRACTION_LIMIT = 0.10
 DEFAULT_FFILL_GAP = 3
 _HEADER = ["date", "symbol", "close"]
 _BLOCK_CHARS = 1 << 18  # text parsed per block; bounds the loader's working memory
 _CSV_QUOTED = frozenset(',"\r\n')
-MAX_EPOCH = 2**62  # so a run can advance a loaded epoch as often again in int64
-_FLOAT_MAX = sys.float_info.max  # a number at most this in size is finite, an int one too
 
 
 @dataclass(frozen=True)
@@ -331,109 +328,12 @@ def load_ticks(path) -> list[tuple[date, dict[str, float]]]:
 # -- graph persistence --------------------------------------------------------
 
 
-def _expect(obj, key, types, path):
-    if not isinstance(obj, dict) or key not in obj:
-        raise SchemaViolation(f"{path}.{key}", "missing field")
-    value = obj[key]
-    if not isinstance(value, types) or isinstance(value, bool) and types is not bool:
-        raise SchemaViolation(f"{path}.{key}", f"expected {types}, got {type(value).__name__}")
-    return value
-
-
-def _validate_model(obj, path):
-    for key in ("beta0", "beta1", "resid_mean", "resid_std", "adf_stat"):
-        if not abs(_expect(obj, key, (int, float), path)) <= _FLOAT_MAX:
-            raise SchemaViolation(f"{path}.{key}", "must be finite")
-    pvalue = _expect(obj, "pvalue", (int, float), path)
-    if not 0.0 <= pvalue <= 1.0:
-        raise SchemaViolation(f"{path}.pvalue", f"must be in [0, 1], got {pvalue}")
-    if obj["resid_std"] <= 0.0:
-        raise SchemaViolation(f"{path}.resid_std", f"must be > 0, got {obj['resid_std']}")
-    _expect(obj, "window_id", str, path)
-
-
-def _validate_graph_obj(obj) -> None:
-    epoch = _expect(obj, "epoch", int, "$")
-    if not 0 <= epoch <= MAX_EPOCH:
-        raise SchemaViolation("$.epoch", f"must be in [0, 2**62], got {epoch}")
-    nodes = _expect(obj, "nodes", list, "$")
-    seen_symbols: set[str] = set()
-    for i, node in enumerate(nodes):
-        path = f"nodes[{i}]"
-        node_id = _expect(node, "id", int, path)
-        if node_id != i:
-            raise SchemaViolation(f"{path}.id", f"ids must be dense, expected {i}, got {node_id}")
-        symbol = _expect(node, "symbol", str, path)
-        if symbol in seen_symbols:
-            raise SchemaViolation(f"{path}.symbol", f"duplicate symbol {symbol!r}")
-        seen_symbols.add(symbol)
-        price = node.get("last_price")
-        if price is not None:
-            if not isinstance(price, (int, float)) or isinstance(price, bool):
-                raise SchemaViolation(f"{path}.last_price", "must be a number or null")
-            if not 0 < price <= _FLOAT_MAX:
-                raise SchemaViolation(f"{path}.last_price", f"must be positive, got {price}")
-        state = _expect(node, "alert_state", str, path)
-        if state not in (CLEAR, ALERTED):
-            raise SchemaViolation(f"{path}.alert_state", f"unknown state {state!r}")
-        history = _expect(node, "alert_history", list, path)
-        last_epoch = None
-        for k, item in enumerate(history):
-            if (
-                not isinstance(item, list)
-                or len(item) != 2
-                or not isinstance(item[0], int)
-                or item[1] not in (CLEAR, ALERTED)
-            ):
-                raise SchemaViolation(f"{path}.alert_history[{k}]", "expected [epoch, state]")
-            if last_epoch is not None and item[0] <= last_epoch:
-                raise SchemaViolation(
-                    f"{path}.alert_history[{k}]", "epochs must be strictly increasing"
-                )
-            last_epoch = item[0]
-        if last_epoch is not None and last_epoch > epoch:
-            raise SchemaViolation(
-                f"{path}.alert_history[{len(history) - 1}]",
-                f"epoch {last_epoch} is after graph epoch {epoch}",
-            )
-        updated = _expect(node, "last_update_epoch", int, path)
-        if not -1 <= updated <= epoch:  # -1: never priced
-            raise SchemaViolation(
-                f"{path}.last_update_epoch", f"must be in [-1, graph epoch {epoch}], got {updated}"
-            )
-
-    edges = _expect(obj, "edges", list, "$")
-    seen_pairs: set[tuple[int, int]] = set()
-    seen_ids: set[int] = set()
-    for i, edge in enumerate(edges):
-        path = f"edges[{i}]"
-        eid = _expect(edge, "id", int, path)
-        if not -(2**63) <= eid < 2**63:
-            raise SchemaViolation(f"{path}.id", f"must fit in int64, got {eid}")
-        if eid in seen_ids:
-            raise SchemaViolation(f"{path}.id", f"duplicate edge id {eid}")
-        seen_ids.add(eid)
-        src = _expect(edge, "src", int, path)
-        dst = _expect(edge, "dst", int, path)
-        for name, value in (("src", src), ("dst", dst)):
-            if not 0 <= value < len(nodes):
-                raise SchemaViolation(f"{path}.{name}", f"node id {value} out of range")
-        if src == dst:
-            raise SchemaViolation(f"{path}.dst", "self-loops are not allowed")
-        if (src, dst) in seen_pairs:
-            raise SchemaViolation(f"{path}", f"duplicate edge {src}->{dst}")
-        seen_pairs.add((src, dst))
-        _expect(edge, "broken", bool, path)
-        _validate_model(_expect(edge, "model", dict, path), f"{path}.model")
-
-
 def loads_graph(data: bytes | str) -> CointGraph:
-    """Parse and validate a graph JSON document."""
+    """Parse a graph JSON document; graph.from_json_obj checks its fields."""
     try:
         obj = json.loads(data)
     except ValueError as exc:  # JSONDecodeError, or an int too long to parse
         raise SchemaViolation("$", f"not valid JSON: {exc}") from exc
-    _validate_graph_obj(obj)
     g = graphmod.from_json_obj(obj)
     graphmod.audit_adjacency(g)
     return g

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import graph as graphmod
 from .coint import PairResult, PriceSeries, coint_fit
-from .errors import DegeneratePair
+from .errors import DegeneratePair, ScenarioError
 from .graph import CointGraph, neighbors
 from .pipeline import PriceTable, WindowSlice, slice_window
 from .stats import ols_fit
@@ -80,7 +80,7 @@ def planted_universe(
     symbols = tuple(sorted(columns))
     prices = np.column_stack([columns[s] for s in symbols])
     if prices.min() <= 0.0:
-        raise RuntimeError("generated universe produced a non-positive price; adjust scale")
+        raise ScenarioError("generated universe produced a non-positive price; adjust scale")
     table = PriceTable(calendar=_calendar(n_days, start), symbols=symbols, prices=prices)
     return PlantedUniverse(table=table, clusters=tuple(clusters), independents=tuple(independents))
 
@@ -142,12 +142,12 @@ def baseline_tick(g: CointGraph, fallback: Mapping[str, float]) -> dict[str, flo
     sigmas = np.abs(prices[c.dst] - c.beta0 - c.beta1 * prices[c.src] - c.resid_mean) / c.resid_std
     beyond = np.flatnonzero(sigmas > BASELINE_GUARD)
     if len(beyond):
-        raise RuntimeError(
+        raise ScenarioError(
             f"baseline tick leaves edge {c.eid[beyond[0]]} at {sigmas[beyond[0]]:.2f} sigmas; "
             "graph is too inconsistent for scenario generation"
         )
     if prices.min() <= 0.0:
-        raise RuntimeError("baseline tick produced a non-positive price")
+        raise ScenarioError("baseline tick produced a non-positive price")
     return dict(zip(symbols, prices.tolist()))
 
 
@@ -261,7 +261,7 @@ def turbulent_tick(
             blocked.add(nbr)
             covered.add(e.id)
     if len(covered) < target:
-        raise RuntimeError(
+        raise ScenarioError(
             f"could not cover {fraction:.0%} of edges with an independent node set "
             f"(got {len(covered)}/{g.n_edges})"
         )

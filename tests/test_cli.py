@@ -380,6 +380,17 @@ class TestExport:
         text = capsys.readouterr().out
         assert text.startswith("digraph") and text.rstrip().endswith("}")
 
+    def test_node_without_last_price_is_data_error(self, tmp_path, built_graph, capsys):
+        # every field export writes is required: a data error, not a KeyError
+        obj = json.loads(built_graph.read_text())
+        del obj["nodes"][0]["last_price"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        assert run(["export", "--graph", str(bad), "--format", "json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "cointwatch: error: nodes[0].last_price: missing field\n"
+        assert captured.out == ""
+
 
 class TestGen:
     def test_universe_deterministic(self, tmp_path):
@@ -436,3 +447,72 @@ class TestGen:
         expected = json.loads(expected_file.read_text())
         g = load_graph(gpath)
         assert len(expected) >= 0.2 * g.n_edges
+
+    def test_turbulent_that_cannot_cover_the_fraction_is_data_error(
+        self, tmp_path, built_graph, universe_csv, capsys
+    ):
+        # no independent node set covers every edge of a planted cluster
+        out = tmp_path / "t.csv"
+        argv = [
+            "gen", "turbulent", "--graph", str(built_graph), "--prices", str(universe_csv),
+            "--fraction", "1", "--out", str(out),
+        ]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cointwatch: error: could not cover 100% of edges")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "models, message",
+        [
+            # the two directions of one pair disagree by 100 price units
+            ([("A", "B", 0.0), ("B", "A", 100.0)], "is too inconsistent for scenario generation"),
+            # B must sit 1000 below A, and both are anchored near 10
+            ([("A", "B", -1000.0)], "baseline tick produced a non-positive price"),
+        ],
+    )
+    def test_baseline_that_cannot_be_built_is_data_error(self, tmp_path, capsys, models, message):
+        results = [
+            PairResult(src, dst, dummy_model(resid_std=0.1, beta0=beta0), admitted=True)
+            for src, dst, beta0 in models
+        ]
+        graph = tmp_path / "g.json"
+        save_graph(build_graph(results, 1.0, ["A", "B"]), graph)
+        prices = tmp_path / "p.csv"
+        days = [date(2015, 1, 2), date(2015, 1, 3)]
+        write_prices_csv(prices, days, {"A": [10.0, 10.0], "B": [10.0, 10.0]})
+        out = tmp_path / "t.csv"
+        argv = ["gen", "ticks", "--graph", str(graph), "--prices", str(prices), "--out", str(out)]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cointwatch: error: ") and message in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "kind, flag, value",
+        [
+            ("shock", "--sigmas", "-6"),
+            ("shock", "--sigmas", "0"),
+            ("shock", "--sigmas", "nan"),
+            ("shock", "--sigmas", "inf"),
+            ("turbulent", "--sigmas", "-3"),
+            ("turbulent", "--fraction", "0"),
+            ("turbulent", "--fraction", "-0.25"),
+            ("turbulent", "--fraction", "1.5"),
+            ("turbulent", "--fraction", "nan"),
+        ],
+    )
+    def test_sigmas_and_fraction_out_of_range_are_usage_errors(
+        self, tmp_path, built_graph, universe_csv, capsys, kind, flag, value
+    ):
+        # such a scenario would be written with an --expected set the run contradicts
+        out, expected = tmp_path / "t.csv", tmp_path / "expected.json"
+        argv = [
+            "gen", kind, "--graph", str(built_graph), "--prices", str(universe_csv),
+            "--symbol", "C0S00", flag, value, "--out", str(out), "--expected", str(expected),
+        ]
+        assert run(argv) == 1
+        assert flag in capsys.readouterr().err
+        assert not out.exists() and not expected.exists()

@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 from cointwatch import pipeline, synth
 from cointwatch.alert import RECOMPUTE_OFF, RECOMPUTE_ON_BREAK, AlertConfig, tick_loop
 from cointwatch.errors import EmptyInput, EmptyWindow, ParseError, SchemaViolation
-from cointwatch.graph import export, update_prices
+from cointwatch.graph import MAX_EPOCH, export, update_prices
 from cointwatch.pipeline import (
-    MAX_EPOCH,
     load_graph,
     load_prices,
     load_ticks,
@@ -333,6 +332,27 @@ class TestGraphPersistence:
         with pytest.raises(SchemaViolation) as err:
             loads_graph(data)
         assert err.value.path == ("$" if hasattr(sys, "get_int_max_str_digits") else "$.epoch")
+
+    def test_node_without_last_price_is_a_schema_violation(self):
+        # every field export writes is required; an unpriced node writes null
+        obj = json.loads(export(random_graph(2, n_nodes=4, n_edges=3), "json"))
+        del obj["nodes"][2]["last_price"]
+        with pytest.raises(SchemaViolation) as err:
+            loads_graph(json.dumps(obj))
+        assert (err.value.path, str(err.value)) == (
+            "nodes[2].last_price", "nodes[2].last_price: missing field"
+        )
+
+    @pytest.mark.parametrize("history", [[[True, "clear"]], [[0, "clear"], [False, "alerted"]]])
+    def test_bool_alert_history_epoch_is_a_schema_violation(self, history):
+        # a bool is no epoch: [true, "clear"] would re-export as [1, "clear"]
+        obj = json.loads(export(random_graph(2, n_nodes=4, n_edges=3), "json"))
+        obj["epoch"] = 5
+        obj["nodes"][1]["alert_history"] = history
+        with pytest.raises(SchemaViolation) as err:
+            loads_graph(json.dumps(obj))
+        path = f"nodes[1].alert_history[{len(history) - 1}]"
+        assert (err.value.path, str(err.value)) == (path, f"{path}: expected [epoch, state]")
 
 
 class TestGeneratorRoundTrip:
