@@ -6,6 +6,10 @@ independent walkers) so graph construction can be judged against ground
 truth; the tick builders construct prices whose leash deviations are
 controlled by design (in-band baselines, exact-magnitude node shocks,
 turbulent days breaking a known edge subset).
+
+A planted graph's models come from the scan kernel (coint.scan_pairs), one
+cluster at a time, so each edge's model, pvalue and adf_stat included, is
+bit for bit the one `cointwatch build` fits for that pair.
 """
 
 from __future__ import annotations
@@ -17,8 +21,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import graph as graphmod
-from .coint import PairResult, PriceSeries, coint_fit
-from .errors import DegeneratePair, ScenarioError
+from .coint import CointModel, PairResult, PriceSeries, coint_fit, scan_pairs
+from .errors import CointwatchError, DegeneratePair, ScenarioError
 from .graph import CointGraph, neighbors
 from .pipeline import PriceTable, WindowSlice, slice_window
 from .stats import ols_fit
@@ -96,20 +100,48 @@ def planted_graph(series: Sequence[PriceSeries], clusters: Sequence[Sequence[str
     Produces a graph whose topology is the planted ground truth (all
     within-cluster ordered pairs) with genuinely fitted models, which is
     what shock-scenario tests need: known structure, real numbers.
+
+    Each cluster is fitted by the scan kernel (scan_pairs), so an edge's
+    model is the one `cointwatch build` fits for that pair, pvalue and
+    adf_stat included. A pair the scan skips goes to coint_fit: a
+    degenerate pair is dropped, any other error raises. A cluster the scan
+    declines (an unknown or repeated symbol, members of different windows or
+    lengths, a fit raising ValueError) is fitted pair by pair, so it raises
+    the error the loop meets first.
     """
     by_symbol = {p.symbol: p for p in series}
     results: list[PairResult] = []
     for cluster in clusters:
+        fitted = _scanned_models(by_symbol, cluster)
         for src in cluster:
             for dst in cluster:
                 if src == dst:
                     continue
-                try:
-                    model = coint_fit(by_symbol[src], by_symbol[dst])
-                except DegeneratePair:
-                    continue
+                model = fitted.get((src, dst))
+                if model is None:
+                    try:
+                        model = coint_fit(by_symbol[src], by_symbol[dst])
+                    except DegeneratePair:
+                        continue
                 results.append(PairResult(src, dst, model, admitted=True))
     return graphmod.build_graph(results, epsilon=1.0, symbols=[p.symbol for p in series])
+
+
+def _scanned_models(
+    by_symbol: Mapping[str, PriceSeries], cluster: Sequence[str]
+) -> dict[tuple[str, str], CointModel]:
+    """The scan's model of each ordered pair of the cluster, by (src, dst);
+    empty when a member is unknown or the scan declines the cluster (fewer
+    than two members, a repeated symbol, misaligned members, or a fit's
+    ValueError)."""
+    members = [by_symbol.get(s) for s in cluster]
+    if None in members:
+        return {}
+    try:
+        scan = scan_pairs(members)
+    except (CointwatchError, ValueError):
+        return {}
+    return {(p.src_symbol, p.dst_symbol): p.model for p in scan.pairs}
 
 
 def _role_coefficient(edge, node_id: int) -> float:

@@ -1,3 +1,4 @@
+import gc
 import json
 import sys
 from datetime import date
@@ -214,6 +215,33 @@ class TestGraphPersistence:
         for version in graphs:
             data = export(version, "json")
             assert export(loads_graph(data), "json") == data
+
+    @pytest.mark.parametrize("was_enabled", [True, False])
+    @pytest.mark.parametrize("document", ["good", "bad field", "bad json"])
+    def test_load_pauses_the_collector_and_restores_its_state(self, monkeypatch, was_enabled,
+                                                               document):
+        data = export(random_graph(2, n_nodes=6, n_edges=8), "json")
+        if document == "bad field":
+            obj = json.loads(data)
+            obj["edges"][0]["model"]["pvalue"] = 1.5
+            data = json.dumps(obj)
+        elif document == "bad json":
+            data = data[: len(data) // 2]
+        seen = []
+        build = pipeline.graphmod.from_json_obj
+        monkeypatch.setattr(pipeline.graphmod, "from_json_obj",
+                            lambda obj: seen.append(gc.isenabled()) or build(obj))
+        (gc.enable if was_enabled else gc.disable)()
+        try:
+            if document == "good":
+                assert export(loads_graph(data), "json") == data
+            else:
+                with pytest.raises(SchemaViolation):
+                    loads_graph(data)
+            assert gc.isenabled() is was_enabled
+        finally:
+            gc.enable()
+        assert seen == ([] if document == "bad json" else [False])
 
     def test_corrupt_pvalue_names_field_path(self, tmp_path):
         g = random_graph(1, n_nodes=4, n_edges=3)
