@@ -58,6 +58,7 @@ from .errors import (
     DegeneratePair,
     DegenerateRegressor,
     InsufficientWindow,
+    NonFiniteFit,
     SingularDesign,
     TooShort,
     UnknownEdge,
@@ -382,10 +383,11 @@ def selective_recompute(
         InsufficientWindow: the window lacks an endpoint's symbol, or is
             too short to fit.
         Whatever else coint_fit raises, except DegeneratePair,
-            DegenerateRegressor and SingularDesign: a pair with zero
-            residual spread, a constant source, or residuals whose ADF
-            design is rank-deficient (a window that repeats one price long
-            enough) carries no testable leash, so the edge is removed.
+            DegenerateRegressor, SingularDesign and NonFiniteFit: a pair
+            with zero residual spread, a constant source, residuals whose
+            ADF design is rank-deficient (a window that repeats one price
+            long enough) or a fit that overflows carries no testable leash,
+            so the edge is removed.
     """
     by_symbol = {p.symbol: p for p in window}
     pairs: dict[int, tuple[PriceSeries, PriceSeries]] = {}
@@ -406,7 +408,7 @@ def selective_recompute(
                 model = coint_fit(x, y)
             except TooShort as exc:
                 raise InsufficientWindow(f"{x.symbol}->{y.symbol}: {exc}") from exc
-            except (DegeneratePair, DegenerateRegressor, SingularDesign):
+            except (DegeneratePair, DegenerateRegressor, SingularDesign, NonFiniteFit):
                 removed.append(eid)
                 continue
         if model.pvalue < config.epsilon:

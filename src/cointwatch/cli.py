@@ -71,17 +71,18 @@ def _window_series(prices_path, start, end):
     return table, pipeline.slice_window(table, lo, hi)
 
 
-def _report_skips(skipped) -> None:
+def _report_skips(scan: coint.ScanResult) -> None:
     """One stderr line per skip reason (exception type): count and the first
     pair in canonical order as the example."""
-    by_type: dict[str, list] = {}
-    for skip in skipped:
-        by_type.setdefault(skip.reason.split(":", 1)[0], []).append(skip)
+    by_type: dict[str, list[int]] = {}
+    for k, reason in enumerate(scan.reasons):
+        by_type.setdefault(reason.split(":", 1)[0], []).append(k)
     for kind in sorted(by_type):
         first = by_type[kind][0]
+        src, dst = scan.skipped_src[first], scan.skipped_dst[first]
         print(
             f"skipped {len(by_type[kind])} pairs with {kind}, e.g. "
-            f"{first.src_symbol}->{first.dst_symbol}: {first.reason}",
+            f"{scan.symbols[src]}->{scan.symbols[dst]}: {scan.reasons[first]}",
             file=sys.stderr,
         )
 
@@ -97,12 +98,12 @@ def _cmd_build(args) -> int:
         workers=args.workers,
         lags=args.lags,
     )
-    _report_skips(scan.skipped)
-    g = graphmod.build_graph(scan.pairs, args.alpha, [s.symbol for s in window.series])
+    _report_skips(scan)
+    g = graphmod.build_graph(scan, args.alpha, [s.symbol for s in window.series])
     pipeline.save_graph(g, args.out)
     print(
         f"built graph: {g.n_nodes} nodes, {g.n_edges} edges "
-        f"({len(scan.pairs)} pairs evaluated, {len(scan.skipped)} skipped) -> {args.out}"
+        f"({len(scan.src)} pairs evaluated, {len(scan.reasons)} skipped) -> {args.out}"
     )
     return 0
 

@@ -24,13 +24,27 @@ The scan walks the unordered pairs i < j of the universe in blocks of at
 most _BLOCK_PAIRS and fits both directions of a pair together: y -> x uses
 x -> y's OLS dot. Its memory is O(symbols * k * window) for the designs
 built once per scan plus O(block * k^2) per block, for k ADF design
-columns. Blocks return plain columns; the results are built once, in the
-main process, and put in canonical order by one sort. A process pool runs
-contiguous block ranges, and only for scans large enough to repay its
-start-up (_POOL_MIN_FITS). coint_fit_batch fits arbitrary pairs of equal
-length together (the refits of a tick's broken edges); it builds both
-series' designs for every pair, since a pair's bits must not depend on its
-caller.
+columns. A process pool runs contiguous block ranges, and only for scans
+large enough to repay its start-up (_POOL_MIN_FITS). coint_fit_batch fits
+arbitrary pairs of equal length together (the refits of a tick's broken
+edges); it builds both series' designs for every pair, since a pair's bits
+must not depend on its caller.
+
+The results are columns from the blocks to the graph (late
+materialisation, as in Abadi, Madden and Hachem, "Column-stores vs.
+row-stores", SIGMOD 2008): the main process joins the blocks' columns and
+puts them in canonical order by one sort, and ScanResult holds those
+arrays. Its PairResult and SkippedPair tuples are built once, on first
+read; graph.build_graph slices the admitted rows from the arrays, and
+p-values are mapped in bulk (stats.adf_pvalues), so a build makes no
+per-pair result object.
+
+The batched fits run on one BLAS thread (stats.one_blas_thread, where
+numpy's bundled OpenBLAS lets it be set): a product split over threads
+rounds differently, and with long designs that changed a pair's last bits
+with the thread count. Prices near the float64 limit can overflow a fit; its
+row is declined, and coint_fit raises NonFiniteFit for it, so the pair is
+skipped like any other pair that cannot be fit.
 
 Caveat documented on purpose: the residual test reuses the plain
 Dickey-Fuller p-value surface. Residuals from a fitted regression are known
@@ -42,8 +56,10 @@ swapping in residual-specific critical values.
 
 from __future__ import annotations
 
+import contextlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -115,16 +131,65 @@ class SkippedPair:
     reason: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class ScanResult:
-    """Canonically ordered scan output plus the pairs that could not be fit."""
+    """Canonically ordered scan output plus the pairs that could not be fit.
 
-    pairs: tuple[PairResult, ...]
-    skipped: tuple[SkippedPair, ...]
+    Held as columns over the universe's symbols, in the scan's window: per
+    fitted pair its src and dst symbol indices, its row of model floats
+    (FIELDS) and whether it is admitted; per skipped pair its indices and
+    reason. pairs, skipped and admitted are the tuples of objects, each
+    built once, on first read; equality, hash and repr are those of (pairs,
+    skipped).
+    """
 
-    @property
+    symbols: tuple[str, ...]
+    src: np.ndarray  # intp
+    dst: np.ndarray  # intp
+    fields: np.ndarray  # (n, 6) float64
+    window_id: str
+    admit: np.ndarray  # bool
+    skipped_src: np.ndarray  # intp
+    skipped_dst: np.ndarray  # intp
+    reasons: tuple[str, ...]
+
+    # the model floats of a fields row, in order
+    FIELDS = ("beta0", "beta1", "resid_mean", "resid_std", "pvalue", "adf_stat")
+
+    @cached_property
+    def pairs(self) -> tuple[PairResult, ...]:
+        symbols, window_id = self.symbols, self.window_id
+        return tuple(
+            PairResult(symbols[i], symbols[j], CointModel(*model, window_id), admit)
+            for i, j, model, admit in zip(
+                self.src.tolist(), self.dst.tolist(), self.fields.tolist(), self.admit.tolist()
+            )
+        )
+
+    @cached_property
+    def skipped(self) -> tuple[SkippedPair, ...]:
+        symbols = self.symbols
+        return tuple(
+            SkippedPair(symbols[i], symbols[j], reason)
+            for i, j, reason in zip(
+                self.skipped_src.tolist(), self.skipped_dst.tolist(), self.reasons
+            )
+        )
+
+    @cached_property
     def admitted(self) -> tuple[PairResult, ...]:
         return tuple(p for p in self.pairs if p.admitted)
+
+    def __eq__(self, other):
+        if not isinstance(other, ScanResult):
+            return NotImplemented
+        return (self.pairs, self.skipped) == (other.pairs, other.skipped)
+
+    def __hash__(self):
+        return hash((self.pairs, self.skipped))
+
+    def __repr__(self):
+        return f"ScanResult(pairs={self.pairs!r}, skipped={self.skipped!r})"
 
 
 def coint_fit(x: PriceSeries, y: PriceSeries, lags: int | None = None) -> CointModel:
@@ -209,20 +274,31 @@ def _fit_rows(
     Returns (fields, ok): one (beta0, beta1, resid_mean, resid_std, pvalue,
     adf_stat) row per pair, and ok False for a row the batch cannot vouch
     for (zero regressor or residual spread, an untrusted ADF solve, a
-    non-finite value): coint_fit must decide that row.
+    non-finite value): coint_fit must decide that row. Runs under
+    _kernel_scope, which silences the warnings of the rows it declines.
     """
     # a constant regressor (sxx == 0) makes its row NaN, declined below
-    with np.errstate(divide="ignore", invalid="ignore"):
-        beta1 = sxy / sxx
-        beta0 = y_mean - beta1 * x_mean
-        resid = y - beta0[:, None] - beta1[:, None] * x
-        resid_mean = resid.mean(axis=1)
-        resid_std = resid.std(axis=1, ddof=1)
+    beta1 = sxy / sxx
+    beta0 = y_mean - beta1 * x_mean
+    resid = y - beta0[:, None] - beta1[:, None] * x
+    resid_mean = resid.mean(axis=1)
+    resid_std = resid.std(axis=1, ddof=1)
     stat, ok = stats.adf_pair_batch(x_moments, y_moments, cross, beta0, beta1)
     ok &= (resid_std != 0.0) & np.isfinite(beta0 + beta1 + resid_mean + resid_std)
     pvalue = np.full(len(ok), np.nan)
-    pvalue[ok] = list(map(stats.adf_pvalue, stat[ok].tolist()))
+    pvalue[ok] = stats.adf_pvalues(stat[ok])
     return np.column_stack([beta0, beta1, resid_mean, resid_std, pvalue, stat]), ok
+
+
+@contextlib.contextmanager
+def _kernel_scope():
+    """What the batched fits run under, once per scan_pairs or
+    coint_fit_batch call: one BLAS thread (stats.one_blas_thread), so a
+    product's bits do not depend on the thread count, and no floating-point
+    warnings, since a row that overflows or divides by zero is declined by
+    its mask and decided by coint_fit."""
+    with stats.one_blas_thread(), np.errstate(all="ignore"):
+        yield
 
 
 def coint_fit_batch(pairs: Sequence[tuple[PriceSeries, PriceSeries]]) -> list[CointModel | None]:
@@ -240,22 +316,25 @@ def coint_fit_batch(pairs: Sequence[tuple[PriceSeries, PriceSeries]]) -> list[Co
     for r, (x, y) in enumerate(pairs):
         if x.window_id == y.window_id and len(x) == len(y):
             by_length.setdefault(len(x), []).append(r)
-    for n, rows in by_length.items():
-        lag = _batch_lag(n, None)
-        if lag is None:
-            continue
-        # every pair's x, then every pair's y
-        values = np.array([pairs[r][0].values for r in rows] + [pairs[r][1].values for r in rows])
-        xs, ys = slice(None, len(rows)), slice(len(rows), None)
-        mean, centered, sxx = _ols_moments(values)
-        sxy = np.array([a.dot(b) for a, b in zip(centered[xs], centered[ys])])
-        e, moments = stats.adf_designs(values, lag)
-        cross = e[xs] @ e[ys].transpose(0, 2, 1)
-        fields, ok = _fit_rows(values[xs], values[ys], mean[xs], mean[ys], sxx[xs], sxy,
-                               moments.take(xs), moments.take(ys), cross)
-        for r, good, model in zip(rows, ok.tolist(), fields.tolist()):
-            if good:
-                out[r] = CointModel(*model, window_id=pairs[r][0].window_id)
+    with _kernel_scope():
+        for n, rows in by_length.items():
+            lag = _batch_lag(n, None)
+            if lag is None:
+                continue
+            # every pair's x, then every pair's y
+            values = np.array(
+                [pairs[r][0].values for r in rows] + [pairs[r][1].values for r in rows]
+            )
+            xs, ys = slice(None, len(rows)), slice(len(rows), None)
+            mean, centered, sxx = _ols_moments(values)
+            sxy = np.array([a.dot(b) for a, b in zip(centered[xs], centered[ys])])
+            e, moments = stats.adf_designs(values, lag)
+            cross = e[xs] @ e[ys].transpose(0, 2, 1)
+            fields, ok = _fit_rows(values[xs], values[ys], mean[xs], mean[ys], sxx[xs], sxy,
+                                   moments.take(xs), moments.take(ys), cross)
+            for r, good, model in zip(rows, ok.tolist(), fields.tolist()):
+                if good:
+                    out[r] = CointModel(*model, window_id=pairs[r][0].window_id)
     return out
 
 
@@ -354,10 +433,12 @@ _SCAN: _Scan | None = None
 def _scan_init(scan: _Scan) -> None:
     global _SCAN
     _SCAN = scan
+    stats.set_blas_threads(1)  # as _kernel_scope, for the worker's lifetime
 
 
 def _scan_range(bounds: tuple[int, int]) -> list:
-    return list(_fit_blocks(_SCAN, *bounds))
+    with np.errstate(all="ignore"):  # as _kernel_scope
+        return list(_fit_blocks(_SCAN, *bounds))
 
 
 def check_aligned(universe: Sequence[PriceSeries]) -> None:
@@ -417,52 +498,50 @@ def scan_pairs(
     values = np.vstack([p.values for p in universe])
     rank = np.empty(len(symbols), np.intp)
     rank[sorted(range(len(symbols)), key=symbols.__getitem__)] = np.arange(len(symbols))
-    # each symbol's OLS moments and ADF designs are built once per scan
-    lag = _batch_lag(values.shape[1], lags)
-    designs = None if lag is None else stats.adf_designs(values, lag)
     first, second = np.triu_indices(len(symbols), 1)
     single = direction_policy == DIRECTION_SINGLE
-    scan = _Scan(
-        values, symbols, rank, window_id, lags, single, _ols_moments(values), designs,
-        first, second,
-    )
     n_pairs = len(first)
-    if workers <= 1 or (n_pairs if single else 2 * n_pairs) <= _POOL_MIN_FITS:
-        return _assemble(_fit_blocks(scan, 0, n_pairs), scan, epsilon)
-    # contiguous whole blocks, a few ranges per worker to even out the load
-    size = -(-n_pairs // (workers * 4 * _BLOCK_PAIRS)) * _BLOCK_PAIRS
-    ranges = [(lo, min(lo + size, n_pairs)) for lo in range(0, n_pairs, size)]
-    with ProcessPoolExecutor(
-        max_workers=min(workers, len(ranges)), initializer=_scan_init, initargs=(scan,)
-    ) as pool:
-        parts = (part for blocks in pool.map(_scan_range, ranges) for part in blocks)
-        return _assemble(parts, scan, epsilon)
+    with _kernel_scope():
+        # each symbol's OLS moments and ADF designs are built once per scan
+        lag = _batch_lag(values.shape[1], lags)
+        designs = None if lag is None else stats.adf_designs(values, lag)
+        scan = _Scan(
+            values, symbols, rank, window_id, lags, single, _ols_moments(values), designs,
+            first, second,
+        )
+        if workers <= 1 or (n_pairs if single else 2 * n_pairs) <= _POOL_MIN_FITS:
+            return _assemble(_fit_blocks(scan, 0, n_pairs), scan, epsilon)
+        # contiguous whole blocks, a few ranges per worker to even out the load
+        size = -(-n_pairs // (workers * 4 * _BLOCK_PAIRS)) * _BLOCK_PAIRS
+        ranges = [(lo, min(lo + size, n_pairs)) for lo in range(0, n_pairs, size)]
+        with ProcessPoolExecutor(
+            max_workers=min(workers, len(ranges)), initializer=_scan_init, initargs=(scan,)
+        ) as pool:
+            parts = (part for blocks in pool.map(_scan_range, ranges) for part in blocks)
+            return _assemble(parts, scan, epsilon)
 
 
 def _assemble(parts, scan: _Scan, epsilon: float) -> ScanResult:
-    """The ScanResult of the scan's blocks (_fit_block's columns), in
-    canonical (src, dst) symbol order: the results of each block are built
-    as it arrives, then all are put in order by one sort on symbol ranks."""
-    symbols, window_id, m = scan.symbols, scan.window_id, len(scan.symbols)
-    results, skipped, result_keys, skip_keys = [], [], [], []
-    for src, dst, fields, ok, reasons in parts:
-        key = scan.rank[src] * m + scan.rank[dst]
-        admitted = (fields[:, 4] < epsilon) & (fields[:, 3] > 0.0)
-        results.extend(
-            PairResult(symbols[i], symbols[j], CointModel(*model, window_id), good)
-            for i, j, model, good in zip(
-                src[ok].tolist(), dst[ok].tolist(), fields[ok].tolist(), admitted[ok].tolist()
-            )
-        )
-        failed = ~ok
-        skipped.extend(
-            SkippedPair(symbols[i], symbols[j], reason)
-            for i, j, reason in zip(src[failed].tolist(), dst[failed].tolist(), reasons)
-        )
-        result_keys.append(key[ok])
-        skip_keys.append(key[failed])
-    return ScanResult(pairs=_in_order(results, result_keys), skipped=_in_order(skipped, skip_keys))
-
-
-def _in_order(items: list, keys: list[np.ndarray]) -> tuple:
-    return tuple(map(items.__getitem__, np.argsort(np.concatenate(keys)).tolist()))
+    """The ScanResult of the scan's blocks (_fit_block's columns): the
+    blocks' columns joined, then the fitted and the skipped rows each put in
+    canonical (src, dst) symbol order by one sort on symbol ranks."""
+    src, dst, fields, ok, reasons = zip(*parts)
+    src, dst, fields, ok = map(np.concatenate, (src, dst, fields, ok))
+    reasons = [reason for block in reasons for reason in block]
+    key = scan.rank[src] * len(scan.symbols) + scan.rank[dst]
+    fitted, failed = np.flatnonzero(ok), np.flatnonzero(~ok)
+    fitted = fitted[np.argsort(key[fitted])]
+    skip_order = np.argsort(key[failed])
+    failed = failed[skip_order]
+    fields = fields[fitted]
+    return ScanResult(
+        symbols=scan.symbols,
+        src=src[fitted],
+        dst=dst[fitted],
+        fields=fields,
+        window_id=scan.window_id,
+        admit=(fields[:, 4] < epsilon) & (fields[:, 3] > 0.0),
+        skipped_src=src[failed],
+        skipped_dst=dst[failed],
+        reasons=tuple(map(reasons.__getitem__, skip_order.tolist())),
+    )

@@ -27,6 +27,11 @@ class SingularDesign(CointwatchError):
     """The regression design matrix is rank-deficient or has no residual dof."""
 
 
+class NonFiniteFit(CointwatchError):
+    """A fit of finite prices overflowed float64: its residuals, their mean or
+    their spread are not finite."""
+
+
 # -- coint ------------------------------------------------------------------
 
 class DegeneratePair(CointwatchError):

@@ -37,7 +37,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .coint import CointModel, PairResult
+from .coint import CointModel, PairResult, ScanResult
 from .errors import (
     DuplicateEdge,
     NonPositivePrice,
@@ -173,7 +173,7 @@ class NodeSnapshot:
 
 
 # CointModel's fields, a column each: the floats (float64), then window_id
-_MODEL_FLOATS = ("beta0", "beta1", "resid_mean", "resid_std", "pvalue", "adf_stat")
+_MODEL_FLOATS = ScanResult.FIELDS
 _MODEL_FIELDS = (*_MODEL_FLOATS, "window_id")
 
 
@@ -359,25 +359,42 @@ class CointGraph:
 
 
 def build_graph(
-    results: Iterable[PairResult], epsilon: float, symbols: Sequence[str]
+    results: ScanResult | Iterable[PairResult], epsilon: float, symbols: Sequence[str]
 ) -> CointGraph:
     """Assemble the graph from scanned pair results.
 
     One node per universe symbol (isolated symbols included). One edge per
     result whose model clears the admission rule pvalue < epsilon with
     resid_std > 0; admission is re-derived from the stored model so a scan
-    can be re-thresholded without refitting.
+    can be re-thresholded without refitting. Edge ids follow (src, dst)
+    symbol order.
+
+    results is a ScanResult, whose admitted rows are sliced from its
+    columns, or PairResults, whose fields are collected in lists; both make
+    the edge columns with EdgeColumns.of_lists.
 
     Raises:
         DuplicateEdge: the results repeat an ordered (src, dst) pair.
         UnknownSymbol: a result references a symbol outside the universe.
+        The first result, in the order given, that repeats a pair or
+        references an unknown symbol raises, and a repeat is named first.
     """
     symbols = list(symbols)
     if len(set(symbols)) != len(symbols):
         raise ValueError("universe contains duplicate symbols")
     symbol_ids = {s: i for i, s in enumerate(symbols)}
     nodes = tuple(SymbolNode(id=i, symbol=s) for i, s in enumerate(symbols))
+    if isinstance(results, ScanResult):
+        columns = _scan_columns(results, epsilon, symbol_ids)
+    else:
+        columns = _pair_columns(results, epsilon, symbol_ids)
+    return CointGraph(node_source=nodes, columns=columns, epoch=0, symbol_ids=symbol_ids)
 
+
+def _pair_columns(
+    results: Iterable[PairResult], epsilon: float, symbol_ids: Mapping[str, int]
+) -> EdgeColumns:
+    """build_graph's edge columns of PairResults."""
     seen: set[tuple[str, str]] = set()
     admitted: list[PairResult] = []
     for r in results:
@@ -394,14 +411,58 @@ def build_graph(
 
     admitted.sort(key=lambda r: (r.src_symbol, r.dst_symbol))
     models = [r.model for r in admitted]
-    columns = EdgeColumns.of_lists(
+    return EdgeColumns.of_lists(
         eid=range(len(admitted)),
         src=[symbol_ids[r.src_symbol] for r in admitted],
         dst=[symbol_ids[r.dst_symbol] for r in admitted],
         broken=[False] * len(admitted),
         **{name: [getattr(m, name) for m in models] for name in _MODEL_FIELDS},
     )
-    return CointGraph(node_source=nodes, columns=columns, epoch=0, symbol_ids=symbol_ids)
+
+
+def _scan_columns(
+    results: ScanResult, epsilon: float, symbol_ids: Mapping[str, int]
+) -> EdgeColumns:
+    """build_graph's edge columns of a ScanResult's admitted rows."""
+    fields = results.fields
+    rows = _edge_rows(results, symbol_ids)
+    rows = rows[(fields[rows, 4] < epsilon) & (fields[rows, 3] > 0.0)]
+    ids = np.array([symbol_ids.get(s, -1) for s in results.symbols], dtype=np.intp)
+    return EdgeColumns.of_lists(
+        eid=np.arange(len(rows)),
+        src=ids[results.src[rows]],
+        dst=ids[results.dst[rows]],
+        broken=np.zeros(len(rows), dtype=bool),
+        window_id=[results.window_id] * len(rows),
+        **{name: fields[rows, k] for k, name in enumerate(_MODEL_FLOATS)},
+    )
+
+
+def _edge_rows(results: ScanResult, symbol_ids: Mapping[str, int]) -> np.ndarray:
+    """The rows of the fitted pairs in (src, dst) symbol order, once checked,
+    as _pair_columns checks, that none repeats a pair or names a symbol
+    outside symbol_ids. A scan's rows are in that order already."""
+    names = results.symbols
+    rank = np.empty(len(names), np.intp)
+    rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
+    key = rank[results.src] * len(names) + rank[results.dst]
+    repeat = np.zeros(len(key), dtype=bool)
+    if np.all(key[1:] > key[:-1]):
+        order = np.arange(len(key))
+    else:
+        order = np.argsort(key, kind="stable")
+        # a row that repeats an earlier row's pair follows it in the order
+        repeat[order[1:][key[order[1:]] == key[order[:-1]]]] = True
+    known = np.array([s in symbol_ids for s in names], dtype=bool)
+    bad = repeat | ~known[results.src] | ~known[results.dst]
+    if bad.any():
+        r = int(bad.argmax())
+        src, dst = names[results.src[r]], names[results.dst[r]]
+        if repeat[r]:
+            raise DuplicateEdge(f"pair {src}->{dst} appears more than once")
+        unknown = src if src not in symbol_ids else dst
+        raise UnknownSymbol(f"result references unknown symbol {unknown!r}")
+    return order
 
 
 # value types a tick's prices are converted in bulk from; anything else,

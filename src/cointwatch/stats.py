@@ -18,7 +18,8 @@ The p-value mapping embeds the MacKinnon (1994) response-surface regression
 for the constant-only Dickey-Fuller distribution (single series, no trend),
 the same published coefficients used by the major econometrics packages.
 This keeps the test self-contained and bit-reproducible with no external
-statistics dependency. Provenance: J.G. MacKinnon, "Approximate Asymptotic
+statistics dependency. adf_pvalues maps many statistics at once, bit for
+bit as adf_pvalue does. Provenance: J.G. MacKinnon, "Approximate Asymptotic
 Distribution Functions for Unit-Root and Cointegration Tests", JBES 12
 (1994); cross-checked against the tabulated 1%/5%/10% critical values
 (-3.43 / -2.86 / -2.57).
@@ -26,13 +27,24 @@ Distribution Functions for Unit-Root and Cointegration Tests", JBES 12
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
+import threading
 from dataclasses import dataclass
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateRegressor, LengthMismatch, SingularDesign, TooShort
+from .errors import (
+    DegenerateRegressor,
+    LengthMismatch,
+    NonFiniteFit,
+    SingularDesign,
+    TooShort,
+)
 
 
 class Series:
@@ -113,6 +125,7 @@ def ols_fit(x, y) -> LinearModel:
         LengthMismatch: x and y differ in length.
         TooShort: fewer than 3 samples.
         DegenerateRegressor: x has zero variance.
+        NonFiniteFit: the fit overflows (prices near the float64 limit).
     """
     xs = as_series(x)
     ys = as_series(y)
@@ -123,21 +136,29 @@ def ols_fit(x, y) -> LinearModel:
         raise TooShort(f"need at least 3 samples, got {n}")
     xv = xs.values
     yv = ys.values
-    x_mean = xv.mean()
-    y_mean = yv.mean()
-    xc = xv - x_mean
-    sxx = xc @ xc
-    if sxx == 0.0:
-        raise DegenerateRegressor("regressor has zero variance")
-    beta1 = (xc @ (yv - y_mean)) / sxx
-    beta0 = y_mean - beta1 * x_mean
-    resid = yv - beta0 - beta1 * xv
+    # an overflow leaves a non-finite residual or spread, raised below
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_mean = xv.mean()
+        y_mean = yv.mean()
+        xc = xv - x_mean
+        sxx = xc @ xc
+        if sxx == 0.0:
+            raise DegenerateRegressor("regressor has zero variance")
+        beta1 = (xc @ (yv - y_mean)) / sxx
+        beta0 = y_mean - beta1 * x_mean
+        resid = yv - beta0 - beta1 * xv
+        resid_mean = float(resid.mean())
+        resid_std = float(resid.std(ddof=1))
+    if not (math.isfinite(resid_mean) and math.isfinite(resid_std) and np.isfinite(resid).all()):
+        raise NonFiniteFit(
+            "OLS residuals or their spread are not finite (prices too large for float64)"
+        )
     return LinearModel(
         beta0=float(beta0),
         beta1=float(beta1),
         residuals=Series(resid),
-        resid_mean=float(resid.mean()),
-        resid_std=float(resid.std(ddof=1)),
+        resid_mean=resid_mean,
+        resid_std=resid_std,
     )
 
 
@@ -199,6 +220,72 @@ def adf_statistic(s, lags: int) -> tuple[float, int]:
         raise SingularDesign("ADF design matrix is numerically singular") from exc
     stderr = math.sqrt(sigma2 * gram_inv[1, 1])
     return float(beta[1] / stderr), rows
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None
+    where numpy ships no library exporting them (another BLAS, or a numpy
+    build older than its scipy-openblas wheels)."""
+    root = Path(np.__file__).parent
+    for path in sorted([*root.parent.glob("numpy.libs/libscipy_openblas*"),
+                        *root.glob(".dylibs/libscipy_openblas*")]):
+        try:
+            lib = ctypes.CDLL(str(path))  # numpy has loaded it: the same handle
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+def set_blas_threads(n: int) -> int | None:
+    """Set the thread count of numpy's bundled OpenBLAS to n and return the
+    previous count; where it cannot be set (see _openblas_threads), do
+    nothing and return None."""
+    threads = _openblas_threads()
+    if threads is None:
+        return None
+    get, set_ = threads
+    before = get()
+    set_(n)
+    return before
+
+
+# the pins one_blas_thread holds: the thread count is the process's, so the
+# first pin sets one thread and the last restores the count the first found
+_PIN_LOCK = threading.Lock()
+_pins = 0
+_unpinned: int | None = None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with numpy's bundled OpenBLAS on one thread, then
+    restore its thread count.
+
+    A BLAS may split a large matrix product over threads, and the split
+    changes how its sums round: with long ADF designs (about 35 or more
+    columns) a product's last bits depended on OPENBLAS_NUM_THREADS. On one
+    thread they do not. Blocks may nest or run in several threads at once;
+    the count is restored when the last of them ends. Where the thread
+    count cannot be set, the block runs as it is.
+    """
+    global _pins, _unpinned
+    with _PIN_LOCK:
+        if _pins == 0:
+            _unpinned = set_blas_threads(1)
+        _pins += 1
+    try:
+        yield
+    finally:
+        with _PIN_LOCK:
+            _pins -= 1
+            if _pins == 0 and _unpinned is not None:
+                set_blas_threads(_unpinned)
 
 
 # Trust limit of the batched ADF kernel. A row goes back to adf_statistic
@@ -468,6 +555,36 @@ def adf_pvalue(statistic: float) -> float:
     for c in reversed(coeffs):
         z = z * s + c
     return min(max(_norm_cdf(z), _P_FLOOR), 1.0 - _P_FLOOR)
+
+
+# _SMALL_P padded to _LARGE_P's degree: a zero leading coefficient leaves
+# Horner's steps, and so every bit of the polynomial, as adf_pvalue has them
+_HORNER_STEPS = tuple(zip(reversed(_SMALL_P + (0.0,)), reversed(_LARGE_P)))
+
+# adf_pvalues maps fewer statistics than this one by one: on a 2-core x86-64
+# host its numpy steps cost ~20 us at any count, adf_pvalue ~1.2 us each
+_BULK_MIN = 16
+
+
+def adf_pvalues(statistics: np.ndarray) -> np.ndarray:
+    """adf_pvalue of every entry of a 1-d float64 array, bit for bit.
+
+    The clip, the response-surface polynomial and the clamp run in numpy,
+    each operation rounded as adf_pvalue's Python arithmetic rounds it; the
+    normal tail is math.erfc's. Raises ValueError on a non-finite entry.
+    """
+    if len(statistics) < _BULK_MIN:
+        return np.array([adf_pvalue(t) for t in statistics.tolist()], dtype=np.float64)
+    if not np.isfinite(statistics).all():
+        raise ValueError("statistics must be finite")
+    s = np.minimum(np.maximum(statistics, _TAU_MIN), _TAU_MAX)
+    large = s > _TAU_STAR
+    z = np.zeros_like(s)
+    for small_c, large_c in _HORNER_STEPS:
+        z *= s
+        z += np.where(large, large_c, small_c)
+    tail = np.fromiter(map(math.erfc, (-z / math.sqrt(2.0)).tolist()), np.float64, len(z))
+    return np.minimum(np.maximum(0.5 * tail, _P_FLOOR), 1.0 - _P_FLOOR)
 
 
 def adf_test(s, lags: int | None = None) -> AdfResult:

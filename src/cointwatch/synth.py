@@ -22,7 +22,7 @@ import numpy as np
 
 from . import graph as graphmod
 from .coint import CointModel, PairResult, PriceSeries, coint_fit, scan_pairs
-from .errors import CointwatchError, DegeneratePair, ScenarioError
+from .errors import CointwatchError, DegeneratePair, ScenarioError, UnknownSymbol
 from .graph import CointGraph, neighbors
 from .pipeline import PriceTable, WindowSlice, slice_window
 from .stats import ols_fit
@@ -105,13 +105,26 @@ def planted_graph(series: Sequence[PriceSeries], clusters: Sequence[Sequence[str
     model is the one `cointwatch build` fits for that pair, pvalue and
     adf_stat included. A pair the scan skips goes to coint_fit: a
     degenerate pair is dropped, any other error raises. A cluster the scan
-    declines (an unknown or repeated symbol, members of different windows or
-    lengths, a fit raising ValueError) is fitted pair by pair, so it raises
-    the error the loop meets first.
+    declines (members of different windows or lengths, a fit raising
+    ValueError) is fitted pair by pair, so it raises the error the loop
+    meets first.
+
+    Raises:
+        UnknownSymbol: a cluster names a symbol outside the series.
+        ValueError: a cluster names a symbol twice.
+        Either names the cluster's index and the first such member, and is
+        raised before any pair of that cluster is fitted.
     """
     by_symbol = {p.symbol: p for p in series}
     results: list[PairResult] = []
-    for cluster in clusters:
+    for k, cluster in enumerate(clusters):
+        seen: set[str] = set()
+        for symbol in cluster:
+            if symbol not in by_symbol:
+                raise UnknownSymbol(f"cluster {k}: symbol {symbol!r} is not in the series")
+            if symbol in seen:
+                raise ValueError(f"cluster {k}: symbol {symbol!r} appears more than once")
+            seen.add(symbol)
         fitted = _scanned_models(by_symbol, cluster)
         for src in cluster:
             for dst in cluster:
@@ -131,14 +144,10 @@ def _scanned_models(
     by_symbol: Mapping[str, PriceSeries], cluster: Sequence[str]
 ) -> dict[tuple[str, str], CointModel]:
     """The scan's model of each ordered pair of the cluster, by (src, dst);
-    empty when a member is unknown or the scan declines the cluster (fewer
-    than two members, a repeated symbol, misaligned members, or a fit's
-    ValueError)."""
-    members = [by_symbol.get(s) for s in cluster]
-    if None in members:
-        return {}
+    empty when the scan declines the cluster (fewer than two members,
+    misaligned members, or a fit's ValueError)."""
     try:
-        scan = scan_pairs(members)
+        scan = scan_pairs([by_symbol[s] for s in cluster])
     except (CointwatchError, ValueError):
         return {}
     return {(p.src_symbol, p.dst_symbol): p.model for p in scan.pairs}

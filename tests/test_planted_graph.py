@@ -4,7 +4,11 @@ planted_graph fits each cluster with the scan kernel. The per-pair loop
 below is the oracle: the graph must keep its topology, edge ids, leash
 fields and baseline tick bit for bit, its pvalue/adf_stat must agree to
 rounding and equal the bits the batch kernel gives the same pair, and every
-input the loop rejects must raise the same error class and message.
+input the loop rejects must raise the same error class and message. The
+loop checks each cluster's members before fitting it, as planted_graph
+does: an unknown or repeated member is an UnknownSymbol or ValueError
+naming the cluster, not the loop's bare KeyError or build_graph's
+DuplicateEdge.
 """
 
 import numpy as np
@@ -14,7 +18,7 @@ from hypothesis import strategies as st
 
 from cointwatch import synth
 from cointwatch.coint import PairResult, PriceSeries, coint_fit, coint_fit_batch
-from cointwatch.errors import DegeneratePair
+from cointwatch.errors import DegeneratePair, NonFiniteFit, UnknownSymbol
 from cointwatch.graph import build_graph
 
 LEASH_FIELDS = ("beta0", "beta1", "resid_mean", "resid_std")
@@ -25,7 +29,12 @@ def oracle_planted_graph(series, clusters):
     """One coint_fit per ordered within-cluster pair, in cluster order."""
     by_symbol = {p.symbol: p for p in series}
     results = []
-    for cluster in clusters:
+    for k, cluster in enumerate(clusters):
+        for i, symbol in enumerate(cluster):
+            if symbol not in by_symbol:
+                raise UnknownSymbol(f"cluster {k}: symbol {symbol!r} is not in the series")
+            if symbol in cluster[:i]:
+                raise ValueError(f"cluster {k}: symbol {symbol!r} appears more than once")
         for src in cluster:
             for dst in cluster:
                 if src == dst:
@@ -103,8 +112,7 @@ def assert_same_graph(series, clusters):
     ),
     tamper=st.sampled_from([None, None, None, "short", "window", "copy", "flat", "missing"]),
 )
-# a symbol repeated inside a cluster: the loop fits its pairs twice and
-# build_graph raises DuplicateEdge; the scan rejects the cluster up front
+# a symbol repeated inside a cluster: a ValueError naming the cluster
 @example(seed=1, n_days=250, members=[[0, 1, 1]], tamper=None)
 # members of different lengths: the loop raises LengthMismatch, the scan's
 # alignment check MisalignedCalendar
@@ -130,19 +138,39 @@ def test_planted_graph_matches_the_per_pair_loop(seed, n_days, members, tamper):
     assert_same_graph(series, clusters)
 
 
-# prices near the float64 limit overflow on both paths; the warnings are the
-# inputs', not a missing errstate
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_an_error_outside_the_package_raises_as_the_loop_does():
-    # C0S00 -> C0S01 fails the ADF solve (SingularDesign) and every pair
-    # with C0S02 overflows (ValueError from coint_fit). The loop raises at
-    # the first pair; the scan records it as skipped and raises the second
-    # pair's ValueError, so the cluster must go back to the loop.
+def test_an_overflowing_cluster_raises_as_the_loop_does():
+    # prices near the float64 limit: the spread of C0S00 -> C0S01's
+    # residuals and every pair with C0S02 overflow (NonFiniteFit). The scan
+    # lists them as skipped; the loop over the skipped pairs raises at the
+    # first, as the per-pair loop does.
     universe = synth.planted_universe(n_clusters=1, cluster_size=3, n_independent=0, seed=1)
     series = list(synth.universe_series(universe.table).series)
     series[1] = PriceSeries(series[1].symbol, series[1].values * 1e300, series[1].window_id)
     series[2] = PriceSeries(series[2].symbol, series[2].values * 1e305, series[2].window_id)
     assert_same_graph(series, universe.clusters)
+    series[1] = synth.universe_series(universe.table).series[1]
+    with pytest.raises(NonFiniteFit):
+        synth.planted_graph(series, universe.clusters)
+
+
+@pytest.mark.parametrize(
+    "clusters, error, message",
+    [
+        ([["C0S00", "C0S01"], ["C1S00", "NOPE"]], UnknownSymbol,
+         "cluster 1: symbol 'NOPE' is not in the series"),
+        ([["C0S00", "C0S01", "C0S00"]], ValueError,
+         "cluster 0: symbol 'C0S00' appears more than once"),
+        # the first bad member in cluster order decides
+        ([["C0S01", "C0S01", "NOPE"]], ValueError,
+         "cluster 0: symbol 'C0S01' appears more than once"),
+    ],
+)
+def test_a_bad_cluster_member_is_named(clusters, error, message):
+    universe = synth.planted_universe(n_clusters=2, cluster_size=2, n_independent=0, seed=1)
+    series = synth.universe_series(universe.table).series
+    with pytest.raises(error) as raised:
+        synth.planted_graph(series, clusters)
+    assert str(raised.value) == message
 
 
 def test_planted_graph_keeps_every_within_cluster_pair():
