@@ -32,7 +32,8 @@ import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import islice
+from itertools import chain, islice
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -154,8 +155,10 @@ class NodeSnapshot:
     def nodes(self) -> tuple[SymbolNode, ...]:
         added: list[list[tuple[int, str]]] = [[] for _ in self.base]
         for epoch, ids, alerted in islice(self.log, self.length):
+            # one (epoch, state) tuple per state, shared by the tick's nodes
+            states = ((epoch, CLEAR), (epoch, ALERTED))
             for nid, flag in zip(ids.tolist(), alerted.tolist()):
-                added[nid].append((epoch, ALERTED if flag else CLEAR))
+                added[nid].append(states[flag])
         return tuple(
             SymbolNode(
                 id=b.id,
@@ -369,12 +372,13 @@ def build_graph(
     can be re-thresholded without refitting. Edge ids follow (src, dst)
     symbol order.
 
-    results is a ScanResult, whose admitted rows are sliced from its
-    columns, or PairResults, whose fields are collected in lists; both make
-    the edge columns with EdgeColumns.of_lists.
+    results is a ScanResult or PairResults; PairResults are first turned
+    into the columns a ScanResult holds. The admitted rows are then sliced
+    from those columns into EdgeColumns.of_lists.
 
     Raises:
-        DuplicateEdge: the results repeat an ordered (src, dst) pair.
+        DuplicateEdge: the results repeat an ordered (src, dst) pair of
+            symbol names.
         UnknownSymbol: a result references a symbol outside the universe.
         The first result, in the order given, that repeats a pair or
         references an unknown symbol raises, and a repeat is named first.
@@ -384,83 +388,61 @@ def build_graph(
         raise ValueError("universe contains duplicate symbols")
     symbol_ids = {s: i for i, s in enumerate(symbols)}
     nodes = tuple(SymbolNode(id=i, symbol=s) for i, s in enumerate(symbols))
-    if isinstance(results, ScanResult):
-        columns = _scan_columns(results, epsilon, symbol_ids)
-    else:
-        columns = _pair_columns(results, epsilon, symbol_ids)
+    names, src, dst, fields, window_ids = _columns(results)
+    rows = _edge_rows(names, src, dst, symbol_ids)
+    rows = rows[(fields[rows, 4] < epsilon) & (fields[rows, 3] > 0.0)]
+    ids = np.array([symbol_ids.get(s, -1) for s in names], dtype=np.intp)
+    columns = EdgeColumns.of_lists(
+        eid=np.arange(len(rows)),
+        src=ids[src[rows]],
+        dst=ids[dst[rows]],
+        broken=np.zeros(len(rows), dtype=bool),
+        window_id=window_ids[rows],
+        **{name: fields[rows, k] for k, name in enumerate(_MODEL_FLOATS)},
+    )
     return CointGraph(node_source=nodes, columns=columns, epoch=0, symbol_ids=symbol_ids)
 
 
-def _pair_columns(
-    results: Iterable[PairResult], epsilon: float, symbol_ids: Mapping[str, int]
-) -> EdgeColumns:
-    """build_graph's edge columns of PairResults."""
-    seen: set[tuple[str, str]] = set()
-    admitted: list[PairResult] = []
-    for r in results:
-        key = (r.src_symbol, r.dst_symbol)
-        if key in seen:
-            raise DuplicateEdge(f"pair {key[0]}->{key[1]} appears more than once")
-        seen.add(key)
-        if r.src_symbol not in symbol_ids:
-            raise UnknownSymbol(f"result references unknown symbol {r.src_symbol!r}")
-        if r.dst_symbol not in symbol_ids:
-            raise UnknownSymbol(f"result references unknown symbol {r.dst_symbol!r}")
-        if r.model.pvalue < epsilon and r.model.resid_std > 0.0:
-            admitted.append(r)
-
-    admitted.sort(key=lambda r: (r.src_symbol, r.dst_symbol))
-    models = [r.model for r in admitted]
-    return EdgeColumns.of_lists(
-        eid=range(len(admitted)),
-        src=[symbol_ids[r.src_symbol] for r in admitted],
-        dst=[symbol_ids[r.dst_symbol] for r in admitted],
-        broken=[False] * len(admitted),
-        **{name: [getattr(m, name) for m in models] for name in _MODEL_FIELDS},
-    )
+def _columns(results: ScanResult | Iterable[PairResult]) -> tuple:
+    """The columns of a ScanResult, or of PairResults in the order given:
+    a symbol table, src and dst indices into it (intp), the (n, 6)
+    ScanResult.FIELDS floats (float64) and a window id per row (object)."""
+    if isinstance(results, ScanResult):
+        one = np.array([results.window_id], dtype=object)
+        window_ids = np.broadcast_to(one, len(results.src))
+        return results.symbols, results.src, results.dst, results.fields, window_ids
+    results = list(results)
+    models = [r.model for r in results]
+    index: dict[str, int] = {}
+    ends = [index.setdefault(s, len(index)) for r in results for s in (r.src_symbol, r.dst_symbol)]
+    ends = np.array(ends, dtype=np.intp).reshape(len(results), 2)
+    floats = chain.from_iterable(map(attrgetter(*_MODEL_FLOATS), models))
+    fields = np.fromiter(floats, np.float64, 6 * len(models)).reshape(len(models), 6)
+    window_ids = np.array([m.window_id for m in models], dtype=object)
+    return tuple(index), ends[:, 0], ends[:, 1], fields, window_ids
 
 
-def _scan_columns(
-    results: ScanResult, epsilon: float, symbol_ids: Mapping[str, int]
-) -> EdgeColumns:
-    """build_graph's edge columns of a ScanResult's admitted rows."""
-    fields = results.fields
-    rows = _edge_rows(results, symbol_ids)
-    rows = rows[(fields[rows, 4] < epsilon) & (fields[rows, 3] > 0.0)]
-    ids = np.array([symbol_ids.get(s, -1) for s in results.symbols], dtype=np.intp)
-    return EdgeColumns.of_lists(
-        eid=np.arange(len(rows)),
-        src=ids[results.src[rows]],
-        dst=ids[results.dst[rows]],
-        broken=np.zeros(len(rows), dtype=bool),
-        window_id=[results.window_id] * len(rows),
-        **{name: fields[rows, k] for k, name in enumerate(_MODEL_FLOATS)},
-    )
-
-
-def _edge_rows(results: ScanResult, symbol_ids: Mapping[str, int]) -> np.ndarray:
-    """The rows of the fitted pairs in (src, dst) symbol order, once checked,
-    as _pair_columns checks, that none repeats a pair or names a symbol
-    outside symbol_ids. A scan's rows are in that order already."""
-    names = results.symbols
-    rank = np.empty(len(names), np.intp)
-    rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
-    key = rank[results.src] * len(names) + rank[results.dst]
+def _edge_rows(
+    names: Sequence[str], src: np.ndarray, dst: np.ndarray, symbol_ids: Mapping[str, int]
+) -> np.ndarray:
+    """The rows of the fitted pairs in (src, dst) symbol-name order, once
+    checked that none repeats a pair of names or names a symbol outside
+    symbol_ids."""
+    rank_of = {s: k for k, s in enumerate(sorted(set(names)))}  # equal names, equal ranks
+    rank = np.array([rank_of[s] for s in names], dtype=np.intp)
+    key = rank[src] * len(rank_of) + rank[dst]
+    order = np.argsort(key, kind="stable")
+    # a row that repeats an earlier row's pair follows it in the order
     repeat = np.zeros(len(key), dtype=bool)
-    if np.all(key[1:] > key[:-1]):
-        order = np.arange(len(key))
-    else:
-        order = np.argsort(key, kind="stable")
-        # a row that repeats an earlier row's pair follows it in the order
-        repeat[order[1:][key[order[1:]] == key[order[:-1]]]] = True
+    repeat[order[1:][key[order[1:]] == key[order[:-1]]]] = True
     known = np.array([s in symbol_ids for s in names], dtype=bool)
-    bad = repeat | ~known[results.src] | ~known[results.dst]
+    bad = repeat | ~known[src] | ~known[dst]
     if bad.any():
         r = int(bad.argmax())
-        src, dst = names[results.src[r]], names[results.dst[r]]
+        a, b = names[src[r]], names[dst[r]]
         if repeat[r]:
-            raise DuplicateEdge(f"pair {src}->{dst} appears more than once")
-        unknown = src if src not in symbol_ids else dst
+            raise DuplicateEdge(f"pair {a}->{b} appears more than once")
+        unknown = a if a not in symbol_ids else b
         raise UnknownSymbol(f"result references unknown symbol {unknown!r}")
     return order
 
@@ -646,6 +628,11 @@ def to_json_obj(g: CointGraph) -> dict:
     }
 
 
+# the JSON name of each type (or types) a field is checked against or holds
+_JSON_NAMES = {int: "integer", float: "number", (int, float): "number", str: "string",
+               list: "array", dict: "object", bool: "boolean", type(None): "null"}
+
+
 def _expect(obj, key, types, path):
     """obj[key], checked to be of types (a bool only where types is bool)."""
     try:
@@ -653,12 +640,14 @@ def _expect(obj, key, types, path):
     except (KeyError, TypeError):  # no such key, or obj is no JSON object
         raise SchemaViolation(f"{path}.{key}", "missing field") from None
     if not isinstance(value, types) or isinstance(value, bool) and types is not bool:
-        raise SchemaViolation(f"{path}.{key}", f"expected {types}, got {type(value).__name__}")
+        got = _JSON_NAMES.get(type(value), type(value).__name__)
+        raise SchemaViolation(f"{path}.{key}", f"expected {_JSON_NAMES[types]}, got {got}")
     return value
 
 
-def _model_from_obj(obj, path) -> tuple:
-    """The checked CointModel fields of a model object, in _MODEL_FIELDS order."""
+def _model_from_obj(obj, path, windows: dict[str, str]) -> tuple:
+    """The checked CointModel fields of a model object, in _MODEL_FIELDS order;
+    its window_id is the first object of that value in windows."""
     floats = []
     for key in ("beta0", "beta1", "resid_mean", "resid_std", "adf_stat"):
         floats.append(_expect(obj, key, (int, float), path))
@@ -671,6 +660,7 @@ def _model_from_obj(obj, path) -> tuple:
     if resid_std <= 0.0:
         raise SchemaViolation(f"{path}.resid_std", f"must be > 0, got {resid_std}")
     window_id = _expect(obj, "window_id", str, path)
+    window_id = windows.setdefault(window_id, window_id)
     return beta0, beta1, resid_mean, resid_std, pvalue, adf_stat, window_id
 
 
@@ -736,6 +726,7 @@ def from_json_obj(obj) -> CointGraph:
     rows: list[tuple] = []  # one per edge, in _DTYPES order
     seen_ids: set[int] = set()
     seen_pairs: set[tuple[int, int]] = set()
+    windows: dict[str, str] = {}  # one str per window id, as a build shares it
     for i, edge in enumerate(_expect(obj, "edges", list, "$")):
         path = f"edges[{i}]"
         eid = _expect(edge, "id", int, path)
@@ -755,7 +746,7 @@ def from_json_obj(obj) -> CointGraph:
             raise SchemaViolation(f"{path}", f"duplicate edge {src}->{dst}")
         seen_pairs.add((src, dst))
         broken = _expect(edge, "broken", bool, path)
-        model = _model_from_obj(_expect(edge, "model", dict, path), f"{path}.model")
+        model = _model_from_obj(_expect(edge, "model", dict, path), f"{path}.model", windows)
         rows.append((eid, src, dst, *model, broken))
     columns = dict(zip(_DTYPES, zip(*rows) if rows else [()] * len(_DTYPES)))
     return CointGraph(nodes, EdgeColumns.of_lists(**columns), epoch, symbol_ids)

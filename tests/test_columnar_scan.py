@@ -8,6 +8,12 @@ rows turned into objects as the block arrives, then put in canonical
 order, in a frozen dataclass of two tuples. The tuples, equality, hash and
 repr must match it exactly, and a graph built from the columns must have
 the bytes of one built from the objects, errors included.
+
+build_graph turns PairResults into the same columns before it checks and
+admits them, so one path serves both inputs. Its oracle is the per-object
+loop it replaced, kept below as build_graph_by_loop: on PairResults, and
+on a ScanResult's .pairs, the path must give the loop's graph bytes or
+its error class and message.
 """
 
 import math
@@ -28,7 +34,8 @@ from cointwatch.coint import (
     SkippedPair,
     scan_pairs,
 )
-from cointwatch.graph import build_graph, export
+from cointwatch.errors import DuplicateEdge, UnknownSymbol
+from cointwatch.graph import CointGraph, EdgeColumns, SymbolNode, build_graph, export
 
 from test_scan_kernel import universes
 
@@ -167,6 +174,23 @@ def outcome(fn, *args):
 
 
 NAMES = ["A", "B", "C", "D", "b", "AA"]
+WINDOWS = ["w", "v", ""]
+FLOATS = st.floats(-1e3, 1e3, allow_nan=False)
+SPREADS = [0.0, -1.0, 0.5, 2.0]
+PVALUES = [1e-6, 0.01, 0.05, 0.2, 1.0 - 1e-6]
+# model fields as floats, ints (within float64's range) or np.float64s
+NUMBERS = st.one_of(FLOATS, st.integers(-(2**64), 2**64), FLOATS.map(np.float64))
+WIDE_SPREADS = SPREADS + [0, -1, 2, np.float64(0.5)]
+WIDE_PVALUES = PVALUES + [0, 1, np.float64(0.05)]
+
+
+@st.composite
+def models(draw, windows=st.just("w"), number=FLOATS, spreads=SPREADS, pvalues=PVALUES):
+    return CointModel(
+        draw(number), draw(number), draw(number),
+        draw(st.sampled_from(spreads)), draw(st.sampled_from(pvalues)),
+        draw(number), draw(windows),
+    )
 
 
 @st.composite
@@ -176,26 +200,83 @@ def result_lists(draw):
     spread and p-value."""
     n = draw(st.integers(0, 12))
     pair = st.tuples(st.sampled_from(NAMES), st.sampled_from(NAMES))
-    number = st.floats(-1e3, 1e3, allow_nan=False)
     out = []
     for _ in range(n):
         src, dst = draw(pair)
-        model = CointModel(
-            draw(number), draw(number), draw(number),
-            draw(st.sampled_from([0.0, -1.0, 0.5, 2.0])),
-            draw(st.sampled_from([1e-6, 0.01, 0.05, 0.2, 1.0 - 1e-6])),
-            draw(number), "w",
-        )
-        out.append(PairResult(src, dst, model, draw(st.booleans())))
+        out.append(PairResult(src, dst, draw(models()), draw(st.booleans())))
     return out
 
 
+def scan_of(symbols, src, dst, fields, window_id="w") -> coint.ScanResult:
+    """A ScanResult of these columns as given, its symbol table included."""
+    fields = np.array(fields, dtype=np.float64).reshape(len(src), len(coint.ScanResult.FIELDS))
+    return coint.ScanResult(
+        symbols=tuple(symbols), src=np.array(src, dtype=np.intp),
+        dst=np.array(dst, dtype=np.intp), fields=fields, window_id=window_id,
+        admit=np.zeros(len(src), dtype=bool), skipped_src=np.zeros(0, dtype=np.intp),
+        skipped_dst=np.zeros(0, dtype=np.intp), reasons=(),
+    )
+
+
+@st.composite
+def scans(draw, name):
+    """ScanResults whose symbol tables may name a symbol twice, with rows in
+    any order, now and then repeating a pair of indices."""
+    symbols = draw(st.lists(name, min_size=1, max_size=6))
+    index = st.integers(0, len(symbols) - 1)
+    rows = draw(st.lists(st.tuples(index, index), max_size=12))
+    fields = [
+        [draw(FLOATS), draw(FLOATS), draw(FLOATS),
+         draw(st.sampled_from(SPREADS)), draw(st.sampled_from(PVALUES)), draw(FLOATS)]
+        for _ in rows
+    ]
+    return scan_of(symbols, [a for a, _ in rows], [b for _, b in rows], fields,
+                   draw(st.sampled_from(WINDOWS)))
+
+
+def build_graph_by_loop(results, epsilon, symbols) -> CointGraph:
+    """build_graph as it was for PairResults: a pass over the objects that
+    checks each in turn, then lists of the admitted rows' fields."""
+    symbols = list(symbols)
+    if len(set(symbols)) != len(symbols):
+        raise ValueError("universe contains duplicate symbols")
+    symbol_ids = {s: i for i, s in enumerate(symbols)}
+    nodes = tuple(SymbolNode(id=i, symbol=s) for i, s in enumerate(symbols))
+    seen: set[tuple[str, str]] = set()
+    admitted: list[PairResult] = []
+    for r in results:
+        key = (r.src_symbol, r.dst_symbol)
+        if key in seen:
+            raise DuplicateEdge(f"pair {key[0]}->{key[1]} appears more than once")
+        seen.add(key)
+        if r.src_symbol not in symbol_ids:
+            raise UnknownSymbol(f"result references unknown symbol {r.src_symbol!r}")
+        if r.dst_symbol not in symbol_ids:
+            raise UnknownSymbol(f"result references unknown symbol {r.dst_symbol!r}")
+        if r.model.pvalue < epsilon and r.model.resid_std > 0.0:
+            admitted.append(r)
+
+    admitted.sort(key=lambda r: (r.src_symbol, r.dst_symbol))
+    models = [r.model for r in admitted]
+    columns = EdgeColumns.of_lists(
+        eid=range(len(admitted)),
+        src=[symbol_ids[r.src_symbol] for r in admitted],
+        dst=[symbol_ids[r.dst_symbol] for r in admitted],
+        broken=[False] * len(admitted),
+        **{name: [getattr(m, name) for m in models]
+           for name in (*coint.ScanResult.FIELDS, "window_id")},
+    )
+    return CointGraph(node_source=nodes, columns=columns, epoch=0, symbol_ids=symbol_ids)
+
+
+MODEL_FLOATS = [0.0, 1.0, 0.0, 1.0, 0.01, -5.0]
+MODEL = CointModel(*MODEL_FLOATS, "w")
+UNIVERSES = st.lists(st.sampled_from(NAMES[:5]), unique=True, max_size=5)
+EPSILONS = st.sampled_from([0.0, 0.05, 0.5, 1.0])
+
+
 @settings(max_examples=200, deadline=None)
-@given(
-    results=result_lists(),
-    universe=st.lists(st.sampled_from(NAMES[:5]), unique=True, max_size=5),
-    epsilon=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
-)
+@given(results=result_lists(), universe=UNIVERSES, epsilon=EPSILONS)
 @example(results=[], universe=[], epsilon=0.05)
 def test_build_graph_on_columns_matches_pair_results(results, universe, epsilon):
     assert outcome(build_graph, columns_of(results), epsilon, universe) == outcome(
@@ -203,22 +284,72 @@ def test_build_graph_on_columns_matches_pair_results(results, universe, epsilon)
     )
 
 
+@st.composite
+def loop_cases(draw):
+    """A universe, and a ScanResult or PairResults mostly over its symbols.
+    PairResults' models mix floats, ints and np.float64s, and their window
+    ids differ from row to row; now and then a row repeats a pair or names
+    a symbol outside the universe."""
+    universe = draw(UNIVERSES)
+    name = st.sampled_from(universe * 8 + ["AA"])  # AA is in no universe
+    if draw(st.booleans()):
+        return draw(scans(name)), universe
+    pairs = draw(st.lists(st.tuples(name, name), unique=True, max_size=12))
+    if pairs and draw(st.sampled_from([False, False, True])):
+        pairs.insert(draw(st.integers(0, len(pairs))), draw(st.sampled_from(pairs)))
+    model = models(st.sampled_from(WINDOWS), NUMBERS, WIDE_SPREADS, WIDE_PVALUES)
+    return [PairResult(a, b, draw(model), draw(st.booleans())) for a, b in pairs], universe
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=loop_cases(), epsilon=EPSILONS)
+@example(case=(scan_of(("A", "A", "B"), [0, 1], [2, 2], [MODEL_FLOATS] * 2), ["A", "B"]),
+         epsilon=0.05)
+def test_build_graph_matches_the_object_loop(case, epsilon):
+    results, universe = case
+    pairs = results.pairs if isinstance(results, coint.ScanResult) else results
+    assert outcome(build_graph, results, epsilon, universe) == outcome(
+        build_graph_by_loop, pairs, epsilon, universe
+    )
+
+
+def as_results_and_columns(pairs):
+    results = [PairResult(a, b, MODEL, True) for a, b in pairs]
+    return [results, columns_of(results)]
+
+
 @pytest.mark.parametrize(
-    "pairs, message",
+    "inputs, error",
     [
         # the first bad result in the order given decides; a repeat is named first
-        ([("A", "B"), ("A", "X"), ("A", "B")], "result references unknown symbol 'X'"),
-        ([("A", "B"), ("X", "Y")], "result references unknown symbol 'X'"),
-        ([("A", "B"), ("B", "A"), ("A", "B"), ("X", "A")], "pair A->B appears more than once"),
-        ([("X", "Y"), ("X", "Y")], "result references unknown symbol 'X'"),
+        (
+            as_results_and_columns([("A", "B"), ("A", "X"), ("A", "B")]),
+            UnknownSymbol("result references unknown symbol 'X'"),
+        ),
+        (
+            as_results_and_columns([("A", "B"), ("X", "Y")]),
+            UnknownSymbol("result references unknown symbol 'X'"),
+        ),
+        (
+            as_results_and_columns([("A", "B"), ("B", "A"), ("A", "B"), ("X", "A")]),
+            DuplicateEdge("pair A->B appears more than once"),
+        ),
+        (
+            as_results_and_columns([("X", "Y"), ("X", "Y")]),
+            UnknownSymbol("result references unknown symbol 'X'"),
+        ),
+        # a scan whose symbol table names A twice: its two rows are one pair
+        (
+            [scan_of(("A", "A", "B"), [0, 1], [2, 2], [MODEL_FLOATS] * 2)],
+            DuplicateEdge("pair A->B appears more than once"),
+        ),
     ],
 )
-def test_build_graph_names_the_first_bad_result(pairs, message):
-    model = CointModel(0.0, 1.0, 0.0, 1.0, 0.01, -5.0, "w")
-    results = [PairResult(a, b, model, True) for a, b in pairs]
-    for given_as in (results, columns_of(results)):
-        _, (_, got) = outcome(build_graph, given_as, 0.05, ["A", "B"])
-        assert got == message
+def test_build_graph_names_the_first_bad_result(inputs, error):
+    for given_as in inputs:
+        assert outcome(build_graph, given_as, 0.05, ["A", "B"]) == (
+            None, (type(error), str(error))
+        )
 
 
 # -- bulk p-values -------------------------------------------------------------

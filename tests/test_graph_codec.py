@@ -18,6 +18,7 @@ import re
 import sys
 from functools import reduce
 
+import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
@@ -35,12 +36,18 @@ MAX_EPOCH = 2**62
 _FLOAT_MAX = sys.float_info.max
 
 
+_JSON_NAMES = {int: "integer", float: "number", (int, float): "number", str: "string",
+               list: "array", dict: "object", bool: "boolean", type(None): "null"}
+
+
 def _expect(obj, key, types, path):
     if not isinstance(obj, dict) or key not in obj:
         raise SchemaViolation(f"{path}.{key}", "missing field")
     value = obj[key]
     if not isinstance(value, types) or isinstance(value, bool) and types is not bool:
-        raise SchemaViolation(f"{path}.{key}", f"expected {types}, got {type(value).__name__}")
+        raise SchemaViolation(
+            f"{path}.{key}", f"expected {_JSON_NAMES[types]}, got {_JSON_NAMES[type(value)]}"
+        )
     return value
 
 
@@ -349,3 +356,37 @@ def test_unmutated_documents_load_and_reexport_byte_for_byte():
     for data in DOCUMENTS:
         assert loads_graph(data) == oracle_loads(data)
         assert export(loads_graph(data), "json").decode() == data
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("epoch",), "3", "$.epoch: expected integer, got string"),
+        (("epoch",), 3.0, "$.epoch: expected integer, got number"),
+        (("nodes",), {}, "$.nodes: expected array, got object"),
+        (("nodes", 0, "symbol"), None, "nodes[0].symbol: expected string, got null"),
+        (("nodes", 0, "alert_history"), "x", "nodes[0].alert_history: expected array, got string"),
+        (("edges", 0, "broken"), 0, "edges[0].broken: expected boolean, got integer"),
+        (("edges", 0, "model"), [], "edges[0].model: expected object, got array"),
+        (("edges", 0, "model", "pvalue"), True,
+         "edges[0].model.pvalue: expected number, got boolean"),
+        (("edges", 0, "model", "window_id"), 1.5,
+         "edges[0].model.window_id: expected string, got number"),
+    ],
+)
+def test_a_field_of_the_wrong_type_names_json_types(path, value, message):
+    with pytest.raises(SchemaViolation) as caught:
+        loads_graph(mutated(DOCUMENTS[1], path, value))
+    assert str(caught.value) == message
+
+
+def test_a_load_shares_one_window_id_object_per_value():
+    g, _, _ = planted_instance(5, n_clusters=3, cluster_size=4)
+    doc = json.loads(export(g, "json"))
+    for edge in doc["edges"][::2]:
+        edge["model"]["window_id"] = "other"
+    data = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    loaded = loads_graph(data)
+    assert len(loaded.columns) == 36
+    assert len({id(w) for w in loaded.columns.window_id}) == 2
+    assert export(loaded, "json").decode() == data

@@ -30,7 +30,14 @@ from cointwatch.alert import (
 )
 from cointwatch.coint import PriceSeries
 from cointwatch.errors import CointwatchError
-from cointwatch.graph import SymbolNode, mark_broken, update_prices, with_nodes
+from cointwatch.graph import (
+    ALERTED,
+    CLEAR,
+    SymbolNode,
+    mark_broken,
+    update_prices,
+    with_nodes,
+)
 from cointwatch.pipeline import loads_graph
 
 from conftest import planted_instance
@@ -203,6 +210,21 @@ def test_a_tick_builds_no_nodes(planted, monkeypatch):
     assert recomputes
     assert len(stream.graph.nodes) == g.n_nodes
     assert len(built) == g.n_nodes
+
+
+def test_histories_share_one_entry_per_tick_and_state(planted):
+    g, base, _ = planted[0]
+    wired = [n.symbol for n in g.nodes if g.out_edges[n.id] or g.in_edges[n.id]]
+    ticks = [synth.jittered_tick(g, base, seed=t) for t in range(30)]
+    ticks[9], _ = synth.shock_tick(g, ticks[9], wired[0], sigmas=8.0)
+    stream = tick_loop(g, ticks, AlertConfig())
+    for _ in stream:
+        pass
+    entries = [entry for n in stream.graph.nodes for entry in n.alert_history]
+    assert len(entries) > 30 * 2
+    assert {ALERTED, CLEAR} == {state for _, state in entries}
+    # one tuple object per (epoch, state), not one per node and epoch
+    assert len({id(entry) for entry in entries}) == len(set(entries))
 
 
 @pytest.mark.parametrize(
