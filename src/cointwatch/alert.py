@@ -34,12 +34,13 @@ history) used as a ring: each published tick overwrites the oldest column,
 in O(symbols), and a tick that fails writes nothing. PriceSeries, oldest
 price first, are materialised only for the endpoints of the edges that
 broke in that tick. With recompute off no history is kept. All of a tick's
-broken edges are fitted together (coint.coint_fit_batch: the scan's row
-kernel, one stacked Cholesky factorization of the pairs' ADF moment
-matrices); rows it cannot vouch for go through coint_fit alone, so outcomes
-and errors are those of one coint_fit per edge, and the refit models'
-pvalue and adf_stat agree with coint_fit's to rounding. The refits and
-removals are published as new edge columns (graph.replace_models,
+broken edges are fitted together as index pairs over one stack of their
+distinct endpoint series (coint.fit_pairs: the scan's row kernel, one ADF
+design per series and one stacked Cholesky factorization of the pairs' ADF
+moment matrices); rows it cannot vouch for go through coint_fit alone, so
+outcomes and errors are those of one coint_fit per edge, and the refit
+models' pvalue and adf_stat agree with coint_fit's to rounding. The refits
+and removals are published as new edge columns (graph.replace_models,
 graph.remove_edges).
 """
 
@@ -52,7 +53,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from . import graph as graphmod
-from .coint import CointModel, PriceSeries, check_aligned, coint_fit, coint_fit_batch
+from .coint import CointModel, PriceSeries, check_aligned, coint_fit, fit_pairs
 from .errors import (
     CointwatchError,
     DegeneratePair,
@@ -373,10 +374,14 @@ def selective_recompute(
     flag cleared); one that does not is removed from the graph. Edges not
     listed are left untouched (same rows, same bytes).
 
-    The broken edges are fitted together (coint_fit_batch); an edge the
-    batch cannot vouch for is fitted by coint_fit alone. Outcomes, OLS
-    fields and errors are those of one coint_fit per edge in edge-id order;
-    pvalue and adf_stat agree with it to rounding.
+    Each broken id is looked up once. The distinct endpoint series are
+    stacked once, however many broken edges share them, and every broken
+    edge is fitted over that stack as one index pair (coint.fit_pairs); an
+    edge the batch cannot vouch for is fitted by coint_fit alone. Endpoint
+    series that differ in window id or length are not stacked: every edge
+    then goes to coint_fit. Outcomes, OLS fields and errors are those of one
+    coint_fit per edge in edge-id order; pvalue and adf_stat agree with it
+    to rounding.
 
     Raises:
         UnknownEdge: a broken id is not an edge of g.
@@ -390,20 +395,39 @@ def selective_recompute(
             so the edge is removed.
     """
     by_symbol = {p.symbol: p for p in window}
-    pairs: dict[int, tuple[PriceSeries, PriceSeries]] = {}
+    rows: dict[str, int] = {}  # each endpoint symbol's row of the stacked window
+    eids: list[int] = []
+    src: list[int] = []
+    dst: list[int] = []
     invalid = None
-    for eid in sorted(set(broken)):
-        try:
-            pairs[eid] = _endpoint_series(g, eid, by_symbol)
-        except (UnknownEdge, InsufficientWindow) as exc:
-            # raised once the edges before it are fitted, as one coint_fit
-            # per edge in id order would
-            invalid = exc
-            break
+    columns = g.columns
+    try:
+        for eid in sorted(set(broken)):
+            (row,) = columns.rows([eid])
+            symbols = (g.symbol(columns.src[row]), g.symbol(columns.dst[row]))
+            for sym in symbols:
+                if sym not in by_symbol:
+                    raise InsufficientWindow(f"window does not cover symbol {sym!r}")
+            eids.append(eid)
+            src.append(rows.setdefault(symbols[0], len(rows)))
+            dst.append(rows.setdefault(symbols[1], len(rows)))
+    except (UnknownEdge, InsufficientWindow) as exc:
+        # raised once the edges before it are fitted, as one coint_fit per
+        # edge in id order would
+        invalid = exc
+    series = [by_symbol[sym] for sym in rows]
+    ok = [False] * len(eids)
+    # one window: every endpoint series shares one window id and length
+    if len({(p.window_id, len(p)) for p in series}) == 1:
+        fields, ok = fit_pairs(np.array([p.values for p in series]), src, dst)
+        fields, ok = fields.tolist(), ok.tolist()
     refits: dict[int, CointModel] = {}
     removed: list[int] = []
-    for (eid, (x, y)), model in zip(pairs.items(), coint_fit_batch(list(pairs.values()))):
-        if model is None:
+    for r, eid in enumerate(eids):
+        x, y = series[src[r]], series[dst[r]]
+        if ok[r]:
+            model = CointModel(*fields[r], window_id=x.window_id)
+        else:
             try:
                 model = coint_fit(x, y)
             except TooShort as exc:
@@ -419,17 +443,6 @@ def selective_recompute(
         raise invalid
     out = graphmod.remove_edges(graphmod.replace_models(g, refits), removed)
     return out, RecomputeSummary(refitted=tuple(refits), removed=tuple(removed))
-
-
-def _endpoint_series(
-    g: CointGraph, eid: int, by_symbol: Mapping[str, PriceSeries]
-) -> tuple[PriceSeries, PriceSeries]:
-    (row,) = g.columns.rows([eid])
-    symbols = (g.symbol(g.columns.src[row]), g.symbol(g.columns.dst[row]))
-    for sym in symbols:
-        if sym not in by_symbol:
-            raise InsufficientWindow(f"window does not cover symbol {sym!r}")
-    return by_symbol[symbols[0]], by_symbol[symbols[1]]
 
 
 class _History:

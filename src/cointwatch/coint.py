@@ -25,10 +25,11 @@ most _BLOCK_PAIRS and fits both directions of a pair together: y -> x uses
 x -> y's OLS dot. Its memory is O(symbols * k * window) for the designs
 built once per scan plus O(block * k^2) per block, for k ADF design
 columns. A process pool runs contiguous block ranges, and only for scans
-large enough to repay its start-up (_POOL_MIN_FITS). coint_fit_batch fits
-arbitrary pairs of equal length together (the refits of a tick's broken
-edges); it builds both series' designs for every pair, since a pair's bits
-must not depend on its caller.
+large enough to repay its start-up (_POOL_MIN_FITS). fit_pairs fits
+arbitrary directed index pairs over one stack of aligned series (the refits
+of a tick's broken edges): each series' moments and design are built once
+per call, however many pairs share it, and since a row's arithmetic does
+not depend on the others, a pair gets the scan's bits from any stack.
 
 The results are columns from the blocks to the graph (late
 materialisation, as in Abadi, Madden and Hachem, "Column-stores vs.
@@ -258,18 +259,18 @@ def _ols_moments(values: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], np.n
 
 
 def _fit_rows(
-    x: np.ndarray, y: np.ndarray, x_mean: np.ndarray, y_mean: np.ndarray, sxx: np.ndarray,
-    sxy: np.ndarray, x_moments: stats.AdfMoments, y_moments: stats.AdfMoments,
-    cross: np.ndarray,
+    values: np.ndarray, src: np.ndarray, dst: np.ndarray, mean: np.ndarray, sxx: np.ndarray,
+    sxy: np.ndarray, moments: stats.AdfMoments, cross: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Fit x[r] -> y[r] for every row r as coint_fit does, all rows at once.
+    """Fit values[src[r]] -> values[dst[r]] for every row r as coint_fit
+    does, all rows at once.
 
-    x_mean, y_mean, sxx and sxy are the rows' OLS moments (_ols_moments),
-    x_moments and y_moments the moments of their ADF designs
-    (stats.adf_designs), and cross holds each row's product e_x @ e_y.T of
-    the two designs. The OLS step runs exactly as stats.ols_fit does, so
+    mean and sxx are the OLS moments of values' rows (_ols_moments), sxy
+    each pair's cross sum, moments the moments of values' ADF designs
+    (stats.adf_designs), and cross holds each pair's product e_x @ e_y.T of
+    its two designs. The OLS step runs exactly as stats.ols_fit does, so
     beta0, beta1, resid_mean and resid_std equal coint_fit's bit for bit;
-    the ADF step runs on the rows' moments (stats.adf_pair_batch), and a
+    the ADF step runs on the pairs' moments (stats.adf_pair_batch), and a
     row's result depends on that row alone.
     Returns (fields, ok): one (beta0, beta1, resid_mean, resid_std, pvalue,
     adf_stat) row per pair, and ok False for a row the batch cannot vouch
@@ -277,13 +278,15 @@ def _fit_rows(
     non-finite value): coint_fit must decide that row. Runs under
     _kernel_scope, which silences the warnings of the rows it declines.
     """
+    x, y = values[src], values[dst]
+    x_mean, y_mean = mean[src], mean[dst]
     # a constant regressor (sxx == 0) makes its row NaN, declined below
-    beta1 = sxy / sxx
+    beta1 = sxy / sxx[src]
     beta0 = y_mean - beta1 * x_mean
     resid = y - beta0[:, None] - beta1[:, None] * x
     resid_mean = resid.mean(axis=1)
     resid_std = resid.std(axis=1, ddof=1)
-    stat, ok = stats.adf_pair_batch(x_moments, y_moments, cross, beta0, beta1)
+    stat, ok = stats.adf_pair_batch(moments.take(src), moments.take(dst), cross, beta0, beta1)
     ok &= (resid_std != 0.0) & np.isfinite(beta0 + beta1 + resid_mean + resid_std)
     pvalue = np.full(len(ok), np.nan)
     pvalue[ok] = stats.adf_pvalues(stat[ok])
@@ -292,50 +295,38 @@ def _fit_rows(
 
 @contextlib.contextmanager
 def _kernel_scope():
-    """What the batched fits run under, once per scan_pairs or
-    coint_fit_batch call: one BLAS thread (stats.one_blas_thread), so a
-    product's bits do not depend on the thread count, and no floating-point
-    warnings, since a row that overflows or divides by zero is declined by
-    its mask and decided by coint_fit."""
+    """What the batched fits run under, once per scan_pairs or fit_pairs
+    call: one BLAS thread (stats.one_blas_thread), so a product's bits do
+    not depend on the thread count, and no floating-point warnings, since a
+    row that overflows or divides by zero is declined by its mask and
+    decided by coint_fit."""
     with stats.one_blas_thread(), np.errstate(all="ignore"):
         yield
 
 
-def coint_fit_batch(pairs: Sequence[tuple[PriceSeries, PriceSeries]]) -> list[CointModel | None]:
-    """coint_fit(x, y) for every (x, y) in pairs, fitted together.
+def fit_pairs(values: np.ndarray, src, dst) -> tuple[np.ndarray, np.ndarray]:
+    """coint_fit(x, y) for every directed pair x = values[src[r]] ->
+    y = values[dst[r]], fitted together.
 
-    Pairs of equal length share one batched fit (_fit_rows), whatever their
-    symbols. Returns each pair's model, the same as coint_fit's but for the
-    last digits of pvalue and adf_stat, or None for a pair the batch cannot
-    vouch for: a pair of different windows or lengths, one too short for
-    the lag rule, or a row _fit_rows declines. Call coint_fit on those; it
-    gives their model or raises their error. Never raises.
+    values holds one price series per row, all of one window. Each row's
+    OLS moments and ADF design are built once per call, however many pairs
+    share it, with the Schwert default lag. Returns (fields, ok) as
+    _fit_rows does: each pair's model floats, in ScanResult.FIELDS order,
+    the same as coint_fit's but for the last digits of pvalue and adf_stat,
+    and ok False for a pair the batch cannot vouch for (a window too short
+    for the lag rule, or a row _fit_rows declines). Call coint_fit on
+    those; it gives their model or raises their error.
     """
-    out: list[CointModel | None] = [None] * len(pairs)
-    by_length: dict[int, list[int]] = {}
-    for r, (x, y) in enumerate(pairs):
-        if x.window_id == y.window_id and len(x) == len(y):
-            by_length.setdefault(len(x), []).append(r)
+    src, dst = np.asarray(src, np.intp), np.asarray(dst, np.intp)
+    lag = _batch_lag(values.shape[1], None)
+    if lag is None:
+        return np.empty((len(src), 6)), np.zeros(len(src), bool)
     with _kernel_scope():
-        for n, rows in by_length.items():
-            lag = _batch_lag(n, None)
-            if lag is None:
-                continue
-            # every pair's x, then every pair's y
-            values = np.array(
-                [pairs[r][0].values for r in rows] + [pairs[r][1].values for r in rows]
-            )
-            xs, ys = slice(None, len(rows)), slice(len(rows), None)
-            mean, centered, sxx = _ols_moments(values)
-            sxy = np.array([a.dot(b) for a, b in zip(centered[xs], centered[ys])])
-            e, moments = stats.adf_designs(values, lag)
-            cross = e[xs] @ e[ys].transpose(0, 2, 1)
-            fields, ok = _fit_rows(values[xs], values[ys], mean[xs], mean[ys], sxx[xs], sxy,
-                                   moments.take(xs), moments.take(ys), cross)
-            for r, good, model in zip(rows, ok.tolist(), fields.tolist()):
-                if good:
-                    out[r] = CointModel(*model, window_id=pairs[r][0].window_id)
-    return out
+        mean, centered, sxx = _ols_moments(values)
+        sxy = np.array([centered[i].dot(centered[j]) for i, j in zip(src.tolist(), dst.tolist())])
+        e, moments = stats.adf_designs(values, lag)
+        return _fit_rows(values, src, dst, mean, sxx, sxy, moments,
+                         e[src] @ e[dst].transpose(0, 2, 1))
 
 
 # Unordered pairs per block of the scan. Small blocks keep the per-block
@@ -405,9 +396,8 @@ def _fit_block(scan: _Scan, lo: int, hi: int):
         sxy = np.array([centered[i].dot(centered[j])
                         for i, j in zip(first.tolist(), second.tolist())])
         fields, ok = _fit_rows(
-            scan.values[src], scan.values[dst], mean[src], mean[dst], sxx[src],
-            np.concatenate([sxy[forward], sxy[backward]]), moments.take(src), moments.take(dst),
-            np.concatenate([cross[forward], reverse[backward]]),
+            scan.values, src, dst, mean, sxx, np.concatenate([sxy[forward], sxy[backward]]),
+            moments, np.concatenate([cross[forward], reverse[backward]]),
         )
     reasons = []
     for r in np.flatnonzero(~ok).tolist():

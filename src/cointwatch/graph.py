@@ -664,8 +664,11 @@ def _model_from_obj(obj, path, windows: dict[str, str]) -> tuple:
     return beta0, beta1, resid_mean, resid_std, pvalue, adf_stat, window_id
 
 
-def _node_from_obj(node, i: int, epoch: int, symbol_ids: dict[str, int]) -> SymbolNode:
-    """Node i of a graph at epoch, checked; its symbol joins symbol_ids."""
+def _node_from_obj(
+    node, i: int, epoch: int, symbol_ids: dict[str, int], states: dict[tuple, tuple]
+) -> SymbolNode:
+    """Node i of a graph at epoch, checked; its symbol joins symbol_ids, and
+    each alert-history entry is the first tuple of its value in states."""
     path = f"nodes[{i}]"
     node_id = _expect(node, "id", int, path)
     if node_id != i:
@@ -698,7 +701,8 @@ def _node_from_obj(node, i: int, epoch: int, symbol_ids: dict[str, int]) -> Symb
             raise SchemaViolation(
                 f"{path}.alert_history[{k}]", "epochs must be strictly increasing"
             )
-        history.append((item[0], item[1]))
+        entry = (item[0], item[1])
+        history.append(states.setdefault(entry, entry))
     if history and history[-1][0] > epoch:
         raise SchemaViolation(
             f"{path}.alert_history[{len(history) - 1}]",
@@ -722,7 +726,10 @@ def from_json_obj(obj) -> CointGraph:
         raise SchemaViolation("$.epoch", f"must be in [0, 2**62], got {epoch}")
     symbol_ids: dict[str, int] = {}
     node_objs = _expect(obj, "nodes", list, "$")
-    nodes = tuple(_node_from_obj(node, i, epoch, symbol_ids) for i, node in enumerate(node_objs))
+    states: dict[tuple, tuple] = {}  # one (epoch, state) tuple per value, as a run shares it
+    nodes = tuple(
+        _node_from_obj(node, i, epoch, symbol_ids, states) for i, node in enumerate(node_objs)
+    )
     rows: list[tuple] = []  # one per edge, in _DTYPES order
     seen_ids: set[int] = set()
     seen_pairs: set[tuple[int, int]] = set()

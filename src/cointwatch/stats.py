@@ -9,10 +9,11 @@ takes the residual series u = y - b0 - b1*x of many pairs from moments:
 each series' centered ADF design and Gram matrix are built once
 (adf_designs), a pair's moment matrix is combined from its two series'
 Gram matrices and their cross product, and one stacked Cholesky
-factorization gives every t-ratio. adf_statistic_batch is the same kernel
-for plain series. Rows the normal equations cannot vouch for are flagged
-by a trust gate on the condition number of the uncentered design's Gram
-matrix (_BATCH_TRUST_LIMIT); callers recompute those with adf_statistic.
+factorization gives every t-ratio. Rows the normal equations cannot vouch
+for are flagged by two trust gates, on the condition number of the
+uncentered design's Gram matrix (_BATCH_TRUST_LIMIT) and on the
+cancellation in forming a pair's moments (_BATCH_CANCEL_LIMIT); callers
+recompute those with adf_statistic.
 
 The p-value mapping embeds the MacKinnon (1994) response-surface regression
 for the constant-only Dickey-Fuller distribution (single series, no trend),
@@ -503,26 +504,6 @@ def _uncentered_cond1(a, mu, rows) -> np.ndarray:
     # both are symmetric up to rounding: the largest absolute column sum is
     # the 1-norm
     return np.abs(g).sum(axis=1).max(axis=1) * np.abs(g_inv).sum(axis=1).max(axis=1)
-
-
-def adf_statistic_batch(s: np.ndarray, lags: int) -> tuple[np.ndarray, np.ndarray]:
-    """adf_statistic for every row of the 2-d array s at once.
-
-    The residual-series entry point of adf_pair_batch: each row is taken as
-    u = s - 0 - 0*s, so its moment matrix is its own design's Gram matrix.
-    Returns (statistics, ok) as adf_pair_batch does.
-
-    Requires lags >= 0 and more regression rows than coefficients
-    (n - lags - 1 > lags + 2), the cases adf_statistic does not reject.
-    """
-    m, n = s.shape
-    rows = n - lags - 1
-    k = lags + 2
-    if lags < 0 or rows <= k:
-        raise ValueError(f"{n} samples cannot identify {k} coefficients at lags={lags}")
-    moments = adf_designs(s, lags)[1]
-    zero = np.zeros(m)
-    return adf_pair_batch(moments, moments, moments.gram, zero, zero)
 
 
 # MacKinnon (1994) response-surface coefficients, constant-only case, one

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from cointwatch import synth
-from cointwatch.coint import CointModel, PairResult
+from cointwatch import stats, synth
+from cointwatch.coint import CointModel, PairResult, fit_pairs
 from cointwatch.graph import build_graph
 
 
@@ -22,6 +22,37 @@ def planted_instance(seed, n_clusters=2, cluster_size=4, n_independent=0, n_days
     fallback = {s.symbol: float(s.values[-1]) for s in window.series}
     base = synth.baseline_tick(g, fallback)
     return g, base, window.series
+
+
+def residual_statistics(s, lags):
+    """stats.adf_pair_batch on each row of the 2-d array s as a residual
+    series, u = s - 0 - 0*s: its moment matrix is its own design's Gram
+    matrix. Returns (statistics, ok)."""
+    moments = stats.adf_designs(s, lags)[1]
+    zero = np.zeros(len(s))
+    return stats.adf_pair_batch(moments, moments, moments.gram, zero, zero)
+
+
+def batch_models(pairs):
+    """Each (x, y) pair's model from one fit_pairs call over the pairs'
+    distinct series, each stacked once (as selective_recompute stacks
+    them), or None where the batch declines the pair."""
+    stack = {}
+    for pair in pairs:
+        for p in pair:
+            stack.setdefault(p.symbol, p)
+    if not stack:
+        return []
+    row = {symbol: r for r, symbol in enumerate(stack)}
+    fields, ok = fit_pairs(
+        np.array([p.values for p in stack.values()]),
+        [row[x.symbol] for x, _ in pairs],
+        [row[y.symbol] for _, y in pairs],
+    )
+    return [
+        CointModel(*model, window_id=x.window_id) if good else None
+        for (x, _), model, good in zip(pairs, fields.tolist(), ok.tolist())
+    ]
 
 
 def dummy_model(resid_std=1.0, beta0=0.0, beta1=1.0, pvalue=0.01):

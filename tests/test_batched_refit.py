@@ -31,7 +31,7 @@ from cointwatch.errors import (
 )
 from cointwatch.graph import audit_adjacency, build_graph
 
-from conftest import dummy_model, planted_instance
+from conftest import dummy_model, planted_instance, residual_statistics
 
 # (seed, clusters, cluster size, independents)
 PLANTED = [(300, 2, 4, 1), (301, 3, 3, 0), (302, 2, 5, 2)]
@@ -170,7 +170,7 @@ def test_ill_conditioned_row_equals_coint_fit():
     y = PriceSeries("Y", 7.0 + 0.5 * x.values + 1e-4 * rng.standard_normal(250), "w")
     z = PriceSeries("Z", 90.0 + np.cumsum(rng.standard_normal(250)), "w")
     resid = stats.ols_fit(x.series, y.series).residuals.values
-    _, ok = stats.adf_statistic_batch(resid[None, :], stats.default_lag(250))
+    _, ok = residual_statistics(resid[None, :], stats.default_lag(250))
     assert not ok[0]
     results = [PairResult(a, b, dummy_model(), admitted=True) for a, b in (("X", "Y"), ("Z", "X"))]
     g = build_graph(results, epsilon=1.0, symbols=["X", "Y", "Z"])
@@ -178,6 +178,25 @@ def test_ill_conditioned_row_equals_coint_fit():
     assert 0 in summary.refitted
     assert g2.edges[0].model == coint_fit(x, y)
     assert_matches_oracle(g, [0, 1], [x, y, z], AlertConfig(epsilon=0.5))
+
+
+def test_a_misaligned_window_refits_every_edge_with_coint_fit():
+    # the endpoint series span two windows of different lengths: none is
+    # stacked, and every edge gets coint_fit's own model, pvalue and
+    # adf_stat bits included
+    rng = np.random.default_rng(9)
+    window = []
+    for (a, b), n, window_id in ((("X", "Y"), 250, "w"), (("Z", "V"), 200, "v")):
+        x = 200.0 + np.cumsum(rng.standard_normal(n))
+        window += [PriceSeries(a, x, window_id),
+                   PriceSeries(b, 7.0 + 0.5 * x + rng.standard_normal(n), window_id)]
+    results = [PairResult(a, b, dummy_model(), admitted=True) for a, b in (("X", "Y"), ("Z", "V"))]
+    g = build_graph(results, epsilon=1.0, symbols=["V", "X", "Y", "Z"])
+    g2, summary = selective_recompute(g, [0, 1], window, AlertConfig(epsilon=0.5))
+    assert summary == RecomputeSummary(refitted=(0, 1))
+    assert g2.edges[0].model == coint_fit(window[0], window[1])
+    assert g2.edges[1].model == coint_fit(window[2], window[3])
+    assert_matches_oracle(g, [0, 1], window, AlertConfig(epsilon=0.5))
 
 
 def test_refit_on_the_build_window_reproduces_the_scan():

@@ -390,3 +390,21 @@ def test_a_load_shares_one_window_id_object_per_value():
     assert len(loaded.columns) == 36
     assert len({id(w) for w in loaded.columns.window_id}) == 2
     assert export(loaded, "json").decode() == data
+
+
+def test_a_load_shares_one_alert_history_entry_per_value():
+    g, base, _ = planted_instance(5, n_clusters=3, cluster_size=4)
+    wired = [n.symbol for n in g.nodes if g.out_edges[n.id] or g.in_edges[n.id]]
+    ticks = [synth.jittered_tick(g, base, seed=t) for t in range(20)]
+    ticks[7], _ = synth.shock_tick(g, ticks[7], wired[0], sigmas=8.0)
+    stream = tick_loop(g, ticks, AlertConfig())
+    for _ in stream:
+        pass
+    data = export(stream.graph, "json").decode()
+    loaded = loads_graph(data)
+    entries = [entry for n in loaded.nodes for entry in n.alert_history]
+    assert len(entries) > 20 * 2
+    assert {ALERTED, CLEAR} == {state for _, state in entries}
+    # one tuple object per (epoch, state), not one per node and epoch
+    assert len({id(entry) for entry in entries}) == len(set(entries))
+    assert export(loaded, "json").decode() == data

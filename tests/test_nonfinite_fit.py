@@ -10,11 +10,12 @@ reaches the caller.
 import warnings
 from datetime import date, timedelta
 
+import numpy as np
 import pytest
 
 from cointwatch import alert, synth
 from cointwatch.cli import main
-from cointwatch.coint import PairResult, PriceSeries, coint_fit, coint_fit_batch, scan_pairs
+from cointwatch.coint import PairResult, PriceSeries, coint_fit, fit_pairs, scan_pairs
 from cointwatch.errors import CointwatchError, NonFiniteFit
 from cointwatch.graph import build_graph
 from cointwatch.pipeline import load_graph, write_prices_csv
@@ -54,9 +55,9 @@ def test_coint_fit_raises_a_package_error_both_ways():
 
 def test_the_batch_declines_an_overflowing_pair():
     series = scaled_universe()
-    models = coint_fit_batch([(series[1], series[0]), (series[0], series[2])])
-    assert models[0] is None
-    assert models[1] is not None
+    values = np.array([p.values for p in series])
+    _, ok = fit_pairs(values, [1, 0], [0, 2])
+    assert ok.tolist() == [False, True]
 
 
 def test_the_scan_skips_the_overflowing_symbol():

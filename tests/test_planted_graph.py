@@ -17,9 +17,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cointwatch import synth
-from cointwatch.coint import PairResult, PriceSeries, coint_fit, coint_fit_batch
+from cointwatch.coint import PairResult, PriceSeries, coint_fit
 from cointwatch.errors import DegeneratePair, NonFiniteFit, UnknownSymbol
 from cointwatch.graph import build_graph
+
+from conftest import batch_models
 
 LEASH_FIELDS = ("beta0", "beta1", "resid_mean", "resid_std")
 CLUSTER_SIZE = 6
@@ -91,7 +93,7 @@ def assert_same_graph(series, clusters):
     pairs = [(by_symbol[got.nodes[s].symbol], by_symbol[got.nodes[d].symbol])
              for s, d in zip(g.src.tolist(), g.dst.tolist())]
     for (x, y), batched, pvalue, adf_stat in zip(
-        pairs, coint_fit_batch(pairs), g.pvalue.tolist(), g.adf_stat.tolist()
+        pairs, batch_models(pairs), g.pvalue.tolist(), g.adf_stat.tolist()
     ):
         model = batched or coint_fit(x, y)
         assert (pvalue, adf_stat) == (model.pvalue, model.adf_stat), (x.symbol, y.symbol)

@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 from cointwatch import coint, stats, synth
 from cointwatch.coint import DIRECTION_BOTH, DIRECTION_SINGLE, PriceSeries, SkippedPair, scan_pairs
 
+from conftest import batch_models, residual_statistics
+
 EPSILON = 0.05
 
 
@@ -137,7 +139,7 @@ def test_near_collinear_lag_design_falls_back():
     y = PriceSeries("Y", 50.0 + 0.5 * x.values + np.sin(0.05 * t), "w")
     z = walkers(3, 1, 250)[0]
     resid = stats.ols_fit(x.series, y.series).residuals.values
-    _, ok = stats.adf_statistic_batch(resid[None, :], 2)
+    _, ok = residual_statistics(resid[None, :], 2)
     assert not ok[0]
     result = assert_scan_matches([x, y, z], lags=2)
     fallback = next(p for p in result.pairs if (p.src_symbol, p.dst_symbol) == ("X", "Y"))
@@ -151,7 +153,7 @@ def test_ill_conditioned_design_falls_back():
     x = walkers(4, 1, 250)[0]
     y = PriceSeries("Y", 7.0 + 0.5 * x.values + 1e-4 * rng.standard_normal(250), "w")
     resid = stats.ols_fit(x.series, y.series).residuals.values
-    _, ok = stats.adf_statistic_batch(resid[None, :], stats.default_lag(250))
+    _, ok = residual_statistics(resid[None, :], stats.default_lag(250))
     assert not ok[0]
     result = assert_scan_matches([x, y])
     fallback = next(p for p in result.pairs if p.src_symbol == "W0")
@@ -162,10 +164,10 @@ def test_batch_rows_are_independent():
     rng = np.random.default_rng(6)
     resid = np.cumsum(rng.standard_normal((40, 120)), axis=1)
     resid[7] = 0.0  # singular Gram matrix in the middle of the batch
-    stat, ok = stats.adf_statistic_batch(resid, 3)
+    stat, ok = residual_statistics(resid, 3)
     assert not ok[7] and ok[np.arange(40) != 7].all()
     for r in (0, 7, 39):
-        one_stat, one_ok = stats.adf_statistic_batch(resid[r : r + 1], 3)
+        one_stat, one_ok = residual_statistics(resid[r : r + 1], 3)
         assert one_ok[0] == ok[r]
         if ok[r]:
             assert one_stat[0] == stat[r]
@@ -194,8 +196,9 @@ def test_worker_count_invariance(direction, lags, seed):
 @given(universe=universes(), seed=st.integers(0, 2**32 - 1))
 def test_pair_bits_do_not_depend_on_the_batch(universe, seed):
     # a pair's model is the same, bit for bit, from a one- or two-worker
-    # scan and from coint_fit_batch alone or among unrelated pairs of the
-    # same length; a row the batch declines is coint_fit's in every case
+    # scan and from fit_pairs alone, among unrelated pairs of the same
+    # length, or with its series shared by other pairs of the call; a row
+    # the batch declines is coint_fit's in every case
     n_days, window_id = len(universe[0]), universe[0].window_id
     rng = np.random.default_rng(seed)
     # at least 9 symbols, with the pool's size threshold lowered so that
@@ -214,9 +217,13 @@ def test_pair_bits_do_not_depend_on_the_batch(universe, seed):
     others = list(zip(strangers[::2], strangers[1::2]))
     by_symbol = {p.symbol: p for p in universe}
     for k, result in enumerate(solo.pairs):
-        pair = (by_symbol[result.src_symbol], by_symbol[result.dst_symbol])
+        x, y = pair = (by_symbol[result.src_symbol], by_symbol[result.dst_symbol])
         at = k % (len(others) + 1)
-        alone = coint.coint_fit_batch([pair])[0] or coint.coint_fit(*pair)
-        mixed = coint.coint_fit_batch(others[:at] + [pair] + others[at:])[at]
+        alone = batch_models([pair])[0] or coint.coint_fit(*pair)
+        mixed = batch_models(others[:at] + [pair] + others[at:])[at]
+        # the reverse pair, and pairs from x and into y, use x's and y's rows
+        sharing = [(y, x), (x, strangers[0]), (strangers[1], y), (strangers[2], x)]
+        shared = batch_models(sharing[:at] + [pair] + sharing[at:])[at]
         assert repr(alone) == repr(result.model)
         assert repr(mixed or coint.coint_fit(*pair)) == repr(result.model)
+        assert repr(shared or coint.coint_fit(*pair)) == repr(result.model)
