@@ -208,8 +208,9 @@ class AlertVertexProgram:
                 new_alert = ALERTED
             else:
                 new_alert = CLEAR
-            history = node.alert_history + ((epoch, new_alert),)
-            node = replace(node, alert_state=new_alert, alert_history=history)
+            history = list(node.alert_history)
+            graphmod._append_run(history, epoch, 1, new_alert)
+            node = replace(node, alert_state=new_alert, alert_history=tuple(history))
         return AlertVertexState(
             node=node,
             failed=tuple(failed),

@@ -16,6 +16,13 @@ snapshot plus log length rather than by copying histories (path copying, as
 in Driscoll, Sarnak, Sleator and Tarjan, "Making Data Structures
 Persistent", JCSS 1989).
 
+An alert history is held and written run-length encoded, as column stores
+hold long runs of one value (Abadi, Madden and Ferreira, "Integrating
+Compression and Execution in Column-Oriented Database Systems", SIGMOD
+2006): one (first_epoch, count, state) run per maximal stretch of
+consecutive evaluated epochs in one state, so a history grows with the
+node's state changes and stale ticks, not with the run's length.
+
 Edges are held only as columns (EdgeColumns, as in column stores): one
 array per edge field, rows in ascending id order. The mutators return new
 columns; the tick kernel, refits, tick builders and export read them, and
@@ -60,16 +67,31 @@ class SymbolNode:
 
     last_price is None until the first tick covers the symbol;
     last_update_epoch tracks freshness (a node is fresh in epoch e iff
-    last_update_epoch == e). alert_history is an ordered (epoch, state)
-    record appended whenever the node evaluates at least one leash check.
+    last_update_epoch == e). alert_history records the node's state at
+    each epoch in which it evaluated at least one leash check, as maximal
+    (first_epoch, count, state) runs: a run covers count consecutive
+    evaluated epochs in one state, and a stale epoch or a change of state
+    starts the next.
     """
 
     id: int
     symbol: str
     last_price: float | None = None
     alert_state: str = CLEAR
-    alert_history: tuple[tuple[int, str], ...] = ()
+    alert_history: tuple[tuple[int, int, str], ...] = ()
     last_update_epoch: int = -1
+
+
+def _append_run(runs: list, first: int, count: int, state: str) -> None:
+    """Extend a history's runs by count evaluated epochs in state from
+    first on: merged into the last run when they continue it (same state,
+    from the epoch after its end), else appended as a new run."""
+    if runs:
+        last_first, last_count, last_state = runs[-1]
+        if last_state == state and last_first + last_count == first:
+            runs[-1] = (last_first, last_count + count, state)
+            return
+    runs.append((first, count, state))
 
 
 @dataclass(frozen=True)
@@ -98,7 +120,9 @@ class NodeSnapshot:
     that evaluated at least one check, their new alerted flags) entry per
     tick, never written again. length is the number of entries at this
     version's epoch, so entries appended later never reach it. nodes builds
-    the SymbolNode tuple on first read, in O(its history), and keeps it.
+    the SymbolNode tuple on first read and keeps it: the log's entries are
+    cut into runs in array passes, and one Python tuple is made per run,
+    not per entry.
     """
 
     symbols: tuple[str, ...]
@@ -153,12 +177,6 @@ class NodeSnapshot:
 
     @cached_property
     def nodes(self) -> tuple[SymbolNode, ...]:
-        added: list[list[tuple[int, str]]] = [[] for _ in self.base]
-        for epoch, ids, alerted in islice(self.log, self.length):
-            # one (epoch, state) tuple per state, shared by the tick's nodes
-            states = ((epoch, CLEAR), (epoch, ALERTED))
-            for nid, flag in zip(ids.tolist(), alerted.tolist()):
-                added[nid].append(states[flag])
         return tuple(
             SymbolNode(
                 id=b.id,
@@ -166,13 +184,52 @@ class NodeSnapshot:
                 # a node no tick of the run priced keeps its own price object
                 last_price=b.last_price if updated == b.last_update_epoch else price,
                 alert_state=ALERTED if flag else CLEAR,
-                alert_history=b.alert_history + tuple(history),
+                alert_history=history,
                 last_update_epoch=updated,
             )
             for b, price, updated, flag, history in zip(
-                self.base, self.price.tolist(), self.updated.tolist(), self.alerted.tolist(), added
+                self.base,
+                self.price.tolist(),
+                self.updated.tolist(),
+                self.alerted.tolist(),
+                self._histories(),
             )
         )
+
+    def _histories(self) -> list[tuple[tuple[int, int, str], ...]]:
+        """Each node's alert history at this version: its base history
+        followed by the runs its log entries form."""
+        entries = list(islice(self.log, self.length))
+        if not entries:
+            return [b.alert_history for b in self.base]
+        sizes = [len(ids) for _, ids, _ in entries]
+        epochs = np.repeat(np.array([e for e, _, _ in entries], dtype=np.int64), sizes)
+        ids = np.concatenate([ids for _, ids, _ in entries])
+        flags = np.concatenate([flags for _, _, flags in entries])
+        # each node's entries together, in epoch order
+        order = np.argsort(ids, kind="stable")
+        epochs, ids, flags = epochs[order], ids[order], flags[order]
+        starts = np.ones(len(ids), dtype=bool)
+        # a run starts at a node's first entry, a change of state or an
+        # epoch the node did not evaluate
+        starts[1:] = (
+            (ids[1:] != ids[:-1]) | (flags[1:] != flags[:-1]) | (epochs[1:] != epochs[:-1] + 1)
+        )
+        first = np.flatnonzero(starts)
+        counts = np.diff(first, append=len(ids))
+        states = map((CLEAR, ALERTED).__getitem__, flags[first].tolist())
+        runs = list(zip(epochs[first].tolist(), counts.tolist(), states))
+        bounds = np.searchsorted(ids[first], np.arange(len(self.base) + 1)).tolist()
+        histories = []
+        for b, lo, hi in zip(self.base, bounds, bounds[1:]):
+            history = b.alert_history
+            if lo < hi:
+                merged = list(history)
+                _append_run(merged, *runs[lo])
+                merged += runs[lo + 1 : hi]
+                history = tuple(merged)
+            histories.append(history)
+        return histories
 
 
 # CointModel's fields, a column each: the floats (float64), then window_id
@@ -240,25 +297,34 @@ class EdgeColumns(Mapping):
 
     def _row(self, eid) -> int | None:
         """The row of an edge id; None for any other value, a bool included."""
-        if isinstance(eid, bool) or not isinstance(eid, (int, np.integer)):
-            return None
-        eid = int(eid)
-        if not -(2**63) <= eid < 2**63:
+        eid = _int64(eid)
+        if eid is None:
             return None
         row = int(self.eid.searchsorted(eid))
         return row if row < len(self.eid) and self.eid.item(row) == eid else None
 
     def rows(self, edge_ids: Iterable) -> np.ndarray:
-        """The rows of the given edge ids, in their order, repeats kept.
+        """The rows of the given edge ids, in their order, repeats kept:
+        one searchsorted over all of them.
 
         Raises:
             UnknownEdge: naming the first id that is not an edge.
         """
         ids = list(edge_ids)
-        rows = [self._row(eid) for eid in ids]
-        if None in rows:
-            raise UnknownEdge(f"edge id {ids[rows.index(None)]} is not in the graph")
-        return np.array(rows, dtype=np.intp)
+        if not ids:
+            return np.empty(0, dtype=np.intp)
+        keys = [_int64(eid) for eid in ids]
+        # the ids before the first that is no int64 integer are looked up
+        n = keys.index(None) if None in keys else len(keys)
+        wanted = keys[:n]
+        rows = self.eid.searchsorted(np.array(wanted, dtype=np.int64))
+        # a row past the end is clipped to the last, whose id is smaller
+        got = self.eid.take(rows, mode="clip").tolist() if len(self.eid) else [None] * n
+        if got != wanted:
+            n = next(k for k, (a, b) in enumerate(zip(got, wanted)) if a != b)
+        if n < len(ids):
+            raise UnknownEdge(f"edge id {ids[n]} is not in the graph")
+        return rows
 
     @cached_property
     def zero_sigma(self) -> np.ndarray:
@@ -273,6 +339,15 @@ class EdgeColumns(Mapping):
             found = (_csr(self.src, self.eid, n_nodes), _csr(self.dst, self.eid, n_nodes))
             self._adjacency[n_nodes] = found
         return found
+
+
+def _int64(eid) -> int | None:
+    """An edge id as an int: None for a value that is no integer (a bool
+    is not one) or lies outside int64."""
+    if isinstance(eid, bool) or not isinstance(eid, (int, np.integer)):
+        return None
+    eid = int(eid)
+    return eid if -(2**63) <= eid < 2**63 else None
 
 
 _DTYPES = {
@@ -605,7 +680,7 @@ def _node_to_obj(n: SymbolNode) -> dict:
         "symbol": n.symbol,
         "last_price": n.last_price,
         "alert_state": n.alert_state,
-        "alert_history": [[epoch, state] for epoch, state in n.alert_history],
+        "alert_history": [list(run) for run in n.alert_history],
         "last_update_epoch": n.last_update_epoch,
     }
 
@@ -664,11 +739,13 @@ def _model_from_obj(obj, path, windows: dict[str, str]) -> tuple:
     return beta0, beta1, resid_mean, resid_std, pvalue, adf_stat, window_id
 
 
-def _node_from_obj(
-    node, i: int, epoch: int, symbol_ids: dict[str, int], states: dict[tuple, tuple]
-) -> SymbolNode:
-    """Node i of a graph at epoch, checked; its symbol joins symbol_ids, and
-    each alert-history entry is the first tuple of its value in states."""
+def _node_from_obj(node, i: int, epoch: int, symbol_ids: dict[str, int]) -> SymbolNode:
+    """Node i of a graph at epoch, checked; its symbol joins symbol_ids.
+
+    An alert-history item is an [epoch, state] entry (as every file before
+    run-length histories) or a [first_epoch, count, state] run; either
+    shape may follow the other, and both are merged into maximal runs.
+    Runs are checked by their ends, never expanded."""
     path = f"nodes[{i}]"
     node_id = _expect(node, "id", int, path)
     if node_id != i:
@@ -688,25 +765,42 @@ def _node_from_obj(
     state = _expect(node, "alert_state", str, path)
     if state not in (CLEAR, ALERTED):
         raise SchemaViolation(f"{path}.alert_state", f"unknown state {state!r}")
-    history: list[tuple[int, str]] = []
-    for k, item in enumerate(_expect(node, "alert_history", list, path)):
-        if (
+    history: list[tuple[int, int, str]] = []
+    items = _expect(node, "alert_history", list, path)
+    for k, item in enumerate(items):
+        if isinstance(item, list) and len(item) == 3:
+            first, count, item_state = item
+            if (
+                type(first) is not int  # not a bool either
+                or type(count) is not int
+                or item_state not in (CLEAR, ALERTED)
+            ):
+                raise SchemaViolation(
+                    f"{path}.alert_history[{k}]", "expected [first_epoch, count, state]"
+                )
+            if count < 1:
+                raise SchemaViolation(
+                    f"{path}.alert_history[{k}]", f"count must be at least 1, got {count}"
+                )
+        elif (
             not isinstance(item, list)
             or len(item) != 2
             or type(item[0]) is not int  # not a bool either
             or item[1] not in (CLEAR, ALERTED)
         ):
             raise SchemaViolation(f"{path}.alert_history[{k}]", "expected [epoch, state]")
-        if history and item[0] <= history[-1][0]:
+        else:
+            (first, item_state), count = item, 1
+        if history and first < history[-1][0] + history[-1][1]:
             raise SchemaViolation(
                 f"{path}.alert_history[{k}]", "epochs must be strictly increasing"
             )
-        entry = (item[0], item[1])
-        history.append(states.setdefault(entry, entry))
-    if history and history[-1][0] > epoch:
+        # the module's state strings, not one per item
+        _append_run(history, first, count, CLEAR if item_state == CLEAR else ALERTED)
+    end = history[-1][0] + history[-1][1] - 1 if history else -1
+    if end > epoch:
         raise SchemaViolation(
-            f"{path}.alert_history[{len(history) - 1}]",
-            f"epoch {history[-1][0]} is after graph epoch {epoch}",
+            f"{path}.alert_history[{len(items) - 1}]", f"epoch {end} is after graph epoch {epoch}"
         )
     updated = _expect(node, "last_update_epoch", int, path)
     if not -1 <= updated <= epoch:  # -1: never priced
@@ -726,10 +820,7 @@ def from_json_obj(obj) -> CointGraph:
         raise SchemaViolation("$.epoch", f"must be in [0, 2**62], got {epoch}")
     symbol_ids: dict[str, int] = {}
     node_objs = _expect(obj, "nodes", list, "$")
-    states: dict[tuple, tuple] = {}  # one (epoch, state) tuple per value, as a run shares it
-    nodes = tuple(
-        _node_from_obj(node, i, epoch, symbol_ids, states) for i, node in enumerate(node_objs)
-    )
+    nodes = tuple(_node_from_obj(node, i, epoch, symbol_ids) for i, node in enumerate(node_objs))
     rows: list[tuple] = []  # one per edge, in _DTYPES order
     seen_ids: set[int] = set()
     seen_pairs: set[tuple[int, int]] = set()

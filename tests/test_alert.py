@@ -106,7 +106,7 @@ class TestVertexProgram:
         in_band = {"A": 10.0, "B": model.beta0 + model.beta1 * 10.0}
         g2, states, _ = run_tick(g, in_band)
         node_a = states[0].node
-        assert node_a.alert_history == ((1, CLEAR),)
+        assert node_a.alert_history == ((1, 1, CLEAR),)
         # stale tick: no evaluation, no history entry
         g3 = update_prices(g2, {})
         states3, _ = reference_tick(g3, AlertConfig())

@@ -12,6 +12,7 @@ version must keep its bytes.
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -166,6 +167,36 @@ def test_mutators_match_the_dict_store(case):
         assert eid not in g.edges
         with pytest.raises(KeyError):
             g.edges[eid]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 50), sparse=st.booleans())
+def test_rows_finds_each_id_and_names_the_first_that_is_no_edge(data, seed, sparse):
+    g = random_graph(seed, n_nodes=6, n_edges=8)
+    if sparse:
+        g = shuffled(g, seed)
+    row_of = {eid: row for row, eid in enumerate(g.edges)}
+    known = st.sampled_from(sorted(row_of))
+    other = st.one_of(
+        st.sampled_from(UNKNOWN + (True, False, 1.0, "1", None)),
+        known.map(np.int64),
+        known.map(float),
+    )
+    ids = data.draw(st.lists(st.one_of(known, known, other), max_size=6))
+    want = [
+        row_of.get(int(eid))
+        if isinstance(eid, (int, np.integer)) and not isinstance(eid, bool)
+        else None
+        for eid in ids
+    ]
+    if None in want:
+        with pytest.raises(UnknownEdge) as err:
+            g.columns.rows(iter(ids))
+        assert str(err.value) == f"edge id {ids[want.index(None)]} is not in the graph"
+    else:
+        rows = g.columns.rows(iter(ids))
+        assert rows.dtype == np.intp
+        assert rows.tolist() == want
 
 
 def test_a_bool_is_not_an_edge_id():

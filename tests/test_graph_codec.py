@@ -11,11 +11,18 @@ which the codec fixes:
   raised KeyError; the codec names the field ("missing field");
 - a bool alert-history epoch passed as an int and re-exported as 1 or 0;
   the codec rejects the history item ("expected [epoch, state]").
+
+The oracle reads alert histories as [epoch, state] entries; the codec also
+reads [first_epoch, count, state] runs, and holds and writes every history
+as maximal runs. So a document is judged by the oracle once its well-formed
+runs are written out as entries (the v2 rule, _expanded), and the oracle's
+graph is compared after its histories are cut into runs.
 """
 
 import json
 import re
 import sys
+from dataclasses import replace
 from functools import reduce
 
 import pytest
@@ -178,13 +185,95 @@ def oracle_loads(data: str) -> CointGraph:
     return g
 
 
+# -- run-length histories -----------------------------------------------------
+
+# the v2 rule expands a well-formed run longer than this to its first
+# _CAP - 1 epochs and its last: its start, its end and the order of epochs
+# are kept, so the oracle judges it as it would the whole run
+_CAP = 16
+
+
+def _is_run(item) -> bool:
+    return (
+        isinstance(item, list)
+        and len(item) == 3
+        and type(item[0]) is int
+        and type(item[1]) is int
+        and item[1] >= 1
+        and item[2] in (CLEAR, ALERTED)
+    )
+
+
+def _expanded(data: str, cap: float = float("inf")) -> tuple[str, dict[int, list[int]]]:
+    """The document with every well-formed run written as [epoch, state]
+    entries (a run longer than cap cut as for _CAP), canonical, and for each
+    node with a history the index of the item each of its entries came
+    from."""
+    doc = json.loads(data)
+    origin: dict[int, list[int]] = {}
+    nodes = doc.get("nodes") if isinstance(doc, dict) else None
+    for i, node in enumerate(nodes if isinstance(nodes, list) else []):
+        history = node.get("alert_history") if isinstance(node, dict) else None
+        if not isinstance(history, list):
+            continue
+        entries, origin[i] = [], []
+        for k, item in enumerate(history):
+            if _is_run(item):
+                first, count, state = item
+                epochs = list(range(first, first + min(count, cap) - 1)) + [first + count - 1]
+                entries += [[epoch, state] for epoch in epochs]
+                origin[i] += [k] * len(epochs)
+            else:
+                entries.append(item)
+                origin[i].append(k)
+        node["alert_history"] = entries
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n", origin
+
+
+def _in_items(exc: SchemaViolation, origin: dict[int, list[int]]) -> SchemaViolation:
+    """exc, raised on an _expanded document, naming the item of the
+    document before expansion."""
+    at = re.fullmatch(r"nodes\[(\d+)\]\.alert_history\[(\d+)\]", exc.path)
+    if not at:
+        return exc
+    i, j = int(at[1]), int(at[2])
+    path = f"nodes[{i}].alert_history[{origin[i][j]}]"
+    return SchemaViolation(path, str(exc)[len(exc.path) + 2 :])
+
+
+def _as_runs(g: CointGraph) -> CointGraph:
+    """g with each [epoch, state] history cut into maximal runs."""
+    nodes = []
+    for n in g.nodes:
+        runs = []
+        for epoch, state in n.alert_history:
+            if runs and runs[-1][2] == state and sum(runs[-1][:2]) == epoch:
+                runs[-1] = (runs[-1][0], runs[-1][1] + 1, state)
+            else:
+                runs.append((epoch, 1, state))
+        nodes.append(replace(n, alert_history=tuple(runs)))
+    return replace(g, node_source=tuple(nodes))
+
+
+def v2_oracle_loads(data: str) -> CointGraph:
+    """The oracle's graph of the _expanded document, in runs; a violation
+    names the item of the document as given."""
+    expanded, origin = _expanded(data, _CAP)
+    try:
+        return _as_runs(oracle_loads(expanded))
+    except SchemaViolation as exc:
+        raise _in_items(exc, origin) from None
+
+
 # -- documents and mutations --------------------------------------------------
 
 
 def _documents() -> list[str]:
     """Exported graphs: one never priced, and one a run took through a calm
     tick, a shock and a tick with a stale symbol, so it holds prices, alert
-    histories, broken edges and a stale node."""
+    histories, broken edges and a stale node; the latter with its histories
+    as [epoch, state] entries, as files were written before run-length
+    histories, and as exported."""
     g, base, _ = planted_instance(3, n_clusters=2, cluster_size=3)
     symbols = sorted(base)
     ticks = [
@@ -195,10 +284,9 @@ def _documents() -> list[str]:
     stream = tick_loop(g, ticks, AlertConfig())
     for _ in stream:
         pass
-    return [
-        export(random_graph(2, n_nodes=4, n_edges=3), "json").decode(),
-        export(stream.graph, "json").decode(),
-    ]
+    runs = export(stream.graph, "json").decode()
+    unpriced = export(random_graph(2, n_nodes=4, n_edges=3), "json").decode()
+    return [unpriced, _expanded(runs)[0], runs]
 
 
 DOCUMENTS = _documents()
@@ -307,9 +395,12 @@ def _outcome(loads, data):
 @example(data=mutated(DOCUMENTS[1], ("nodes", 2, "last_price")))
 @example(data=mutated(DOCUMENTS[1], ("nodes", 0, "alert_history", 0, 0), True))
 @example(data=mutated(DOCUMENTS[1], ("nodes", 0, "alert_history", 2, 0), False))
+@example(data=mutated(DOCUMENTS[2], ("nodes", 0, "alert_history", 0, 1), 0))
+@example(data=mutated(DOCUMENTS[2], ("nodes", 0, "alert_history", 0, 1), 10**400))
+@example(data=mutated(DOCUMENTS[2], ("nodes", 0, "alert_history", 2, 1), 10**400))
 def test_codec_matches_the_two_walk_loader(data):
     try:
-        want = _outcome(oracle_loads, data)
+        want = _outcome(v2_oracle_loads, data)
     except KeyError as exc:
         want = exc
     got = _outcome(loads_graph, data)
@@ -343,8 +434,20 @@ def test_codec_matches_the_two_walk_loader(data):
                 assert judged and int(judged[1]) >= k
             return
     if isinstance(want, SchemaViolation):
-        event("rejected")
         assert isinstance(got, SchemaViolation)
+        at = re.fullmatch(r"nodes\[(\d+)\]\.alert_history\[(\d+)\]", want.path)
+        item = at and json.loads(data)["nodes"][int(at[1])]["alert_history"][int(at[2])]
+        if isinstance(item, list) and len(item) == 3 and not _is_run(item):
+            # a 3-item list the oracle rejects and the v2 rule did not
+            # expand: a malformed run, rejected at the same item
+            event("rejected: malformed run")
+            assert got.path == want.path
+            assert re.fullmatch(
+                r"expected \[first_epoch, count, state\]|count must be at least 1, got -?\d+",
+                str(got)[len(got.path) + 2 :],
+            )
+            return
+        event("rejected")
         assert (got.path, str(got)) == (want.path, str(want))
         return
     event("loaded")
@@ -354,8 +457,11 @@ def test_codec_matches_the_two_walk_loader(data):
 
 def test_unmutated_documents_load_and_reexport_byte_for_byte():
     for data in DOCUMENTS:
-        assert loads_graph(data) == oracle_loads(data)
-        assert export(loads_graph(data), "json").decode() == data
+        assert loads_graph(data) == v2_oracle_loads(data)
+    # entries load into the runs the run exported
+    assert [export(loads_graph(data), "json").decode() for data in DOCUMENTS] == [
+        DOCUMENTS[0], DOCUMENTS[2], DOCUMENTS[2]
+    ]
 
 
 @pytest.mark.parametrize(
@@ -392,7 +498,7 @@ def test_a_load_shares_one_window_id_object_per_value():
     assert export(loaded, "json").decode() == data
 
 
-def test_a_load_shares_one_alert_history_entry_per_value():
+def test_a_load_holds_one_run_per_stretch_of_one_state():
     g, base, _ = planted_instance(5, n_clusters=3, cluster_size=4)
     wired = [n.symbol for n in g.nodes if g.out_edges[n.id] or g.in_edges[n.id]]
     ticks = [synth.jittered_tick(g, base, seed=t) for t in range(20)]
@@ -401,10 +507,12 @@ def test_a_load_shares_one_alert_history_entry_per_value():
     for _ in stream:
         pass
     data = export(stream.graph, "json").decode()
-    loaded = loads_graph(data)
-    entries = [entry for n in loaded.nodes for entry in n.alert_history]
-    assert len(entries) > 20 * 2
-    assert {ALERTED, CLEAR} == {state for _, state in entries}
-    # one tuple object per (epoch, state), not one per node and epoch
-    assert len({id(entry) for entry in entries}) == len(set(entries))
-    assert export(loaded, "json").decode() == data
+    entries, _ = _expanded(data)
+    for loaded in (loads_graph(data), loads_graph(entries)):
+        assert loaded == stream.graph
+        runs = [run for n in loaded.nodes for run in n.alert_history]
+        assert {ALERTED, CLEAR} == {state for _, _, state in runs}
+        # each wired node evaluated 20 epochs: one run, or three around the shock
+        assert sum(count for _, count, _ in runs) == 20 * len(wired)
+        assert len(runs) <= 3 * len(wired)
+        assert export(loaded, "json").decode() == data

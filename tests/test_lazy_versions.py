@@ -212,19 +212,23 @@ def test_a_tick_builds_no_nodes(planted, monkeypatch):
     assert len(built) == g.n_nodes
 
 
-def test_histories_share_one_entry_per_tick_and_state(planted):
+def test_histories_hold_one_run_per_stretch_of_one_state(planted):
     g, base, _ = planted[0]
-    wired = [n.symbol for n in g.nodes if g.out_edges[n.id] or g.in_edges[n.id]]
+    wired = {n.symbol for n in g.nodes if g.out_edges[n.id] or g.in_edges[n.id]}
     ticks = [synth.jittered_tick(g, base, seed=t) for t in range(30)]
-    ticks[9], _ = synth.shock_tick(g, ticks[9], wired[0], sigmas=8.0)
+    ticks[9], _ = synth.shock_tick(g, ticks[9], min(wired), sigmas=8.0)
     stream = tick_loop(g, ticks, AlertConfig())
-    for _ in stream:
-        pass
-    entries = [entry for n in stream.graph.nodes for entry in n.alert_history]
-    assert len(entries) > 30 * 2
-    assert {ALERTED, CLEAR} == {state for _, state in entries}
-    # one tuple object per (epoch, state), not one per node and epoch
-    assert len({id(entry) for entry in entries}) == len(set(entries))
+    reports = list(stream)
+    shocked = set(reports[9].node_alerts)
+    assert shocked and not any(r.node_alerts for k, r in enumerate(reports) if k != 9)
+    # 30 evaluated epochs, one state change each way: three runs, not 30 entries
+    for n in stream.graph.nodes:
+        if n.id in shocked:
+            assert n.alert_history == ((1, 9, CLEAR), (10, 1, ALERTED), (11, 20, CLEAR))
+        elif n.symbol in wired:
+            assert n.alert_history == ((1, 30, CLEAR),)
+        else:
+            assert n.alert_history == ()
 
 
 @pytest.mark.parametrize(
