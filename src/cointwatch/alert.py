@@ -31,17 +31,17 @@ SymbolNode tuple, alert histories included, only when a caller reads
 Refits read a trailing price window. Under the onbreak policy the stream
 keeps it as one float64 array (one row per graph symbol of the supplied
 history) used as a ring: each published tick overwrites the oldest column,
-in O(symbols), and a tick that fails writes nothing. PriceSeries, oldest
-price first, are materialised only for the endpoints of the edges that
-broke in that tick. With recompute off no history is kept. All of a tick's
-broken edges are fitted together as index pairs over one stack of their
-distinct endpoint series (coint.fit_pairs: the scan's row kernel, one ADF
-design per series and one stacked Cholesky factorization of the pairs' ADF
-moment matrices); rows it cannot vouch for go through coint_fit alone, so
-outcomes and errors are those of one coint_fit per edge, and the refit
-models' pvalue and adf_stat agree with coint_fit's to rounding. The refits
-and removals are published as new edge columns (graph.replace_models,
-graph.remove_edges).
+in O(symbols), and a tick that fails writes nothing. A tick's refit copies
+the ring rows of its broken edges' distinct endpoints, oldest price first,
+into one block, and fits every broken edge as an index pair into it
+(coint.fit_pairs: the scan's row kernel, one ADF design per series and one
+stacked Cholesky factorization of the pairs' ADF moment matrices). Only a
+pair fit_pairs declines gets PriceSeries, for coint_fit alone, so outcomes
+and errors are those of one coint_fit per edge, and the refit models'
+pvalue and adf_stat agree with coint_fit's to rounding. The refits and
+removals are published as one column patch (graph._patch): each column is
+copied once. With recompute off no history is kept. selective_recompute
+stacks its window's endpoint series and runs the same refit (_refit).
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from . import graph as graphmod
-from .coint import CointModel, PriceSeries, check_aligned, coint_fit, fit_pairs
+from .coint import PriceSeries, ScanResult, check_aligned, coint_fit, fit_pairs
 from .errors import (
     CointwatchError,
     DegeneratePair,
@@ -375,14 +375,13 @@ def selective_recompute(
     flag cleared); one that does not is removed from the graph. Edges not
     listed are left untouched (same rows, same bytes).
 
-    Each broken id is looked up once. The distinct endpoint series are
-    stacked once, however many broken edges share them, and every broken
-    edge is fitted over that stack as one index pair (coint.fit_pairs); an
-    edge the batch cannot vouch for is fitted by coint_fit alone. Endpoint
+    The broken ids are looked up in one pass, and the distinct endpoint
+    series are stacked once, however many broken edges share them; the
+    edges are then refit as index pairs into that stack (_refit). Endpoint
     series that differ in window id or length are not stacked: every edge
-    then goes to coint_fit. Outcomes, OLS fields and errors are those of one
-    coint_fit per edge in edge-id order; pvalue and adf_stat agree with it
-    to rounding.
+    then goes to coint_fit. Outcomes, OLS fields and errors are those of
+    one coint_fit per edge in edge-id order; pvalue and adf_stat agree with
+    it to rounding.
 
     Raises:
         UnknownEdge: a broken id is not an edge of g.
@@ -395,67 +394,121 @@ def selective_recompute(
             long enough) or a fit that overflows carries no testable leash,
             so the edge is removed.
     """
-    by_symbol = {p.symbol: p for p in window}
-    rows: dict[str, int] = {}  # each endpoint symbol's row of the stacked window
-    eids: list[int] = []
-    src: list[int] = []
-    dst: list[int] = []
-    invalid = None
-    columns = g.columns
-    try:
-        for eid in sorted(set(broken)):
-            (row,) = columns.rows([eid])
-            symbols = (g.symbol(columns.src[row]), g.symbol(columns.dst[row]))
-            for sym in symbols:
-                if sym not in by_symbol:
-                    raise InsufficientWindow(f"window does not cover symbol {sym!r}")
-            eids.append(eid)
-            src.append(rows.setdefault(symbols[0], len(rows)))
-            dst.append(rows.setdefault(symbols[1], len(rows)))
-    except (UnknownEdge, InsufficientWindow) as exc:
-        # raised once the edges before it are fitted, as one coint_fit per
-        # edge in id order would
-        invalid = exc
-    series = [by_symbol[sym] for sym in rows]
-    ok = [False] * len(eids)
+    rows, invalid = g.columns._lookup(sorted(set(broken)))
+    window = list(window)
+    sources, src, dst, missing = _endpoints(g, rows, _node_rows(g, [p.symbol for p in window]))
+    series = [window[k] for k in sources.tolist()]
+    values = window_id = None
     # one window: every endpoint series shares one window id and length
     if len({(p.window_id, len(p)) for p in series}) == 1:
-        fields, ok = fit_pairs(np.array([p.values for p in series]), src, dst)
-        fields, ok = fields.tolist(), ok.tolist()
-    refits: dict[int, CointModel] = {}
-    removed: list[int] = []
-    for r, eid in enumerate(eids):
-        x, y = series[src[r]], series[dst[r]]
-        if ok[r]:
-            model = CointModel(*fields[r], window_id=x.window_id)
-        else:
-            try:
-                model = coint_fit(x, y)
-            except TooShort as exc:
-                raise InsufficientWindow(f"{x.symbol}->{y.symbol}: {exc}") from exc
-            except (DegeneratePair, DegenerateRegressor, SingularDesign, NonFiniteFit):
-                removed.append(eid)
-                continue
-        if model.pvalue < config.epsilon:
-            refits[eid] = model
-        else:
-            removed.append(eid)
+        values = np.array([p.values for p in series])
+        window_id = series[0].window_id
+    out = _refit(g, rows[: len(src)], values, src, dst, window_id, series.__getitem__, config)
+    # an edge that cannot be looked up raises once the edges before it are
+    # fitted, as one coint_fit per edge in id order would
+    if missing is not None:
+        raise missing
     if invalid is not None:
         raise invalid
-    out = graphmod.remove_edges(graphmod.replace_models(g, refits), removed)
-    return out, RecomputeSummary(refitted=tuple(refits), removed=tuple(removed))
+    return out
+
+
+def _node_rows(g: CointGraph, symbols: Sequence[str]) -> np.ndarray:
+    """Each node id's row among symbols, -1 for a node they lack; a symbol
+    listed twice keeps its last row."""
+    by_node = {g.symbol_ids[s]: row for row, s in enumerate(symbols) if s in g.symbol_ids}
+    rows = np.full(g.n_nodes, -1, dtype=np.intp)
+    rows[list(by_node)] = list(by_node.values())
+    return rows
+
+
+def _endpoints(
+    g: CointGraph, rows: np.ndarray, node_rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, InsufficientWindow | None]:
+    """Where the endpoints of the edges at rows sit in a price window.
+
+    node_rows maps each node id to its row of the window, -1 for a node the
+    window lacks. Returns (sources, src, dst, missing): the window rows of
+    the distinct endpoints, ascending; each edge's src and dst as indices
+    into sources; and, when an endpoint is missing, the InsufficientWindow
+    naming the first such symbol in edge order (src before dst), with src
+    and dst covering only the edges before its edge.
+    """
+    src, dst = node_rows[g.columns.src[rows]], node_rows[g.columns.dst[rows]]
+    lacking = np.flatnonzero((src < 0) | (dst < 0))
+    missing = None
+    if len(lacking):
+        edge = int(lacking[0])
+        node = g.columns.src[rows[edge]] if src[edge] < 0 else g.columns.dst[rows[edge]]
+        missing = InsufficientWindow(f"window does not cover symbol {g.symbol(node)!r}")
+        src, dst = src[:edge], dst[:edge]
+    # np.unique would do, but its first call imports numpy.ma (~1 MB)
+    sources = np.flatnonzero(np.bincount(np.concatenate((src, dst))))
+    return sources, sources.searchsorted(src), sources.searchsorted(dst), missing
+
+
+def _refit(
+    g: CointGraph,
+    rows: np.ndarray,
+    values: np.ndarray | None,
+    src: np.ndarray,
+    dst: np.ndarray,
+    window_id: str | None,
+    series: Callable[[int], PriceSeries],
+    config: AlertConfig,
+) -> tuple[CointGraph, RecomputeSummary]:
+    """Refit the edges at rows (ascending) as index pairs into one stacked
+    window, and publish the outcome as one column patch (graph._patch).
+
+    values holds one price series per row, all of window window_id, and
+    edge r is the pair values[src[r]] -> values[dst[r]]; values is None
+    when the series do not share one window, and every edge then goes to
+    coint_fit. The edges are fitted together (coint.fit_pairs); series(i)
+    gives row i as a PriceSeries, and is called only for the edges
+    fit_pairs declines, which coint_fit decides in row order. An edge is
+    refit when its pvalue < config.epsilon; it is removed otherwise, and
+    when coint_fit finds no testable leash (DegeneratePair,
+    DegenerateRegressor, SingularDesign, NonFiniteFit).
+
+    Raises:
+        InsufficientWindow: coint_fit finds the window too short (TooShort).
+        Whatever else coint_fit raises on a declined edge.
+    """
+    n = len(rows)
+    if values is None or not n:
+        fields, ok = np.empty((n, 6)), np.zeros(n, dtype=bool)
+    else:
+        fields, ok = fit_pairs(values, src, dst)
+    window_ids = np.full(n, window_id, dtype=object)
+    for r in np.flatnonzero(~ok).tolist():
+        x, y = series(src[r]), series(dst[r])
+        try:
+            model = coint_fit(x, y)
+        except TooShort as exc:
+            raise InsufficientWindow(f"{x.symbol}->{y.symbol}: {exc}") from exc
+        except (DegeneratePair, DegenerateRegressor, SingularDesign, NonFiniteFit):
+            continue
+        fields[r] = [getattr(model, name) for name in ScanResult.FIELDS]
+        window_ids[r] = model.window_id
+        ok[r] = True
+    refit = ok & (fields[:, 4] < config.epsilon)  # pvalue
+    eids = g.columns.eid[rows]
+    out = graphmod._patch(g, rows[refit], fields[refit], window_ids[refit], rows[~refit])
+    return out, RecomputeSummary(tuple(eids[refit].tolist()), tuple(eids[~refit].tolist()))
 
 
 class _History:
     """Trailing price window used for selective refits.
 
     One float64 row per graph symbol the supplied history holds (refits
-    touch edge endpoints only); rows are keyed by node id, resolved once.
-    The columns form a ring: column `start` holds the oldest price, and
-    the one before it the newest. A tick first makes its column (column),
-    reads its refit windows with that column appended (window), and only
-    once it publishes overwrites the oldest column with it (push), so a
-    tick costs O(symbols) and a failed tick leaves the history as it was.
+    touch edge endpoints only), and each graph node's row in it (rows, -1
+    for a node the history lacks; a symbol listed twice keeps its last
+    row), resolved once. The columns form a ring: column `start` holds the
+    oldest price, and the one before it the newest. A tick first makes its
+    column (column), refits its broken edges on the window with that column
+    appended (refit), and only once it publishes overwrites the oldest
+    column with it (push), so a tick costs O(symbols) and a failed tick
+    leaves the history as it was.
     """
 
     def __init__(self, window: Sequence[PriceSeries], g: CointGraph):
@@ -465,7 +518,7 @@ class _History:
         self.symbols = [p.symbol for p in kept]
         node_ids = [g.symbol_ids[p.symbol] for p in kept]
         self.node_ids = np.array(node_ids, dtype=np.intp)
-        self.rows = {nid: row for row, nid in enumerate(node_ids)}
+        self.rows = _node_rows(g, self.symbols)
         self.prices = np.array([p.values for p in kept], dtype=np.float64).reshape(
             len(kept), self.length
         )
@@ -486,19 +539,36 @@ class _History:
             self.prices[:, self.start] = column
             self.start = (self.start + 1) % self.length
 
-    def window(self, epoch: int, node_ids: Iterable[int], column: np.ndarray) -> list[PriceSeries]:
-        """The trailing series of those given nodes that the history holds,
-        as they would be once `column` is pushed."""
-        wid = f"trailing-{self.length}@{epoch}"
-        rows = sorted(self.rows[nid] for nid in set(node_ids) if nid in self.rows)
-        block = self.prices[rows]
+    def refit(
+        self, g: CointGraph, rows: np.ndarray, epoch: int, column: np.ndarray, config: AlertConfig
+    ) -> tuple[CointGraph, RecomputeSummary]:
+        """_refit of the edges at rows on the trailing window as it will be
+        once `column` is pushed: the endpoints' rows of the ring, oldest
+        price first, as one block. A PriceSeries is built only for a row
+        an edge fit_pairs declines reads.
+
+        Raises:
+            InsufficientWindow: the history lacks an endpoint's symbol
+                (once the edges before it are fitted), or is too short.
+        """
+        sources, src, dst, missing = _endpoints(g, rows, self.rows)
+        block = self.prices[sources]
         if self.length:
-            block[:, self.start] = column[rows]
+            block[:, self.start] = column[sources]
             # oldest first: the columns after the overwritten one, then the
             # rest up to the new column
             split = self.start + 1
             block = np.concatenate((block[:, split:], block[:, :split]), axis=1)
-        return [PriceSeries(self.symbols[row], values, wid) for row, values in zip(rows, block)]
+        wid = f"trailing-{self.length}@{epoch}"
+        symbols = self.symbols
+
+        def series(i: int) -> PriceSeries:
+            return PriceSeries(symbols[sources[i]], block[i], wid)
+
+        out = _refit(g, rows[: len(src)], block, src, dst, wid, series, config)
+        if missing is not None:
+            raise missing
+        return out
 
 
 class TickStream:
@@ -519,9 +589,11 @@ class TickStream:
 
     Under the onbreak policy the price history is kept as a trailing
     window (_History), advanced by every tick that publishes; a failed tick
-    leaves it as it was. A history whose series differ in window id or
-    length raises MisalignedCalendar here. With recompute off the history
-    is ignored.
+    leaves it as it was. A tick with breaks refits them from the window's
+    rows (_History.refit) and publishes the refits and removals as one
+    column patch. A history whose series differ in window id or length
+    raises MisalignedCalendar here. With recompute off the history is
+    ignored.
     """
 
     def __init__(
@@ -579,12 +651,10 @@ class TickStream:
                 raise InsufficientWindow(
                     "recompute policy is on but no price history window was provided"
                 )
-            rows = g.columns.rows(broken_ids)
-            endpoints = g.columns.src[rows].tolist() + g.columns.dst[rows].tolist()
-            window = self._history.window(epoch, endpoints, column)
             # each broken edge is refit, which clears its flag, or removed,
             # so none is marked broken first
-            g, summary = selective_recompute(g, broken_ids, window, self.config)
+            rows = g.columns.rows(broken_ids)
+            g, summary = self._history.refit(g, rows, epoch, column, self.config)
         else:
             g = graphmod.mark_broken(g, broken_ids)
 

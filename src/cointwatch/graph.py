@@ -310,9 +310,18 @@ class EdgeColumns(Mapping):
         Raises:
             UnknownEdge: naming the first id that is not an edge.
         """
+        rows, unknown = self._lookup(edge_ids)
+        if unknown is not None:
+            raise unknown
+        return rows
+
+    def _lookup(self, edge_ids: Iterable) -> tuple[np.ndarray, UnknownEdge | None]:
+        """rows without the raise: the rows of the ids before the first that
+        is not an edge, and the UnknownEdge naming that one (None if every
+        id is an edge)."""
         ids = list(edge_ids)
         if not ids:
-            return np.empty(0, dtype=np.intp)
+            return np.empty(0, dtype=np.intp), None
         keys = [_int64(eid) for eid in ids]
         # the ids before the first that is no int64 integer are looked up
         n = keys.index(None) if None in keys else len(keys)
@@ -323,8 +332,8 @@ class EdgeColumns(Mapping):
         if got != wanted:
             n = next(k for k, (a, b) in enumerate(zip(got, wanted)) if a != b)
         if n < len(ids):
-            raise UnknownEdge(f"edge id {ids[n]} is not in the graph")
-        return rows
+            return rows[:n], UnknownEdge(f"edge id {ids[n]} is not in the graph")
+        return rows, None
 
     @cached_property
     def zero_sigma(self) -> np.ndarray:
@@ -599,17 +608,13 @@ def neighbors(g: CointGraph, node_id: int) -> list[tuple[CointEdge, int]]:
     return found
 
 
+_NO_ROWS = np.empty(0, dtype=np.intp)
+
+
 def remove_edges(g: CointGraph, edge_ids: Iterable[int]) -> CointGraph:
     """Drop the given edges (UnknownEdge for an id that is not one); node
     set and prices are untouched. No id gives the same version."""
-    columns = g.columns
-    rows = columns.rows(edge_ids)
-    if not len(rows):
-        return g
-    keep = np.ones(len(columns), dtype=bool)
-    keep[rows] = False
-    kept = {name: getattr(columns, name)[keep] for name in _DTYPES}
-    return replace(g, columns=EdgeColumns(**kept))
+    return _patch(g, _NO_ROWS, np.empty((0, len(_MODEL_FLOATS))), (), g.columns.rows(edge_ids))
 
 
 def mark_broken(g: CointGraph, edge_ids: Iterable[int]) -> CointGraph:
@@ -627,17 +632,53 @@ def replace_models(g: CointGraph, models: Mapping[int, CointModel]) -> CointGrap
     """Swap in refit models, keyed by edge id, and clear their broken flags;
     UnknownEdge for an id that is not an edge. No model gives the same
     version."""
+    rows = g.columns.rows(models)
+    fields = [[getattr(m, name) for name in _MODEL_FLOATS] for m in models.values()]
+    return _patch(
+        g,
+        rows,
+        np.array(fields, dtype=np.float64).reshape(len(rows), len(_MODEL_FLOATS)),
+        [m.window_id for m in models.values()],
+        _NO_ROWS,
+    )
+
+
+def _patch(
+    g: CointGraph,
+    refit: np.ndarray,
+    fields: np.ndarray,
+    window_id: str | Sequence[str],
+    removed: np.ndarray,
+) -> CointGraph:
+    """g with new models at the rows refit, their broken flags cleared, and
+    the rows removed dropped: each column is copied once, and one neither
+    written nor cut is shared. No row gives the same version.
+
+    refit and removed are disjoint rows of g.columns (EdgeColumns.rows);
+    fields holds one row of model floats per refit row, in
+    ScanResult.FIELDS order, and window_id is their window id, one for all
+    or one per row.
+    """
     columns = g.columns
-    rows = columns.rows(models)
-    if not len(rows):
+    if not len(refit) and not len(removed):
         return g
-    changed = {}
-    for name in _MODEL_FIELDS:
-        changed[name] = getattr(columns, name).copy()
-        changed[name][rows] = [getattr(m, name) for m in models.values()]
-    changed["broken"] = columns.broken.copy()
-    changed["broken"][rows] = False
-    return replace(g, columns=replace(columns, **changed))
+    keep = np.ones(len(columns), dtype=bool)
+    keep[removed] = False
+    # the refit rows' positions once the removed rows are dropped
+    at = refit - np.flatnonzero(~keep).searchsorted(refit)
+    values = {name: fields[:, k] for k, name in enumerate(_MODEL_FLOATS)}
+    values.update(window_id=window_id, broken=False)
+    out = {}
+    for name in _DTYPES:
+        column = getattr(columns, name)
+        if len(removed):
+            column = column[keep]
+        elif name in values:
+            column = column.copy()
+        if name in values:
+            column[at] = values[name]
+        out[name] = column
+    return replace(g, columns=EdgeColumns(**out))
 
 
 def with_nodes(g: CointGraph, new_nodes: Mapping[int, SymbolNode]) -> CointGraph:

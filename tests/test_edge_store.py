@@ -3,10 +3,11 @@
 The oracle keeps a graph's edges as a dict of CointEdge objects and
 derives each node's in/out edge-id tuples by a loop over the sorted ids;
 its mutators are the ones the graph had before its edges became columns.
-Random sequences of mark_broken, replace_models and remove_edges (repeated
-ids, unknown ids, empty lists) must leave both stores with the same edges,
-adjacency and exported bytes, and raise UnknownEdge alike; every earlier
-version must keep its bytes.
+Random sequences of mark_broken, replace_models, remove_edges (repeated
+ids, unknown ids, empty lists) and the refit patch that writes models and
+drops rows in one step (graph._patch, as a replace then a remove) must
+leave both stores with the same edges, adjacency and exported bytes, and
+raise UnknownEdge alike; every earlier version must keep its bytes.
 """
 
 import json
@@ -17,9 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cointwatch import graph as graphmod
 from cointwatch import synth
 from cointwatch.alert import AlertConfig, tick_loop
-from cointwatch.coint import CointModel
+from cointwatch.coint import CointModel, ScanResult
 from cointwatch.errors import UnknownEdge
 from cointwatch.graph import (
     CointEdge,
@@ -80,6 +82,24 @@ def oracle_replace(edges, models):
     return out
 
 
+def patch(g, step):
+    """graph._patch with refit models and removed ids turned into rows."""
+    models, removed = step
+    fields = [[getattr(m, name) for name in ScanResult.FIELDS] for m in models.values()]
+    return graphmod._patch(
+        g,
+        g.columns.rows(models),
+        np.array(fields, dtype=np.float64).reshape(len(models), 6),
+        [m.window_id for m in models.values()],
+        g.columns.rows(removed),
+    )
+
+
+def oracle_patch(edges, step):
+    models, removed = step
+    return oracle_remove(oracle_replace(edges, models), removed)
+
+
 def oracle_export(g, edges):
     def edge_obj(e):
         m = e.model
@@ -117,18 +137,22 @@ def graphs_and_steps(draw):
     ids = st.sampled_from(sorted(g.edges) + list(UNKNOWN)) if g.edges else st.sampled_from(UNKNOWN)
     steps = []
     for _ in range(draw(st.integers(1, 8))):
-        kind = draw(st.sampled_from(["mark", "replace", "remove"]))
+        kind = draw(st.sampled_from(["mark", "replace", "remove", "patch"]))
         # mostly known ids, so sequences reach deep; repeats allowed
         known = st.sampled_from(sorted(g.edges)) if g.edges else ids
         chosen = draw(st.lists(st.one_of(known, known, ids), max_size=4))
-        if kind == "replace":
+        if kind in ("replace", "patch"):
             chosen = {eid: draw(models) for eid in chosen}
+        if kind == "patch":
+            # a patch's refit and removed rows are disjoint edges
+            others = sorted(set(g.edges) - set(chosen))
+            chosen = (chosen, draw(st.lists(st.sampled_from(others), unique=True)) if others else [])
         steps.append((kind, chosen))
     return g, steps
 
 
 MUTATORS = {"mark": (mark_broken, oracle_mark), "replace": (replace_models, oracle_replace),
-            "remove": (remove_edges, oracle_remove)}
+            "remove": (remove_edges, oracle_remove), "patch": (patch, oracle_patch)}
 
 
 @settings(max_examples=200, deadline=None)
@@ -146,11 +170,11 @@ def test_mutators_match_the_dict_store(case):
             with pytest.raises(UnknownEdge) as err:
                 mutate(g, ids)
             named = int(str(err.value).split()[2])
-            assert named in ids and named not in edges
+            assert named in ([*ids[0], *ids[1]] if kind == "patch" else ids) and named not in edges
             assert named not in g.edges
             continue
         g2 = mutate(g, ids)
-        if not ids:
+        if not ids or ids == ({}, []):
             assert g2 is g
         g, edges = g2, want
         assert dict(g.edges) == edges
@@ -189,11 +213,18 @@ def test_rows_finds_each_id_and_names_the_first_that_is_no_edge(data, seed, spar
         else None
         for eid in ids
     ]
+    n = want.index(None) if None in want else len(want)
+    rows, unknown = g.columns._lookup(iter(ids))
+    assert rows.dtype == np.intp
+    assert rows.tolist() == want[:n]
     if None in want:
+        message = f"edge id {ids[n]} is not in the graph"
+        assert type(unknown) is UnknownEdge and str(unknown) == message
         with pytest.raises(UnknownEdge) as err:
             g.columns.rows(iter(ids))
-        assert str(err.value) == f"edge id {ids[want.index(None)]} is not in the graph"
+        assert str(err.value) == message
     else:
+        assert unknown is None
         rows = g.columns.rows(iter(ids))
         assert rows.dtype == np.intp
         assert rows.tolist() == want
