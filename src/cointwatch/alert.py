@@ -47,6 +47,7 @@ stacks its window's endpoint series and runs the same refit (_refit).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -99,6 +100,14 @@ class AlertConfig:
             raise ValueError(f"global_fraction must be in [0, 1], got {self.global_fraction}")
 
 
+# AlertReport.to_json's line, keys sorted as json.dumps sorts them; only
+# exact ints go through %d
+_LINE = (
+    '{"broken_edges":[%s],"edges_checked":%d,"edges_skipped_stale":%d,'
+    '"epoch":%d,"global_alert":%s,"node_alerts":[%s]}'
+)
+
+
 @dataclass(frozen=True)
 class AlertReport:
     """One epoch's monitoring outcome.
@@ -118,10 +127,35 @@ class AlertReport:
     edges_skipped_stale: int
 
     def to_json(self) -> str:
+        """The report as one canonical JSON line: sorted keys, no spaces,
+        byte for byte json.dumps(obj, sort_keys=True, separators=(",", ":")).
+
+        The line is written directly when every value is one the writer can
+        vouch for: exactly an int in the int fields (epoch, counts, node and
+        edge ids), a finite float as each deviation and a bool as
+        global_alert, written as int.__repr__, float.__repr__ and
+        true/false, as json writes them. Any other value (a NaN or infinite
+        deviation, a numpy scalar, a bool in an int field) sends the whole
+        report through json.dumps, so its bytes, or its error, are json's.
+        """
+        alerts = list(self.node_alerts)
+        broken = [[eid, dev] for eid, dev in self.broken_edges]
+        head = [self.edges_checked, self.edges_skipped_stale, self.epoch]
+        if (
+            type(self.global_alert) is bool
+            and all(type(v) is int for v in head + alerts)
+            and all(
+                type(eid) is int and type(dev) is float and math.isfinite(dev)
+                for eid, dev in broken
+            )
+        ):
+            edges = ",".join([f"[{eid},{dev!r}]" for eid, dev in broken])
+            flag = "true" if self.global_alert else "false"
+            return _LINE % (edges, *head, flag, ",".join(map(str, alerts)))
         obj = {
             "epoch": self.epoch,
-            "node_alerts": list(self.node_alerts),
-            "broken_edges": [[eid, dev] for eid, dev in self.broken_edges],
+            "node_alerts": alerts,
+            "broken_edges": broken,
             "global_alert": self.global_alert,
             "edges_checked": self.edges_checked,
             "edges_skipped_stale": self.edges_skipped_stale,
@@ -304,7 +338,10 @@ def tick_kernel(
     reads g.nodes.
 
     Deviations are computed over every edge, stale ones included, and only
-    the checked edges' are read.
+    the checked edges' are read. A quiet tick (no checked edge fails) does
+    no alert bookkeeping: its report has no node alert and no broken edge,
+    and its flags are all False, or under latch_alerts the evaluated nodes'
+    previous flags.
 
     Raises:
         ZeroSigma: a checked edge has resid_std <= 0.
@@ -334,24 +371,29 @@ def tick_kernel(
         deviation /= columns.resid_std
         failing = np.flatnonzero(checked & (deviation > config.sigma_k))
 
-    alerted = np.zeros(g.n_nodes, dtype=bool)
-    alerted[src[failing]] = True
-    alerted[dst[failing]] = True
     evaluated = np.zeros(g.n_nodes, dtype=bool)
     evaluated[src[checked]] = True
     evaluated[dst[checked]] = True
+    ids = np.flatnonzero(evaluated)
+    if len(failing):
+        alerted = np.zeros(g.n_nodes, dtype=bool)
+        alerted[src[failing]] = True
+        alerted[dst[failing]] = True
+        node_alerts = tuple(np.flatnonzero(alerted).tolist())
+        broken = tuple(zip(columns.eid[failing].tolist(), deviation[failing].tolist()))
+        flags = alerted[ids]
+    else:
+        # a quiet tick alerts no node
+        node_alerts = broken = ()
+        flags = np.zeros(len(ids), dtype=bool)
 
     # each edge is scheduled once per endpoint
     edges_checked = 2 * int(np.count_nonzero(checked))
-    node_alerts = tuple(np.flatnonzero(alerted).tolist())
-    broken = tuple(zip(columns.eid[failing].tolist(), deviation[failing].tolist()))
     skipped = 2 * g.n_edges - edges_checked
     report = AlertReport(epoch, node_alerts, broken, False, edges_checked, skipped)
     if global_reduce(g, report, config, health_fn):
         report = AlertReport(epoch, node_alerts, broken, True, edges_checked, skipped)
 
-    ids = np.flatnonzero(evaluated)
-    flags = alerted[ids]
     if config.latch_alerts:
         flags |= nodes.alerted[ids]
     return report, ids, flags
@@ -655,7 +697,7 @@ class TickStream:
             # so none is marked broken first
             rows = g.columns.rows(broken_ids)
             g, summary = self._history.refit(g, rows, epoch, column, self.config)
-        else:
+        elif broken_ids:
             g = graphmod.mark_broken(g, broken_ids)
 
         # published last, so a failed tick leaves the stream, its log and

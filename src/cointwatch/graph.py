@@ -543,24 +543,27 @@ def tick_prices(
     symbols, in tick order. Both price paths (update_prices, TickStream)
     call it.
 
-    A tick of known symbols and plain int/float prices is checked in bulk;
-    otherwise, or when the bulk check fails, the entries are checked one by
-    one, so the first bad one in tick order raises.
+    A tick of known symbols and plain int/float prices is checked in bulk:
+    one np.fromiter over the values and one (prices > 0) & (prices < inf)
+    test, which NaN fails too. Otherwise, or when the bulk check fails, the
+    entries are checked one by one, so the first bad one in tick order
+    raises.
 
     Raises:
         UnknownSymbol: a symbol is not in the graph.
         NonPositivePrice: a price is not a positive finite number (a bool is
             not a price).
     """
-    values = list(tick.values())
+    values = tick.values()
     if _PLAIN_PRICE_TYPES.issuperset(map(type, values)):
         try:
             ids = np.fromiter(map(symbol_ids.get, tick), dtype=np.intp, count=len(values))
-            prices = np.array(values, dtype=np.float64)
+            prices = np.fromiter(values, dtype=np.float64, count=len(values))
         except (TypeError, OverflowError):  # an unknown symbol, an int beyond float
             pass
         else:
-            if np.isfinite(prices).all() and (prices > 0.0).all():
+            # false for NaN as well as for 0, negatives and +-inf
+            if ((prices > 0.0) & (prices < np.inf)).all():
                 return ids, prices
     id_list: list[int] = []
     for symbol, price in tick.items():

@@ -30,6 +30,12 @@ def odd_broken_count(g, report, config):
     return len(report.broken_edges) % 2 == 1
 
 
+def always_global(g, report, config):
+    """A health policy that declares a global alert on every tick, quiet
+    ones included."""
+    return True
+
+
 def oracle_loop(g, ticks, config, health_fn=None):
     """Replay ticks through the reference path; returns (report lines,
     final graph)."""
@@ -66,7 +72,7 @@ configs = st.builds(
     sigma_k=st.sampled_from([1.0, 2.5, 3.0, 4.0]),
     latch_alerts=st.booleans(),
 )
-health_fns = st.sampled_from([None, odd_broken_count])
+health_fns = st.sampled_from([None, odd_broken_count, always_global])
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
