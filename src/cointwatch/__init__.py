@@ -4,8 +4,9 @@ Build a directed graph over a price universe (pairwise regression plus a
 unit-root test on the residuals), then watch it tick by tick: every node
 with a fresh price leash-checks the edges to its fresh neighbours, local
 alerts fold into a global health verdict, and only the edges that broke
-their leash are refit. Each tick runs as one array pass over the edges;
-the node-by-node loop (alert.reference_tick) is kept as its oracle.
+their leash are refit. Each tick runs as one array pass over the edges
+(alert.tick_kernel), the package's only tick path; the node-by-node loop
+it is tested against lives with the tests (tests/oracle.py).
 """
 
 from .alert import (

@@ -1,4 +1,4 @@
-"""Leash checking, the per-tick pipeline, and its vertex-program oracle.
+"""Leash checking and the per-tick pipeline.
 
 Per tick: update prices -> every edge whose endpoints are both fresh is
 leash-checked -> the local alerts are folded into one report and a global
@@ -8,23 +8,23 @@ on a trailing window and either re-admitted or dropped.
 The paper's monitor is a synchronous vertex-centric job: fresh nodes
 broadcast their prices along incident edges, and each node checks the
 edges it received a price for. That job sends no further messages, so it
-is one scan over the edges. The tick path runs it as one numpy pass over
-the graph's own edge columns (tick_kernel over graph.EdgeColumns), which
-the graph's mutators replace when edges break, refit or go. The per-node
-view stays as reference_tick, the oracle the kernel is tested against: a
-plain loop in which each node, given its fresh neighbours' prices
-(price_broadcast_messages), checks its own neighbourhood
-(AlertVertexProgram.compute), folded by assemble_report. Both give the
-same reports and node versions, byte for byte.
+is one scan over the edges, and tick_kernel, the package's only tick
+implementation, runs it as one numpy pass over the graph's own edge
+columns (graph.EdgeColumns), which the graph's mutators replace when edges
+break, refit or go. The per-node job, in which each node checks its own
+neighbourhood against its fresh neighbours' prices, is kept with the tests
+(tests/oracle.py) as the reference the kernel must match: the same reports
+and node versions, byte for byte.
 
 Node state on the tick path is arrays too: last price, last-update epoch
 and alert state, plus one append-only log of each tick's evaluated nodes
 and their new states (graph.NodeSnapshot). A tick validates its prices in
-bulk (graph.tick_prices, shared with update_prices), copies the three
-arrays and appends one log entry, so its cost follows the edges and the
-evaluated nodes, not the run's length. The kernel computes every edge's
-deviation and reads only the checked ones; whether any edge has a zero
-sigma is decided once per columns object. Each published version builds its
+bulk (graph.tick_prices) and applies them as graph.update_prices does
+(NodeSnapshot.priced, the one price path), copies the three arrays and
+appends one log entry, so its cost follows the edges and the evaluated
+nodes, not the run's length. The kernel computes every edge's deviation
+and reads only the checked ones; whether any edge has a zero sigma is
+decided once per columns object. Each published version builds its
 SymbolNode tuple, alert histories included, only when a caller reads
 .nodes or exports it.
 
@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -66,7 +66,7 @@ from .errors import (
     UnknownEdge,
     ZeroSigma,
 )
-from .graph import ALERTED, CLEAR, CointGraph, neighbors
+from .graph import CointGraph
 
 RECOMPUTE_OFF = "off"
 RECOMPUTE_ON_BREAK = "onbreak"
@@ -177,83 +177,6 @@ def leash_check(model, x_price: float, y_price: float, sigma_k: float):
     return deviation > sigma_k, deviation
 
 
-def price_broadcast_messages(g: CointGraph) -> list[dict[int, float]]:
-    """Every fresh node sends its last price along every incident edge
-    (stale nodes stay silent); returns, per node id, the {sender id: price}
-    map it receives."""
-    inboxes: list[dict[int, float]] = [{} for _ in range(g.n_nodes)]
-    for eid in sorted(g.edges):
-        e = g.edges[eid]
-        if g.is_fresh(e.src):
-            inboxes[e.dst][e.src] = g.nodes[e.src].last_price
-        if g.is_fresh(e.dst):
-            inboxes[e.src][e.dst] = g.nodes[e.dst].last_price
-    return inboxes
-
-
-@dataclass(frozen=True)
-class AlertVertexState:
-    """Per-node outcome of one tick's checks."""
-
-    node: graphmod.SymbolNode
-    failed: tuple[tuple[int, float], ...] = ()
-    checked: int = 0
-    skipped: int = 0
-    evaluated: bool = False
-
-
-class AlertVertexProgram:
-    """Each node leash-checks every incident edge for which both endpoint
-    prices are fresh this epoch; any failing check raises its local alert.
-
-    The program is bound to one published graph version for topology and
-    models; neighbor prices are passed in."""
-
-    def __init__(self, g: CointGraph, config: AlertConfig):
-        self.graph = g
-        self.config = config
-
-    def compute(
-        self, node: graphmod.SymbolNode, prices: Mapping[int, float], epoch: int
-    ) -> AlertVertexState:
-        """The node's outcome, given its fresh neighbours' prices by id."""
-        self_fresh = self.graph.is_fresh(node.id)
-        checked = 0
-        skipped = 0
-        failed: list[tuple[int, float]] = []
-        for edge, nbr in neighbors(self.graph, node.id):
-            if not self_fresh or nbr not in prices:
-                skipped += 1
-                continue
-            if edge.src == node.id:
-                x_price, y_price = node.last_price, prices[nbr]
-            else:
-                x_price, y_price = prices[nbr], node.last_price
-            alert, deviation = leash_check(edge.model, x_price, y_price, self.config.sigma_k)
-            checked += 1
-            if alert:
-                failed.append((edge.id, deviation))
-
-        evaluated = checked > 0
-        if evaluated:
-            if failed:
-                new_alert = ALERTED
-            elif self.config.latch_alerts and node.alert_state == ALERTED:
-                new_alert = ALERTED
-            else:
-                new_alert = CLEAR
-            history = list(node.alert_history)
-            graphmod._append_run(history, epoch, 1, new_alert)
-            node = replace(node, alert_state=new_alert, alert_history=tuple(history))
-        return AlertVertexState(
-            node=node,
-            failed=tuple(failed),
-            checked=checked,
-            skipped=skipped,
-            evaluated=evaluated,
-        )
-
-
 HealthFn = Callable[[CointGraph, AlertReport, AlertConfig], bool]
 
 
@@ -276,63 +199,17 @@ def global_reduce(
     return len(report.node_alerts) / g.n_nodes > config.global_fraction
 
 
-def assemble_report(
-    g: CointGraph,
-    states: Sequence[AlertVertexState],
-    config: AlertConfig,
-    health_fn: HealthFn | None = None,
-) -> AlertReport:
-    """Merge per-node outcomes into the epoch report (each broken edge
-    recorded once, both observing endpoints alerted)."""
-    broken: dict[int, float] = {}
-    node_alerts: list[int] = []
-    checked = 0
-    skipped = 0
-    for state in states:
-        checked += state.checked
-        skipped += state.skipped
-        if state.failed:
-            node_alerts.append(state.node.id)
-        for eid, deviation in state.failed:
-            broken.setdefault(eid, deviation)
-    partial = AlertReport(
-        epoch=g.epoch,
-        node_alerts=tuple(sorted(node_alerts)),
-        broken_edges=tuple(sorted(broken.items())),
-        global_alert=False,
-        edges_checked=checked,
-        edges_skipped_stale=skipped,
-    )
-    return replace(partial, global_alert=global_reduce(g, partial, config, health_fn))
-
-
-def reference_tick(
-    g: CointGraph,
-    config: AlertConfig,
-    health_fn: HealthFn | None = None,
-) -> tuple[list[AlertVertexState], AlertReport]:
-    """One tick's checks node by node on a priced graph version: each node
-    checks its neighbourhood against its fresh neighbours' prices.
-
-    Slow; kept as the oracle that tick_kernel must match. Returns the
-    per-node states (indexed by node id) and the epoch report.
-    """
-    program = AlertVertexProgram(g, config)
-    inboxes = price_broadcast_messages(g)
-    states = [program.compute(node, inboxes[node.id], g.epoch) for node in g.nodes]
-    return states, assemble_report(g, states, config, health_fn)
-
-
 def tick_kernel(
     g: CointGraph,
     config: AlertConfig,
     health_fn: HealthFn | None = None,
 ) -> tuple[AlertReport, np.ndarray, np.ndarray]:
-    """One tick's checks as one pass over edge and node arrays; same results
-    as reference_tick, bit for bit.
+    """One tick's checks as one pass over edge and node arrays; the same
+    results, bit for bit, as the per-node reference in tests/oracle.py.
 
-    g is a priced version whose nodes are held as a graph.NodeSnapshot (as
-    TickStream publishes them); its edges are read from g.columns. Returns
+    g is a priced version whose nodes are held as a graph.NodeSnapshot, as
+    graph.update_prices and TickStream make it; its edges are read from
+    g.columns. Returns
     the epoch report, the ids of the nodes that evaluated at least one check
     and their new alerted flags. No node object is built, unless health_fn
     reads g.nodes.

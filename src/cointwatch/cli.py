@@ -47,14 +47,21 @@ def _iso_date(text: str) -> date:
         raise argparse.ArgumentTypeError(f"{text!r} is not an ISO-8601 date") from None
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_non_negative_int = _int_at_least(0)
 
 
 def _edge_ids(text: str) -> list[int]:
@@ -301,10 +308,10 @@ def build_parser() -> _Parser:
     p.add_argument("kind", choices=("universe", "ticks", "shock", "turbulent"))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--clusters", type=int, default=1)
-    p.add_argument("--cluster-size", dest="cluster_size", type=int, default=5)
-    p.add_argument("--independents", type=int, default=5)
-    p.add_argument("--days", type=int, default=250)
+    p.add_argument("--clusters", type=_non_negative_int, default=1)
+    p.add_argument("--cluster-size", dest="cluster_size", type=_non_negative_int, default=5)
+    p.add_argument("--independents", type=_non_negative_int, default=5)
+    p.add_argument("--days", type=_positive_int, default=250)
     p.add_argument("--start", type=_iso_date, default=synth.DEFAULT_START)
     p.add_argument("--graph", default=None)
     p.add_argument("--prices", default=None)
@@ -331,6 +338,12 @@ def main(argv=None) -> int:
     if args.command == "gen" and args.kind != "universe":
         if args.graph is None or args.prices is None:
             return parser.exit_with(f"gen {args.kind} requires --graph and --prices")
+    if args.command == "gen" and args.kind == "universe":
+        if args.clusters * args.cluster_size + args.independents == 0:
+            return parser.exit_with(
+                "gen universe needs at least one symbol: --clusters x --cluster-size "
+                "+ --independents is 0"
+            )
     if args.command == "gen" and args.kind == "shock" and args.symbol is None:
         return parser.exit_with("gen shock requires --symbol")
     if args.command == "gen" and not 0.0 < args.sigmas < math.inf:

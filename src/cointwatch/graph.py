@@ -6,8 +6,8 @@ the edge columns it does not write) with its parent, so readers of the
 previous epoch keep a consistent view while the next tick is being
 assembled.
 
-A version holds its nodes either as a tuple of SymbolNode (built, loaded,
-or made by update_prices/with_nodes) or, when a TickStream published it, as
+A version holds its nodes either as a tuple of SymbolNode (built or
+loaded) or, when update_prices priced it or a TickStream published it, as
 a NodeSnapshot: the node arrays at its epoch plus the length of the run's
 append-only alert log. A snapshot builds its SymbolNode tuple, alert_history
 included, the first time a caller reads .nodes or exports the version, so a
@@ -111,7 +111,8 @@ class CointEdge:
 
 @dataclass(frozen=True, eq=False)
 class NodeSnapshot:
-    """The nodes of one graph version a TickStream published, as arrays.
+    """The nodes of one graph version a TickStream published or
+    update_prices priced, as arrays.
 
     price (NaN while unpriced), updated (last_update_epoch) and alerted are
     this version's own arrays, never written after it is published. All
@@ -381,10 +382,11 @@ class CointGraph:
     """One graph version.
 
     node_source holds the nodes as a tuple, or as the NodeSnapshot of a
-    version a TickStream published; read them through .nodes, which builds
-    a snapshot's tuple once. columns holds the edges, also read as the
-    mapping .edges; out_edges and in_edges are derived from them. Versions
-    compare by value, whichever way they hold their nodes.
+    version update_prices priced or a TickStream published; read them
+    through .nodes, which builds a snapshot's tuple once. columns holds the
+    edges, also read as the mapping .edges; out_edges and in_edges are
+    derived from them. Versions compare by value, whichever way they hold
+    their nodes.
     """
 
     node_source: tuple[SymbolNode, ...] | NodeSnapshot
@@ -540,8 +542,8 @@ def tick_prices(
     symbol_ids: Mapping[str, int], tick: Mapping[str, float]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Validate one tick: the node ids (intp) and float64 prices of its
-    symbols, in tick order. Both price paths (update_prices, TickStream)
-    call it.
+    symbols, in tick order. update_prices and TickStream call it, and both
+    apply its prices with NodeSnapshot.priced.
 
     A tick of known symbols and plain int/float prices is checked in bulk:
     one np.fromiter over the values and one (prices > 0) & (prices < inf)
@@ -582,22 +584,13 @@ def update_prices(g: CointGraph, tick: Mapping[str, float]) -> CointGraph:
     """Apply one tick: supplied symbols get the new price and become fresh
     for the new epoch; the rest keep their prior price and are stale.
 
-    Never touches topology. Epoch increments by exactly 1.
+    Never touches topology. Epoch increments by exactly 1. The nodes are
+    priced as TickStream prices them (NodeSnapshot.priced, on a snapshot
+    of g's nodes), so alert.tick_kernel reads the version as it is.
     """
     ids, prices = tick_prices(g.symbol_ids, tick)
     epoch = g.epoch + 1
-    nodes = list(g.nodes)
-    for nid, price in zip(ids.tolist(), prices.tolist()):
-        n = nodes[nid]
-        nodes[nid] = SymbolNode(
-            id=n.id,
-            symbol=n.symbol,
-            last_price=price,
-            alert_state=n.alert_state,
-            alert_history=n.alert_history,
-            last_update_epoch=epoch,
-        )
-    return replace(g, node_source=tuple(nodes), epoch=epoch)
+    return replace(g, node_source=NodeSnapshot.start(g).priced(ids, prices, epoch), epoch=epoch)
 
 
 def neighbors(g: CointGraph, node_id: int) -> list[tuple[CointEdge, int]]:
@@ -682,17 +675,6 @@ def _patch(
             column[at] = values[name]
         out[name] = column
     return replace(g, columns=EdgeColumns(**out))
-
-
-def with_nodes(g: CointGraph, new_nodes: Mapping[int, SymbolNode]) -> CointGraph:
-    """Publish a version with some nodes replaced (alert bookkeeping)."""
-    if not new_nodes:
-        return g
-    for nid in new_nodes:
-        if not 0 <= nid < g.n_nodes:
-            raise UnknownNode(f"node id {nid} is not in the graph")
-    nodes = tuple(new_nodes.get(i, n) for i, n in enumerate(g.nodes))
-    return replace(g, node_source=nodes)
 
 
 def audit_adjacency(g: CointGraph) -> bool:

@@ -166,6 +166,11 @@ def baseline_tick(g: CointGraph, fallback: Mapping[str, float]) -> dict[str, flo
     weak anchor pulling every node toward its fallback price (which also
     pins isolated nodes). Raises if the solution leaves any edge beyond
     BASELINE_GUARD sigmas — planted graphs stay well under it.
+
+    Raises:
+        ScenarioError: fallback has no price for a graph symbol (naming the
+            first in node order), or the solution leaves an edge beyond
+            BASELINE_GUARD sigmas or a price non-positive.
     """
     n, c = g.n_nodes, g.columns
     edges = np.arange(len(c))
@@ -176,7 +181,10 @@ def baseline_tick(g: CointGraph, fallback: Mapping[str, float]) -> dict[str, flo
     design[edges, c.src] = -c.beta1 / c.resid_std
     design[len(c) + np.arange(n), np.arange(n)] = anchor
     symbols = [node.symbol for node in g.nodes]
-    fallbacks = np.array([float(fallback[s]) for s in symbols])
+    try:
+        fallbacks = np.array([float(fallback[s]) for s in symbols])
+    except KeyError as exc:
+        raise ScenarioError(f"no fallback price for graph symbol {exc.args[0]!r}") from None
     target = np.concatenate(((c.beta0 + c.resid_mean) / c.resid_std, anchor * fallbacks))
     prices, *_ = np.linalg.lstsq(design, target, rcond=None)
 

@@ -7,7 +7,6 @@ from cointwatch.alert import (
     AlertConfig,
     global_reduce,
     leash_check,
-    reference_tick,
     selective_recompute,
     tick_loop,
 )
@@ -23,6 +22,7 @@ from cointwatch.graph import ALERTED, CLEAR, build_graph, update_prices
 from cointwatch.coint import PriceSeries
 
 from conftest import dummy_model, planted_instance, sequential_broken_oracle
+from oracle import reference_tick
 from test_graph import pair
 
 

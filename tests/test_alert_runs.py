@@ -14,11 +14,12 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from cointwatch import synth
-from cointwatch.alert import AlertConfig, reference_tick, tick_loop
+from cointwatch.alert import AlertConfig, tick_loop
 from cointwatch.errors import SchemaViolation
-from cointwatch.graph import ALERTED, CLEAR, export, mark_broken, update_prices, with_nodes
+from cointwatch.graph import ALERTED, CLEAR, export
 from cointwatch.pipeline import loads_graph
 
+import oracle
 from conftest import planted_instance, random_graph
 
 
@@ -91,11 +92,8 @@ def instances():
 
 def reference_loop(g, ticks, config):
     """The run through reference_tick, node by node."""
-    for tick in ticks:
-        g = update_prices(g, tick)
-        states, report = reference_tick(g, config)
-        g = with_nodes(g, {s.node.id: s.node for s in states if s.evaluated})
-        g = mark_broken(g, [eid for eid, _ in report.broken_edges])
+    for _, _, g in oracle.replay(g, ticks, config):
+        pass
     return g
 
 

@@ -490,6 +490,50 @@ class TestGen:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["ticks", "shock", "turbulent"])
+    @pytest.mark.parametrize("cause", ["no rows", "no first day", "long gap"])
+    def test_prices_without_a_graph_symbol_are_a_data_error(
+        self, tmp_path, built_graph, universe_csv, capsys, kind, cause
+    ):
+        # C0S00 has no series in the window: no rows at all, or the window
+        # excludes it (no observation at its start, a gap over 3 days)
+        header, *rows = universe_csv.read_text().splitlines()
+        own = [k for k, row in enumerate(rows) if row.split(",")[1] == "C0S00"]
+        dropped = {"no rows": own, "no first day": own[:1], "long gap": own[10:15]}[cause]
+        prices = tmp_path / "prices.csv"
+        kept = [row for k, row in enumerate(rows) if k not in set(dropped)]
+        prices.write_text("\n".join([header, *kept]) + "\n")
+        out, expected = tmp_path / "t.csv", tmp_path / "expected.json"
+        argv = [
+            "gen", kind, "--graph", str(built_graph), "--prices", str(prices),
+            "--symbol", "C0S01", "--out", str(out), "--expected", str(expected),
+        ]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "cointwatch: error: no fallback price for graph symbol 'C0S00'\n"
+        assert captured.out == ""
+        assert not out.exists() and not expected.exists()
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--clusters", "-1"], "--clusters"),
+            (["--cluster-size", "-2"], "--cluster-size"),
+            (["--independents", "-1"], "--independents"),
+            (["--days", "0"], "--days"),
+            (["--days", "-5"], "--days"),
+            (["--clusters", "0", "--independents", "0"], "--independents"),
+            (["--cluster-size", "0", "--independents", "0"], "--cluster-size"),
+        ],
+    )
+    def test_universe_it_cannot_build_is_a_usage_error(self, tmp_path, capsys, flags, named):
+        out = tmp_path / "u.csv"
+        assert run(["gen", "universe", *flags, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert named in captured.err and captured.err.count("error:") == 1
+        assert captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "kind, flag, value",
         [

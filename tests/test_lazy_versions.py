@@ -2,11 +2,11 @@
 
 TickStream keeps node state as arrays plus an append-only alert log, and
 each version it publishes builds its SymbolNode tuple only when read. The
-oracle is the tuple-backed loop: update_prices, reference_tick, with_nodes
-and mark_broken, with onbreak refits over a list-based trailing window.
-Every published version, read after the run has moved on, must equal the
-oracle's graph at its epoch; no tick may build a node; bad prices fail on
-the stream as they do in update_prices.
+oracle is the tuple-backed loop oracle.replay: oracle.update_prices,
+reference_tick, with_nodes and mark_broken, with onbreak refits over a
+list-based trailing window. Every published version, read after the run
+has moved on, must equal the oracle's graph at its epoch; no tick may build
+a node; bad prices fail on the stream as they do in graph.update_prices.
 """
 
 import json
@@ -20,26 +20,13 @@ from hypothesis import strategies as st
 
 from cointwatch import graph as graphmod
 from cointwatch import synth
-from cointwatch.alert import (
-    RECOMPUTE_OFF,
-    RECOMPUTE_ON_BREAK,
-    AlertConfig,
-    reference_tick,
-    selective_recompute,
-    tick_loop,
-)
+from cointwatch.alert import RECOMPUTE_OFF, RECOMPUTE_ON_BREAK, AlertConfig, tick_loop
 from cointwatch.coint import PriceSeries
 from cointwatch.errors import CointwatchError
-from cointwatch.graph import (
-    ALERTED,
-    CLEAR,
-    SymbolNode,
-    mark_broken,
-    update_prices,
-    with_nodes,
-)
+from cointwatch.graph import ALERTED, CLEAR, SymbolNode, update_prices
 from cointwatch.pipeline import loads_graph
 
+import oracle
 from conftest import planted_instance
 
 # (seed, clusters, cluster size, independents)
@@ -49,24 +36,7 @@ PLANTED = [(400, 2, 4, 1), (401, 3, 3, 0)]
 def oracle_versions(g, ticks, config, history=None):
     """The tuple-backed graph after each tick; with a history, broken edges
     are refit on a list-based trailing window (stale symbols carried)."""
-    columns = {p.symbol: list(p.values) for p in history or ()}
-    versions = []
-    for tick in ticks:
-        g = update_prices(g, tick)
-        states, report = reference_tick(g, config)
-        g = with_nodes(g, {s.node.id: s.node for s in states if s.evaluated})
-        broken = [eid for eid, _ in report.broken_edges]
-        g = mark_broken(g, broken)
-        for symbol, col in columns.items():
-            price = g.node_of(symbol).last_price if symbol in g.symbol_ids else None
-            col.append(col[-1] if price is None else price)
-            del col[0]
-        if history and broken:
-            wid = f"trailing-{len(history[0])}@{g.epoch}"
-            window = [PriceSeries(symbol, col, wid) for symbol, col in columns.items()]
-            g, _ = selective_recompute(g, broken, window, config)
-        versions.append(g)
-    return versions
+    return [version for _, _, version in oracle.replay(g, ticks, config, history)]
 
 
 def draw_ticks(data, g, base, count, max_sigmas):

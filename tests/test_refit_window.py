@@ -4,10 +4,10 @@ The oracle keeps one Python list per history symbol (graph symbols and the
 rest alike), appends each node's last price after every tick (a stale node
 carries its price forward, a node never priced repeats its previous value),
 trims to the history length, and refits over the full window of every
-symbol. The ticks themselves run through reference_tick. tick_loop keeps the
-history as one array and builds series only for broken-edge endpoints; the
-reports, the refit outcomes and the final graph must be the same, byte for
-byte.
+symbol (oracle.replay). The ticks themselves run through reference_tick.
+tick_loop keeps the history as one array and builds series only for
+broken-edge endpoints; the reports, the refit outcomes and the final graph
+must be the same, byte for byte.
 """
 
 import re
@@ -18,18 +18,11 @@ from hypothesis import strategies as st
 
 from cointwatch import graph as graphmod
 from cointwatch import synth
-from cointwatch.alert import (
-    RECOMPUTE_OFF,
-    RECOMPUTE_ON_BREAK,
-    AlertConfig,
-    reference_tick,
-    selective_recompute,
-    tick_loop,
-)
+from cointwatch.alert import RECOMPUTE_OFF, RECOMPUTE_ON_BREAK, AlertConfig, tick_loop
 from cointwatch.coint import PriceSeries
 from cointwatch.errors import InsufficientWindow, MisalignedCalendar
-from cointwatch.graph import mark_broken, update_prices, with_nodes
 
+import oracle
 from conftest import planted_instance
 
 # (seed, clusters, cluster size, independents); independents are graph
@@ -40,26 +33,8 @@ PLANTED = [(200, 2, 4, 0), (201, 3, 3, 2), (202, 2, 5, 1)]
 def oracle_run(g, ticks, config, history):
     """Replay ticks with a list-based trailing window and full-window
     refits; returns (report lines, last_recompute per tick, final graph)."""
-    length = len(history[0])
-    columns = {p.symbol: list(p.values) for p in history}
     lines, summaries = [], []
-    for tick in ticks:
-        g = update_prices(g, tick)
-        states, report = reference_tick(g, config)
-        g = with_nodes(g, {s.node.id: s.node for s in states if s.evaluated})
-        broken = [eid for eid, _ in report.broken_edges]
-        g = mark_broken(g, broken)
-        for symbol, col in columns.items():
-            node = g.nodes[g.symbol_ids[symbol]] if symbol in g.symbol_ids else None
-            price = node.last_price if node is not None else None
-            col.append(price if price is not None else col[-1])
-            if len(col) > length:
-                del col[0]
-        summary = None
-        if broken:
-            wid = f"trailing-{length}@{g.epoch}"
-            window = [PriceSeries(symbol, col, wid) for symbol, col in columns.items()]
-            g, summary = selective_recompute(g, broken, window, config)
+    for report, summary, g in oracle.replay(g, ticks, config, history):
         lines.append(report.to_json())
         summaries.append(summary)
     return lines, summaries, g

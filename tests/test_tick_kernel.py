@@ -1,10 +1,10 @@
-"""The columnar tick kernel against the vertex-program oracle.
+"""The columnar tick kernel against the per-node reference.
 
-tick_loop runs every tick through tick_kernel; reference_tick runs the same
-tick as a plain loop over nodes (each node's AlertVertexProgram.compute fed
-its neighbours' prices by price_broadcast_messages, then assemble_report).
-Both must publish the same report bytes and the same node versions, tick
-after tick.
+tick_loop runs every tick through tick_kernel; oracle.replay runs the same
+ticks through oracle.reference_tick, a plain loop over nodes (each node's
+AlertVertexProgram.compute fed its neighbours' prices by
+price_broadcast_messages, then assemble_report). Both must publish the
+same report bytes and the same node versions, tick after tick.
 """
 
 import pytest
@@ -13,12 +13,13 @@ from hypothesis import strategies as st
 
 from cointwatch import alert, synth
 from cointwatch import graph as graphmod
-from cointwatch.alert import AlertConfig, reference_tick, tick_loop
+from cointwatch.alert import AlertConfig, tick_loop
 from cointwatch.coint import PairResult
 from cointwatch.errors import ZeroSigma
-from cointwatch.graph import build_graph, mark_broken, replace_models, update_prices, with_nodes
+from cointwatch.graph import build_graph, replace_models, update_prices
 
 from conftest import dummy_model, planted_instance
+from oracle import reference_tick, replay
 
 # (seed, clusters, cluster size); every within-cluster ordered pair is an
 # edge, so each pair of symbols is wired both ways
@@ -40,11 +41,7 @@ def oracle_loop(g, ticks, config, health_fn=None):
     """Replay ticks through the reference path; returns (report lines,
     final graph)."""
     lines = []
-    for tick in ticks:
-        g = update_prices(g, tick)
-        states, report = reference_tick(g, config, health_fn)
-        g = with_nodes(g, {s.node.id: s.node for s in states if s.evaluated})
-        g = mark_broken(g, [eid for eid, _ in report.broken_edges])
+    for report, _, g in replay(g, ticks, config, health_fn=health_fn):
         lines.append(report.to_json())
     return lines, g
 
