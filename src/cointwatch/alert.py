@@ -41,7 +41,9 @@ and errors are those of one coint_fit per edge, and the refit models'
 pvalue and adf_stat agree with coint_fit's to rounding. The refits and
 removals are published as one column patch (graph._patch): each column is
 copied once. With recompute off no history is kept. selective_recompute
-stacks its window's endpoint series and runs the same refit (_refit).
+holds its window as the same _History, with no tick column appended, and
+runs the same refit (_History.refit). Either way a window whose series
+differ in window id or length raises MisalignedCalendar before any fit.
 """
 
 from __future__ import annotations
@@ -294,15 +296,17 @@ def selective_recompute(
     flag cleared); one that does not is removed from the graph. Edges not
     listed are left untouched (same rows, same bytes).
 
-    The broken ids are looked up in one pass, and the distinct endpoint
-    series are stacked once, however many broken edges share them; the
-    edges are then refit as index pairs into that stack (_refit). Endpoint
-    series that differ in window id or length are not stacked: every edge
-    then goes to coint_fit. Outcomes, OLS fields and errors are those of
-    one coint_fit per edge in edge-id order; pvalue and adf_stat agree with
-    it to rounding.
+    The window is held as the tick stream holds its history (_History), and
+    must be aligned as that history must: every series of one window id and
+    length, symbols the graph lacks included. The broken ids are looked up
+    in one pass and refit as the tick's are (_History.refit), on the window
+    as given. Outcomes, OLS fields and errors are those of one coint_fit
+    per edge in edge-id order; pvalue and adf_stat agree with it to
+    rounding.
 
     Raises:
+        MisalignedCalendar: the window's series differ in window id or
+            length; raised before any id is looked up or any edge fitted.
         UnknownEdge: a broken id is not an edge of g.
         InsufficientWindow: the window lacks an endpoint's symbol, or is
             too short to fit.
@@ -313,131 +317,50 @@ def selective_recompute(
             long enough) or a fit that overflows carries no testable leash,
             so the edge is removed.
     """
-    rows, invalid = g.columns._lookup(sorted(set(broken)))
     window = list(window)
-    sources, src, dst, missing = _endpoints(g, rows, _node_rows(g, [p.symbol for p in window]))
-    series = [window[k] for k in sources.tolist()]
-    values = window_id = None
-    # one window: every endpoint series shares one window id and length
-    if len({(p.window_id, len(p)) for p in series}) == 1:
-        values = np.array([p.values for p in series])
-        window_id = series[0].window_id
-    out = _refit(g, rows[: len(src)], values, src, dst, window_id, series.__getitem__, config)
-    # an edge that cannot be looked up raises once the edges before it are
-    # fitted, as one coint_fit per edge in id order would
-    if missing is not None:
-        raise missing
+    history = _History(window, g)
+    rows, invalid = g.columns._lookup(sorted(set(broken)))
+    # an empty window fits nothing, so its id is never read
+    out = history.refit(g, rows, window[0].window_id if window else "", config)
+    # an id that is not an edge raises once the edges before it are fitted,
+    # as one coint_fit per edge in id order would
     if invalid is not None:
         raise invalid
     return out
 
 
-def _node_rows(g: CointGraph, symbols: Sequence[str]) -> np.ndarray:
-    """Each node id's row among symbols, -1 for a node they lack; a symbol
-    listed twice keeps its last row."""
-    by_node = {g.symbol_ids[s]: row for row, s in enumerate(symbols) if s in g.symbol_ids}
-    rows = np.full(g.n_nodes, -1, dtype=np.intp)
-    rows[list(by_node)] = list(by_node.values())
-    return rows
-
-
-def _endpoints(
-    g: CointGraph, rows: np.ndarray, node_rows: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, InsufficientWindow | None]:
-    """Where the endpoints of the edges at rows sit in a price window.
-
-    node_rows maps each node id to its row of the window, -1 for a node the
-    window lacks. Returns (sources, src, dst, missing): the window rows of
-    the distinct endpoints, ascending; each edge's src and dst as indices
-    into sources; and, when an endpoint is missing, the InsufficientWindow
-    naming the first such symbol in edge order (src before dst), with src
-    and dst covering only the edges before its edge.
-    """
-    src, dst = node_rows[g.columns.src[rows]], node_rows[g.columns.dst[rows]]
-    lacking = np.flatnonzero((src < 0) | (dst < 0))
-    missing = None
-    if len(lacking):
-        edge = int(lacking[0])
-        node = g.columns.src[rows[edge]] if src[edge] < 0 else g.columns.dst[rows[edge]]
-        missing = InsufficientWindow(f"window does not cover symbol {g.symbol(node)!r}")
-        src, dst = src[:edge], dst[:edge]
-    # np.unique would do, but its first call imports numpy.ma (~1 MB)
-    sources = np.flatnonzero(np.bincount(np.concatenate((src, dst))))
-    return sources, sources.searchsorted(src), sources.searchsorted(dst), missing
-
-
-def _refit(
-    g: CointGraph,
-    rows: np.ndarray,
-    values: np.ndarray | None,
-    src: np.ndarray,
-    dst: np.ndarray,
-    window_id: str | None,
-    series: Callable[[int], PriceSeries],
-    config: AlertConfig,
-) -> tuple[CointGraph, RecomputeSummary]:
-    """Refit the edges at rows (ascending) as index pairs into one stacked
-    window, and publish the outcome as one column patch (graph._patch).
-
-    values holds one price series per row, all of window window_id, and
-    edge r is the pair values[src[r]] -> values[dst[r]]; values is None
-    when the series do not share one window, and every edge then goes to
-    coint_fit. The edges are fitted together (coint.fit_pairs); series(i)
-    gives row i as a PriceSeries, and is called only for the edges
-    fit_pairs declines, which coint_fit decides in row order. An edge is
-    refit when its pvalue < config.epsilon; it is removed otherwise, and
-    when coint_fit finds no testable leash (DegeneratePair,
-    DegenerateRegressor, SingularDesign, NonFiniteFit).
-
-    Raises:
-        InsufficientWindow: coint_fit finds the window too short (TooShort).
-        Whatever else coint_fit raises on a declined edge.
-    """
-    n = len(rows)
-    if values is None or not n:
-        fields, ok = np.empty((n, 6)), np.zeros(n, dtype=bool)
-    else:
-        fields, ok = fit_pairs(values, src, dst)
-    window_ids = np.full(n, window_id, dtype=object)
-    for r in np.flatnonzero(~ok).tolist():
-        x, y = series(src[r]), series(dst[r])
-        try:
-            model = coint_fit(x, y)
-        except TooShort as exc:
-            raise InsufficientWindow(f"{x.symbol}->{y.symbol}: {exc}") from exc
-        except (DegeneratePair, DegenerateRegressor, SingularDesign, NonFiniteFit):
-            continue
-        fields[r] = [getattr(model, name) for name in ScanResult.FIELDS]
-        window_ids[r] = model.window_id
-        ok[r] = True
-    refit = ok & (fields[:, 4] < config.epsilon)  # pvalue
-    eids = g.columns.eid[rows]
-    out = graphmod._patch(g, rows[refit], fields[refit], window_ids[refit], rows[~refit])
-    return out, RecomputeSummary(tuple(eids[refit].tolist()), tuple(eids[~refit].tolist()))
-
-
 class _History:
-    """Trailing price window used for selective refits.
+    """A price window for selective refits: the tick stream's trailing
+    history, or the window cointwatch recompute is given.
 
-    One float64 row per graph symbol the supplied history holds (refits
+    One float64 row per graph symbol the supplied window holds (refits
     touch edge endpoints only), and each graph node's row in it (rows, -1
-    for a node the history lacks; a symbol listed twice keeps its last
-    row), resolved once. The columns form a ring: column `start` holds the
-    oldest price, and the one before it the newest. A tick first makes its
-    column (column), refits its broken edges on the window with that column
+    for a node the window lacks; a symbol listed twice keeps its last row),
+    resolved once. An empty window has length 0 and no rows. Under a tick
+    stream the columns form a ring: column `start` holds the oldest price,
+    and the one before it the newest. A tick first makes its column
+    (column), refits its broken edges on the window with that column
     appended (refit), and only once it publishes overwrites the oldest
     column with it (push), so a tick costs O(symbols) and a failed tick
     leaves the history as it was.
+
+    Raises:
+        MisalignedCalendar: the window's series differ in window id or
+            length (coint.check_aligned).
     """
 
     def __init__(self, window: Sequence[PriceSeries], g: CointGraph):
-        check_aligned(window)
+        self.length = 0
+        if window:
+            check_aligned(window)
+            self.length = len(window[0])
         kept = [p for p in window if p.symbol in g.symbol_ids]
-        self.length = len(window[0])
         self.symbols = [p.symbol for p in kept]
         node_ids = [g.symbol_ids[p.symbol] for p in kept]
         self.node_ids = np.array(node_ids, dtype=np.intp)
-        self.rows = _node_rows(g, self.symbols)
+        by_node = {nid: row for row, nid in enumerate(node_ids)}
+        self.rows = np.full(g.n_nodes, -1, dtype=np.intp)
+        self.rows[list(by_node)] = list(by_node.values())
         self.prices = np.array([p.values for p in kept], dtype=np.float64).reshape(
             len(kept), self.length
         )
@@ -459,35 +382,72 @@ class _History:
             self.start = (self.start + 1) % self.length
 
     def refit(
-        self, g: CointGraph, rows: np.ndarray, epoch: int, column: np.ndarray, config: AlertConfig
+        self,
+        g: CointGraph,
+        rows: np.ndarray,
+        window_id: str,
+        config: AlertConfig,
+        column: np.ndarray | None = None,
     ) -> tuple[CointGraph, RecomputeSummary]:
-        """_refit of the edges at rows on the trailing window as it will be
-        once `column` is pushed: the endpoints' rows of the ring, oldest
-        price first, as one block. A PriceSeries is built only for a row
-        an edge fit_pairs declines reads.
+        """Refit the edges at rows (ascending) on the window, and publish
+        the outcome as one column patch (graph._patch).
+
+        Given a tick's column, the window is the trailing one as it will be
+        once the column is pushed. The rows of the edges' distinct
+        endpoints, oldest price first, form one block, and edge r is the
+        pair of its src and dst rows in it; the edges are fitted together
+        (coint.fit_pairs). A PriceSeries of window_id is built only for the
+        rows of an edge fit_pairs declines, which coint_fit decides in row
+        order. An edge is refit when its pvalue < config.epsilon; it is
+        removed otherwise, and when coint_fit finds no testable leash
+        (DegeneratePair, DegenerateRegressor, SingularDesign,
+        NonFiniteFit).
 
         Raises:
-            InsufficientWindow: the history lacks an endpoint's symbol
-                (once the edges before it are fitted), or is too short.
+            InsufficientWindow: the window lacks an endpoint's symbol,
+                naming the first such symbol in edge order (src before dst)
+                once the edges before its edge are fitted; or coint_fit
+                finds the window too short (TooShort).
+            Whatever else coint_fit raises on a declined edge.
         """
-        sources, src, dst, missing = _endpoints(g, rows, self.rows)
+        columns = g.columns
+        src, dst = self.rows[columns.src[rows]], self.rows[columns.dst[rows]]
+        lacking = np.flatnonzero((src < 0) | (dst < 0))
+        missing = None
+        if len(lacking):
+            edge = int(lacking[0])
+            node = columns.src[rows[edge]] if src[edge] < 0 else columns.dst[rows[edge]]
+            missing = InsufficientWindow(f"window does not cover symbol {g.symbol(node)!r}")
+            rows, src, dst = rows[:edge], src[:edge], dst[:edge]
+        # np.unique would do, but its first call imports numpy.ma (~1 MB)
+        sources = np.flatnonzero(np.bincount(np.concatenate((src, dst))))
+        src, dst = sources.searchsorted(src), sources.searchsorted(dst)
         block = self.prices[sources]
-        if self.length:
+        if column is not None and self.length:
             block[:, self.start] = column[sources]
             # oldest first: the columns after the overwritten one, then the
             # rest up to the new column
             split = self.start + 1
             block = np.concatenate((block[:, split:], block[:, :split]), axis=1)
-        wid = f"trailing-{self.length}@{epoch}"
-        symbols = self.symbols
 
-        def series(i: int) -> PriceSeries:
-            return PriceSeries(symbols[sources[i]], block[i], wid)
-
-        out = _refit(g, rows[: len(src)], block, src, dst, wid, series, config)
+        fields, ok = fit_pairs(block, src, dst)
+        for r in np.flatnonzero(~ok).tolist():
+            x = PriceSeries(self.symbols[sources[src[r]]], block[src[r]], window_id)
+            y = PriceSeries(self.symbols[sources[dst[r]]], block[dst[r]], window_id)
+            try:
+                model = coint_fit(x, y)
+            except TooShort as exc:
+                raise InsufficientWindow(f"{x.symbol}->{y.symbol}: {exc}") from exc
+            except (DegeneratePair, DegenerateRegressor, SingularDesign, NonFiniteFit):
+                continue
+            fields[r] = [getattr(model, name) for name in ScanResult.FIELDS]
+            ok[r] = True
         if missing is not None:
             raise missing
-        return out
+        refit = ok & (fields[:, 4] < config.epsilon)  # pvalue
+        eids = columns.eid[rows]
+        out = graphmod._patch(g, rows[refit], fields[refit], window_id, rows[~refit])
+        return out, RecomputeSummary(tuple(eids[refit].tolist()), tuple(eids[~refit].tolist()))
 
 
 class TickStream:
@@ -573,7 +533,8 @@ class TickStream:
             # each broken edge is refit, which clears its flag, or removed,
             # so none is marked broken first
             rows = g.columns.rows(broken_ids)
-            g, summary = self._history.refit(g, rows, epoch, column, self.config)
+            wid = f"trailing-{self._history.length}@{epoch}"
+            g, summary = self._history.refit(g, rows, wid, self.config, column)
         elif broken_ids:
             g = graphmod.mark_broken(g, broken_ids)
 

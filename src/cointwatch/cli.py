@@ -121,12 +121,13 @@ def _cmd_run(args) -> int:
     config = alert.AlertConfig(
         sigma_k=args.sigma, epsilon=args.epsilon, global_fraction=args.global_fraction
     )
+    # only onbreak refits read the price history
     history = None
-    if args.prices is not None:
+    if args.recompute == alert.RECOMPUTE_ON_BREAK:
+        if args.prices is None:
+            raise CointwatchError("--recompute onbreak requires --prices for the refit window")
         _, window = _window_series(args.prices, args.window_start, args.window_end)
         history = window.series
-    if args.recompute == alert.RECOMPUTE_ON_BREAK and history is None:
-        raise CointwatchError("--recompute onbreak requires --prices for the refit window")
 
     stream = alert.tick_loop(
         g,
@@ -335,20 +336,20 @@ def main(argv=None) -> int:
     start, end = getattr(args, "window_start", None), getattr(args, "window_end", None)
     if start is not None and end is not None and start > end:
         return parser.exit_with(f"window start {start} is after end {end}")
-    if args.command == "gen" and args.kind != "universe":
-        if args.graph is None or args.prices is None:
-            return parser.exit_with(f"gen {args.kind} requires --graph and --prices")
-    if args.command == "gen" and args.kind == "universe":
-        if args.clusters * args.cluster_size + args.independents == 0:
-            return parser.exit_with(
-                "gen universe needs at least one symbol: --clusters x --cluster-size "
-                "+ --independents is 0"
-            )
-    if args.command == "gen" and args.kind == "shock" and args.symbol is None:
+    # each gen kind checks only the flags it reads
+    kind = args.kind if args.command == "gen" else None
+    if kind in ("ticks", "shock", "turbulent") and (args.graph is None or args.prices is None):
+        return parser.exit_with(f"gen {kind} requires --graph and --prices")
+    if kind == "universe" and args.clusters * args.cluster_size + args.independents == 0:
+        return parser.exit_with(
+            "gen universe needs at least one symbol: --clusters x --cluster-size "
+            "+ --independents is 0"
+        )
+    if kind == "shock" and args.symbol is None:
         return parser.exit_with("gen shock requires --symbol")
-    if args.command == "gen" and not 0.0 < args.sigmas < math.inf:
+    if kind in ("shock", "turbulent") and not 0.0 < args.sigmas < math.inf:
         return parser.exit_with(f"--sigmas must be a positive finite number, got {args.sigmas}")
-    if args.command == "gen" and not 0.0 < args.fraction <= 1.0:
+    if kind == "turbulent" and not 0.0 < args.fraction <= 1.0:
         return parser.exit_with(f"--fraction must be in (0, 1], got {args.fraction}")
     try:
         return args.func(args)

@@ -5,7 +5,9 @@ ols_fit's exact arithmetic, one stacked ADF solve, and coint_fit itself for
 every row the batch cannot vouch for. per_edge_recompute, the loop it
 replaced, is the oracle: the summaries, the OLS fields and every exception
 must match exactly, the ADF statistic and p-value to rounding, and edges
-not refit must stay as they were.
+not refit must stay as they were. A window whose series differ in window id
+or length, which the loop would fit edge by edge, is rejected by both refit
+callers before any fit, with check_aligned's error.
 """
 
 import re
@@ -15,16 +17,21 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from cointwatch import alert, coint, stats, synth
 from cointwatch import graph as graphmod
-from cointwatch import stats, synth
-from cointwatch.alert import AlertConfig, RecomputeSummary, selective_recompute
-from cointwatch.coint import PairResult, PriceSeries, coint_fit, scan_pairs
+from cointwatch.alert import (
+    RECOMPUTE_ON_BREAK,
+    AlertConfig,
+    RecomputeSummary,
+    selective_recompute,
+    tick_loop,
+)
+from cointwatch.coint import PairResult, PriceSeries, check_aligned, coint_fit, scan_pairs
 from cointwatch.errors import (
     CointwatchError,
     DegeneratePair,
     DegenerateRegressor,
     InsufficientWindow,
-    LengthMismatch,
     MisalignedCalendar,
     SingularDesign,
     TooShort,
@@ -97,6 +104,26 @@ def assert_matches_oracle(g, broken, window, config=AlertConfig()):
         assert m.adf_stat == pytest.approx(w.adf_stat, rel=1e-9, abs=1e-9)
         assert m.pvalue == pytest.approx(w.pvalue, rel=1e-9)
     return got_summary
+
+
+def assert_rejected_before_any_fit(monkeypatch, g, broken, window):
+    """Both refit callers, selective_recompute and an onbreak TickStream,
+    raise check_aligned(window)'s class and message, and fit nothing."""
+    with pytest.raises(MisalignedCalendar) as want:
+        check_aligned(window)
+    calls = []
+    for name in ("fit_pairs", "coint_fit"):
+        real = getattr(coint, name)
+        monkeypatch.setattr(
+            alert, name, lambda *a, _name=name, _real=real: calls.append(_name) or _real(*a)
+        )
+    message = f"^{re.escape(str(want.value))}$"
+    with pytest.raises(MisalignedCalendar, match=message):
+        selective_recompute(g, broken, window, AlertConfig(epsilon=0.5))
+    tick = {g.symbol(n): 100.0 for n in range(g.n_nodes)}
+    with pytest.raises(MisalignedCalendar, match=message):
+        next(tick_loop(g, [tick], AlertConfig(epsilon=0.5), RECOMPUTE_ON_BREAK, window))
+    assert calls == []
 
 
 @pytest.fixture(scope="module")
@@ -180,10 +207,9 @@ def test_ill_conditioned_row_equals_coint_fit():
     assert_matches_oracle(g, [0, 1], [x, y, z], AlertConfig(epsilon=0.5))
 
 
-def test_a_misaligned_window_refits_every_edge_with_coint_fit():
-    # the endpoint series span two windows of different lengths: none is
-    # stacked, and every edge gets coint_fit's own model, pvalue and
-    # adf_stat bits included
+def test_a_window_of_two_calendars_fits_no_edge(monkeypatch):
+    # each edge's endpoints share one window, but the window as a whole
+    # spans two, of different lengths: nothing is fitted
     rng = np.random.default_rng(9)
     window = []
     for (a, b), n, window_id in ((("X", "Y"), 250, "w"), (("Z", "V"), 200, "v")):
@@ -192,11 +218,7 @@ def test_a_misaligned_window_refits_every_edge_with_coint_fit():
                    PriceSeries(b, 7.0 + 0.5 * x + rng.standard_normal(n), window_id)]
     results = [PairResult(a, b, dummy_model(), admitted=True) for a, b in (("X", "Y"), ("Z", "V"))]
     g = build_graph(results, epsilon=1.0, symbols=["V", "X", "Y", "Z"])
-    g2, summary = selective_recompute(g, [0, 1], window, AlertConfig(epsilon=0.5))
-    assert summary == RecomputeSummary(refitted=(0, 1))
-    assert g2.edges[0].model == coint_fit(window[0], window[1])
-    assert g2.edges[1].model == coint_fit(window[2], window[3])
-    assert_matches_oracle(g, [0, 1], window, AlertConfig(epsilon=0.5))
+    assert_rejected_before_any_fit(monkeypatch, g, [0, 1], window)
 
 
 def test_refit_on_the_build_window_reproduces_the_scan():
@@ -211,33 +233,28 @@ def test_refit_on_the_build_window_reproduces_the_scan():
         assert repr(g2.edges[eid].model) == repr(edge.model)
 
 
-def test_windows_of_two_lengths_and_a_misaligned_pair(planted):
+def test_windows_of_two_lengths_and_a_misaligned_pair(planted, monkeypatch):
     g, _, series = planted[0]
     clusters = {}
     for edge in g.edges.values():
         clusters.setdefault(edge.src, set()).add(edge.dst)
     # symbols of one cluster get 120 days, the rest 250: every edge stays
-    # within one length, and the batch sees two lengths at once
+    # within one length, but the window holds two
     first = min(clusters)
     short = {g.nodes[v].symbol for v in clusters[first] | {first}}
     window = [
         PriceSeries(p.symbol, p.values[-120:] if p.symbol in short else p.values, p.window_id)
         for p in series
     ]
-    summary = assert_matches_oracle(g, list(g.edges), window)
-    assert summary is not None
-    # one shortened symbol outside its cluster: LengthMismatch, as before
+    assert_rejected_before_any_fit(monkeypatch, g, list(g.edges), window)
+    # one shortened symbol outside its cluster
     other = next(p for p in series if p.symbol not in short and g.symbol_ids[p.symbol] in clusters)
     window = [PriceSeries(p.symbol, p.values[-120:], p.window_id) if p is other else p
               for p in series]
-    with pytest.raises(LengthMismatch):
-        per_edge_recompute(g, list(g.edges), window, AlertConfig())
-    assert_matches_oracle(g, list(g.edges), window)
-    # one symbol from another window: MisalignedCalendar, as before
+    assert_rejected_before_any_fit(monkeypatch, g, list(g.edges), window)
+    # one symbol from another window
     window = [PriceSeries(p.symbol, p.values, "elsewhere") if p is other else p for p in series]
-    with pytest.raises(MisalignedCalendar):
-        per_edge_recompute(g, list(g.edges), window, AlertConfig())
-    assert_matches_oracle(g, list(g.edges), window)
+    assert_rejected_before_any_fit(monkeypatch, g, list(g.edges), window)
 
 
 def test_repeated_price_window_is_removed():
@@ -275,39 +292,72 @@ def test_constant_symbol_rows():
     assert {ids["W1", "K"], ids["K", "W0"]} <= set(summary.removed)
 
 
-@pytest.mark.parametrize("later", ["missing symbol", "unknown id"])
-@pytest.mark.parametrize(
-    "defect, error",
-    [("short", LengthMismatch), ("elsewhere", MisalignedCalendar),
-     ("constant", DegenerateRegressor)],
-)
-def test_earlier_fit_error_wins_over_a_later_invalid_id(defect, error, later):
-    # the per-edge loop fits edge A->B before it reaches the later id, so
-    # A->B's fit error is raised, not the later id's; a constant A is the
-    # exception: its DegenerateRegressor removes A->B, and the later id's
-    # error is raised
+def abcd_instance(constant=False):
+    """A->B and C->D over random walks of A, B, C and D (A constant if
+    asked), one window of 120 days; returns (g, window, edge ids)."""
     rng = np.random.default_rng(10)
     walks = {s: 100.0 + np.cumsum(rng.standard_normal(120)) for s in "ABCD"}
-    if defect == "constant":
+    if constant:
         walks["A"] = np.full(120, 42.0)
     window = [PriceSeries(s, v, "w") for s, v in walks.items()]
-    if defect == "short":
-        window[1] = PriceSeries("B", walks["B"][-80:], "w")
-    elif defect == "elsewhere":
-        window[1] = PriceSeries("B", walks["B"], "elsewhere")
     results = [PairResult(a, b, dummy_model(), admitted=True) for a, b in (("A", "B"), ("C", "D"))]
     g = build_graph(results, epsilon=1.0, symbols=list("ABCD"))
     ids = {(g.nodes[e.src].symbol, g.nodes[e.dst].symbol): e.id for e in g.edges.values()}
     assert ids["A", "B"] < ids["C", "D"]
+    return g, window, ids
+
+
+@pytest.mark.parametrize("later", ["missing symbol", "unknown id"])
+@pytest.mark.parametrize("defect, error", [("constant", DegenerateRegressor)])
+def test_earlier_fit_error_wins_over_a_later_invalid_id(defect, error, later):
+    # the per-edge loop fits edge A->B before it reaches the later id, so
+    # A->B's fit error would be raised, not the later id's; but a constant
+    # A's DegenerateRegressor removes A->B, and the later id's error is
+    # raised
+    g, window, ids = abcd_instance(constant=True)
+    with pytest.raises(error):
+        coint_fit(window[0], window[1])
     if later == "missing symbol":
         window = window[:3]
         broken = [ids["C", "D"], ids["A", "B"]]
     else:
         broken = [max(g.edges) + 1, ids["A", "B"]]
-    if defect == "constant":
-        error = InsufficientWindow if later == "missing symbol" else CointwatchError
-    with pytest.raises(error):
+    wins = InsufficientWindow if later == "missing symbol" else CointwatchError
+    with pytest.raises(wins):
         per_edge_recompute(g, broken, window, AlertConfig(epsilon=0.5))
-    with pytest.raises(error):
+    with pytest.raises(wins):
         selective_recompute(g, broken, window, AlertConfig(epsilon=0.5))
     assert_matches_oracle(g, broken, window, AlertConfig(epsilon=0.5))
+
+
+@pytest.mark.parametrize("broken", ["missing symbol", "unknown id", "no id"])
+@pytest.mark.parametrize("defect", ["short", "elsewhere", "short extra", "elsewhere extra"])
+def test_a_misaligned_window_fits_nothing(monkeypatch, defect, broken):
+    # B, or a symbol the graph lacks, is shorter than the rest or from
+    # another window: that is raised before any id is looked up, whatever
+    # the broken list holds
+    g, window, ids = abcd_instance()
+    bad = window[1]
+    if defect.endswith("extra"):
+        bad = PriceSeries("E", bad.values * 2.0, "w")
+        window.append(bad)
+    bad = (PriceSeries(bad.symbol, bad.values[-80:], "w") if defect.startswith("short")
+           else PriceSeries(bad.symbol, bad.values, "elsewhere"))
+    window = [bad if p.symbol == bad.symbol else p for p in window]
+    if broken == "missing symbol":
+        window = window[:3] + window[4:]
+        broken = [ids["C", "D"], ids["A", "B"]]
+    else:
+        broken = [max(g.edges) + 1, ids["A", "B"]] if broken == "unknown id" else []
+    assert_rejected_before_any_fit(monkeypatch, g, broken, window)
+
+
+@pytest.mark.parametrize("broken", [[], [0], [1, 0], [7, 0], [-1]])
+def test_an_empty_window(broken):
+    # with ids, the first edge's source is missing; with none, nothing
+    # changes
+    g, _, _ = abcd_instance()
+    assert_matches_oracle(g, broken, [])
+    if not broken:
+        out, summary = selective_recompute(g, broken, [], AlertConfig())
+        assert out is g and summary == RecomputeSummary()

@@ -258,6 +258,27 @@ class TestRunCommand:
         after = load_graph(out_graph)
         assert all(after.edges[eid].broken for eid in broken_ids)
 
+    def test_recompute_off_does_not_read_prices(self, tmp_path, built_graph, universe_csv):
+        # only onbreak refits read the price history, so off never opens it
+        ticks = tmp_path / "shock.csv"
+        symbol = load_graph(built_graph).nodes[0].symbol
+        argv = [
+            "gen", "shock", "--graph", str(built_graph), "--prices", str(universe_csv),
+            "--symbol", symbol, "--out", str(ticks),
+        ]
+        assert run(argv) == 0
+        outs = []
+        for prices in ([], ["--prices", str(tmp_path / "nope.csv")]):
+            out = tmp_path / f"reports{len(outs)}.jsonl"
+            argv = [
+                "run", "--graph", str(built_graph), "--ticks", str(ticks),
+                "--recompute", "off", *prices, "--out", str(out),
+            ]
+            assert run(argv) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        assert b'"broken_edges":[]' not in outs[0]
+
     def test_corrupt_graph_is_data_error(self, tmp_path, universe_csv):
         bad = tmp_path / "bad.json"
         bad.write_text('{"epoch": -1}')
@@ -560,3 +581,28 @@ class TestGen:
         assert run(argv) == 1
         assert flag in capsys.readouterr().err
         assert not out.exists() and not expected.exists()
+
+    @pytest.mark.parametrize(
+        "kind, flag, value",
+        [
+            ("universe", "--sigmas", "0"),
+            ("universe", "--fraction", "2"),
+            ("ticks", "--sigmas", "-1"),
+            ("ticks", "--fraction", "2"),
+            ("shock", "--fraction", "0"),
+        ],
+    )
+    def test_flags_a_kind_does_not_read_are_not_checked(
+        self, tmp_path, built_graph, universe_csv, kind, flag, value
+    ):
+        # --sigmas is read by shock and turbulent only, --fraction by turbulent
+        if kind == "universe":
+            args = ["--days", "50"]
+        else:
+            args = ["--graph", str(built_graph), "--prices", str(universe_csv), "--symbol", "C0S00"]
+        outs = []
+        for extra in ([], [flag, value]):
+            out = tmp_path / f"out{len(outs)}.csv"
+            assert run(["gen", kind, *args, *extra, "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
