@@ -41,7 +41,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain, islice
 from operator import attrgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -447,8 +447,22 @@ class CointGraph:
         )
 
 
+class PairColumns(NamedTuple):
+    """Fitted pairs as columns, as build_graph reads them: a symbol table,
+    each pair's src and dst indices into it (intp), its (n, 6)
+    ScanResult.FIELDS floats (float64) and its window id (object)."""
+
+    symbols: Sequence[str]
+    src: np.ndarray
+    dst: np.ndarray
+    fields: np.ndarray
+    window_ids: np.ndarray
+
+
 def build_graph(
-    results: ScanResult | Iterable[PairResult], epsilon: float, symbols: Sequence[str]
+    results: ScanResult | PairColumns | Iterable[PairResult],
+    epsilon: float,
+    symbols: Sequence[str],
 ) -> CointGraph:
     """Assemble the graph from scanned pair results.
 
@@ -458,9 +472,9 @@ def build_graph(
     can be re-thresholded without refitting. Edge ids follow (src, dst)
     symbol order.
 
-    results is a ScanResult or PairResults; PairResults are first turned
-    into the columns a ScanResult holds. The admitted rows are then sliced
-    from those columns into EdgeColumns.of_lists.
+    results is a ScanResult, PairColumns or PairResults; a ScanResult and
+    PairResults are first turned into PairColumns. The admitted rows are
+    then sliced from those columns into EdgeColumns.of_lists.
 
     Raises:
         DuplicateEdge: the results repeat an ordered (src, dst) pair of
@@ -489,14 +503,15 @@ def build_graph(
     return CointGraph(node_source=nodes, columns=columns, epoch=0, symbol_ids=symbol_ids)
 
 
-def _columns(results: ScanResult | Iterable[PairResult]) -> tuple:
-    """The columns of a ScanResult, or of PairResults in the order given:
-    a symbol table, src and dst indices into it (intp), the (n, 6)
-    ScanResult.FIELDS floats (float64) and a window id per row (object)."""
+def _columns(results: ScanResult | PairColumns | Iterable[PairResult]) -> PairColumns:
+    """The columns of a ScanResult, of PairColumns, or of PairResults in
+    the order given."""
+    if isinstance(results, PairColumns):
+        return results
     if isinstance(results, ScanResult):
         one = np.array([results.window_id], dtype=object)
         window_ids = np.broadcast_to(one, len(results.src))
-        return results.symbols, results.src, results.dst, results.fields, window_ids
+        return PairColumns(results.symbols, results.src, results.dst, results.fields, window_ids)
     results = list(results)
     models = [r.model for r in results]
     index: dict[str, int] = {}
@@ -505,7 +520,7 @@ def _columns(results: ScanResult | Iterable[PairResult]) -> tuple:
     floats = chain.from_iterable(map(attrgetter(*_MODEL_FLOATS), models))
     fields = np.fromiter(floats, np.float64, 6 * len(models)).reshape(len(models), 6)
     window_ids = np.array([m.window_id for m in models], dtype=object)
-    return tuple(index), ends[:, 0], ends[:, 1], fields, window_ids
+    return PairColumns(tuple(index), ends[:, 0], ends[:, 1], fields, window_ids)
 
 
 def _edge_rows(
@@ -622,21 +637,6 @@ def mark_broken(g: CointGraph, edge_ids: Iterable[int]) -> CointGraph:
     broken = g.columns.broken.copy()
     broken[rows] = True
     return replace(g, columns=replace(g.columns, broken=broken))
-
-
-def replace_models(g: CointGraph, models: Mapping[int, CointModel]) -> CointGraph:
-    """Swap in refit models, keyed by edge id, and clear their broken flags;
-    UnknownEdge for an id that is not an edge. No model gives the same
-    version."""
-    rows = g.columns.rows(models)
-    fields = [[getattr(m, name) for name in _MODEL_FLOATS] for m in models.values()]
-    return _patch(
-        g,
-        rows,
-        np.array(fields, dtype=np.float64).reshape(len(rows), len(_MODEL_FLOATS)),
-        [m.window_id for m in models.values()],
-        _NO_ROWS,
-    )
 
 
 def _patch(
@@ -880,16 +880,67 @@ def _dot_quote(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+# one edge of the canonical JSON, keys sorted: broken, dst, id, the model's
+# floats and quoted window id, src
+_EDGE_TEMPLATE = (
+    '{"broken":%s,"dst":%d,"id":%d,"model":{"adf_stat":%r,"beta0":%r,"beta1":%r,'
+    '"pvalue":%r,"resid_mean":%r,"resid_std":%r,"window_id":%s},"src":%d}'
+)
+_TEMPLATE_FLOATS = tuple(sorted(_MODEL_FLOATS))
+
+
+def _edges_json(c: EdgeColumns) -> str | None:
+    """The edges' JSON array, byte for byte as json.dumps writes
+    _edges_to_obj(c) with sorted keys and no whitespace, from
+    _EDGE_TEMPLATE; None when a value is one the template cannot vouch
+    for: a non-finite model float (json.dumps writes NaN or Infinity) or a
+    window id that is not a str.
+
+    ids, endpoints and broken flags are ints and bools by their dtypes,
+    and a finite float's JSON is its repr, as json.dumps writes it; each
+    distinct window id is quoted by json.dumps once.
+    """
+    window_ids = c.window_id.tolist()
+    if not all(type(w) is str for w in window_ids):
+        return None
+    floats = [getattr(c, name) for name in _TEMPLATE_FLOATS]
+    if not all(np.isfinite(column).all() for column in floats):
+        return None
+    quoted = {w: json.dumps(w) for w in set(window_ids)}
+    rows = zip(
+        map(("false", "true").__getitem__, c.broken.tolist()),
+        c.dst.tolist(),
+        c.eid.tolist(),
+        *(column.tolist() for column in floats),
+        map(quoted.__getitem__, window_ids),
+        c.src.tolist(),
+    )
+    return "[" + ",".join([_EDGE_TEMPLATE % row for row in rows]) + "]"
+
+
 def export(g: CointGraph, format: str = FORMAT_JSON) -> bytes:
     """Serialize the graph.
 
     JSON: canonical (sorted keys, no whitespace) so save/load/save is
-    byte-stable. DOT: one node statement per symbol and one edge statement
-    per edge with penwidth = 1/resid_std (tighter pairs draw thicker) and
+    byte-stable: the bytes of json.dumps(to_json_obj(g), sort_keys=True,
+    separators=(",", ":")) and a newline. The edges are written from a
+    template (_edges_json) and the epoch and nodes by json.dumps; a graph
+    whose edges the template declines is written by json.dumps whole.
+    DOT: one node statement per symbol and one edge statement per edge
+    with penwidth = 1/resid_std (tighter pairs draw thicker) and
     style=dashed on broken edges.
     """
     if format == FORMAT_JSON:
-        text = json.dumps(to_json_obj(g), sort_keys=True, separators=(",", ":"))
+        edges = _edges_json(g.columns)
+        if edges is None:
+            text = json.dumps(to_json_obj(g), sort_keys=True, separators=(",", ":"))
+        else:
+            nodes = [_node_to_obj(n) for n in g.nodes]
+            text = '{"edges":%s,"epoch":%s,"nodes":%s}' % (
+                edges,
+                json.dumps(g.epoch),
+                json.dumps(nodes, sort_keys=True, separators=(",", ":")),
+            )
         return text.encode("utf-8") + b"\n"
     if format == FORMAT_DOT:
         lines = ["digraph cointegration {"]

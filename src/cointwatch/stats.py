@@ -13,7 +13,11 @@ factorization gives every t-ratio. Rows the normal equations cannot vouch
 for are flagged by two trust gates, on the condition number of the
 uncentered design's Gram matrix (_BATCH_TRUST_LIMIT) and on the
 cancellation in forming a pair's moments (_BATCH_CANCEL_LIMIT); callers
-recompute those with adf_statistic.
+recompute those with adf_statistic. The first gate tries two upper bounds
+on the condition number, an eigenvalue bound and a comparison-matrix
+bound on the Cholesky factor already at hand, before it computes the
+exact one (_trusted), so a row costs an inverse only when neither bound
+clears it.
 
 The p-value mapping embeds the MacKinnon (1994) response-surface regression
 for the constant-only Dickey-Fuller distribution (single series, no trend),
@@ -437,41 +441,104 @@ def _cholesky(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _trusted(moments, factor, mean, rows, fit, ok) -> np.ndarray:
     """Whether cond1(G) * fit <= _BATCH_TRUST_LIMIT, for each row with ok set.
 
-    G is the Gram matrix of the row's uncentered design. A row whose upper
-    bound (_cond1_bound, O(k) per row) clears the limit is trusted outright;
-    on price data that is more than 90% of rows, in a scan or a refit. The
-    other rows get cond1(G) exactly (_uncentered_cond1).
+    G is the Gram matrix of the row's uncentered design, cond1(G) =
+    ||G||_1 ||G^-1||_1, and _gram_norm_bound bounds ||G||_1. Two upper
+    bounds on ||G^-1||_1 and then the exact cond1(G) run in turn, each on
+    the rows the one before did not clear: the eigenvalue bound
+    (_eigen_inverse_bound, O(p) per row), the comparison-matrix bound on
+    the Cholesky factor (_comparison_inverse_bound, a few stacked p x p
+    products) and _uncentered_cond1 (an inverse per row). A bound only
+    clears a row whose exact test passes, so every decision is the exact
+    test's. Shares of the rows each one decides, measured at the default
+    lag order on 250-day windows: a planted universe of 16 clusters of 16
+    symbols (3,840 rows) 33% / 67% / 1 row; the refits of a 300-tick replay
+    over 400 symbols in 25-symbol sectors (1,261 rows) 90% / 10% / 1 row; a
+    50-symbol sector scan (2,450 rows) 99.4% / 0.6% / 0.
     """
-    a, mu = moments[:, :-1, :-1], mean[:, :-1]
-    budget = _BATCH_TRUST_LIMIT / fit
-    trusted = _cond1_bound(a, factor[:, :-1, :-1], mu, rows) <= budget
+    a, r, mu = moments[:, :-1, :-1], factor[:, :-1, :-1], mean[:, :-1]
+    limit = _BATCH_TRUST_LIMIT / fit
+    s = np.abs(mu).sum(axis=1)
+    g_norm = _gram_norm_bound(a, s, rows)
+    trusted = g_norm * _eigen_inverse_bound(a, r, s, rows) <= limit
     rest = np.flatnonzero(ok & ~trusted)
     if rest.size:
-        trusted[rest] = _uncentered_cond1(a[rest], mu[rest], rows) <= budget[rest]
+        cleared = g_norm[rest] * _comparison_inverse_bound(r[rest], s[rest], rows) <= limit[rest]
+        trusted[rest] = cleared
+        rest = rest[~cleared]
+    if rest.size:
+        trusted[rest] = _uncentered_cond1(a[rest], mu[rest], rows) <= limit[rest]
     return trusted
 
 
-def _cond1_bound(a, r, mu, rows) -> np.ndarray:
-    """An upper bound on cond1(G) for each G = [[n, n mu'], [n mu, A + n mu mu']].
+# Each bound below is on a G = [[n, n mu'], [n mu, A + n mu mu']], n = rows:
+# A is the regressors' centered Gram matrix (p x p), r its Cholesky factor,
+# mu their means and s = ||mu||_1.
 
-    A is the regressors' centered Gram matrix (p x p), r its Cholesky factor,
-    mu their means and n = rows; costs O(p) per row. With d = diag(A) and
-    c = 1 + ||mu||_1:
+
+def _gram_norm_bound(a, s, rows) -> np.ndarray:
+    """An upper bound on ||G||_1, n (1 + s)^2 + sqrt(p) trace(A).
+
+    Column 0 of G sums to n (1 + s); column j to at most n |mu_j| (1 + s)
+    + ||A e_j||_1, and ||A e_j||_1 <= ||A||_1 <= sqrt(p) ||A||_2 <=
+    sqrt(p) trace(A) for a positive semidefinite A.
+    """
+    c = 1.0 + s
+    return rows * (c * c) + math.sqrt(a.shape[-1]) * np.diagonal(a, axis1=1, axis2=2).sum(axis=1)
+
+
+def _eigen_inverse_bound(a, r, s, rows) -> np.ndarray:
+    """An upper bound on ||G^-1||_1 from an eigenvalue bound; O(p) per row.
+
+    With d = diag(A) and c = 1 + s:
     - lambda_min(A) >= det(A) / prod(d) / e * min(d): the scaled matrix
       D^-1/2 A D^-1/2 has trace p, so by the AM-GM inequality its smallest
       eigenvalue exceeds its determinant over (p / (p - 1))^(p - 1) < e;
     - ||A^-1||_1 <= sqrt(p) / lambda_min(A) and ||A^-1 mu||_2 <=
       ||mu||_2 / lambda_min(A) bound the bordered inverse of G (see
-      _uncentered_cond1): ||G^-1||_1 <= 1/n + c (c - 1 + sqrt(p)) / lambda;
-    - ||G||_1 <= n c^2 + sqrt(p) trace(A).
+      _uncentered_cond1): ||G^-1||_1 <= 1/n + c (c - 1 + sqrt(p)) / lambda.
     """
     root_p = math.sqrt(a.shape[-1])
     d = np.diagonal(a, axis1=1, axis2=2)
     pivots = np.diagonal(r, axis1=1, axis2=2)
     lam = np.prod(pivots * pivots / d, axis=1) * d.min(axis=1)
-    c = 1.0 + np.abs(mu).sum(axis=1)
-    g_norm = rows * (c * c) + root_p * d.sum(axis=1)
-    return g_norm * (1.0 / rows + math.e * c * (c + (root_p - 1.0)) / lam)
+    c = 1.0 + s
+    return 1.0 / rows + math.e * c * (c + (root_p - 1.0)) / lam
+
+
+def _comparison_inverse_bound(r, s, rows) -> np.ndarray:
+    """An upper bound on ||G^-1||_1 from the comparison matrix of r.
+
+    Proof. A = r r', so A^-1 = r^-T r^-1 and ||A^-1||_1 <= ||r^-T||_1
+    ||r^-1||_1 = ||r^-1||_inf ||r^-1||_1. The comparison matrix M(r), with
+    |r_ii| on the diagonal and -|r_ij| off it, has |r^-1| <= M(r)^-1
+    entrywise for a triangular r (Higham, "Accuracy and Stability of
+    Numerical Algorithms", 2nd ed., SIAM 2002, section 8.3), and M(r)^-1
+    >= 0; so B = (largest row sum of M(r)^-1) (largest column sum) bounds
+    ||A^-1||_1. For the bordered inverse of G (see _uncentered_cond1), w =
+    A^-1 mu has ||w||_1 <= B s and |mu'w| <= ||mu||_inf ||w||_1 <= B s^2:
+    column 0 of G^-1 sums to at most 1/n + B s (s + 1), column j >= 1 to at
+    most |w_j| + ||A^-1 e_j||_1 <= B (s + 1), and so ||G^-1||_1 <= 1/n +
+    B (s + 1) max(s, 1).
+
+    M(r)^-1 is taken whole, not by substitution: with D = diag(r) and T =
+    D^-1 |r| - I, strictly lower triangular and so nilpotent, M(r) = D (I -
+    T) and (I - T)^-1 = (I + T)(I + T^2)(I + T^4)..., ceil(log2 p) factors;
+    a substitution takes p numpy steps, which cost more than the exact test
+    on a few rows. Every term is non-negative, so no sum cancels. A pivot
+    ratio that overflows makes the bound inf or NaN, which clears no row.
+    """
+    p = r.shape[-1]
+    pivots = np.diagonal(r, axis1=1, axis2=2)
+    inverse = np.abs(r) / pivots[:, :, None]  # I + T
+    t = inverse - np.eye(p)
+    power = 2
+    while power < p:
+        t = t @ t
+        inverse += inverse @ t
+        power *= 2
+    inverse /= pivots[:, None, :]
+    a_inv = inverse.sum(axis=2).max(axis=1) * inverse.sum(axis=1).max(axis=1)
+    return 1.0 / rows + a_inv * (s + 1.0) * np.maximum(s, 1.0)
 
 
 def _uncentered_cond1(a, mu, rows) -> np.ndarray:

@@ -16,16 +16,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import date, timedelta
+from itertools import permutations
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import graph as graphmod
-from .coint import CointModel, PairResult, PriceSeries, coint_fit, scan_pairs
+from .coint import PairResult, PriceSeries, ScanResult, coint_fit, scan_pairs
 from .errors import CointwatchError, DegeneratePair, ScenarioError, UnknownSymbol
 from .graph import CointGraph, neighbors
 from .pipeline import PriceTable, WindowSlice, slice_window
-from .stats import ols_fit
+from .stats import ols_fit, one_blas_thread
 
 BASE_LEVEL = 200.0
 CLUSTER_NOISE = 1.0
@@ -107,7 +108,9 @@ def planted_graph(series: Sequence[PriceSeries], clusters: Sequence[Sequence[str
     degenerate pair is dropped, any other error raises. A cluster the scan
     declines (members of different windows or lengths, a fit raising
     ValueError) is fitted pair by pair, so it raises the error the loop
-    meets first.
+    meets first. Every cluster's scan columns and fallback rows, mapped to
+    the series' indices, go to one build_graph call as PairColumns; no
+    per-pair object is made.
 
     Raises:
         UnknownSymbol: a cluster names a symbol outside the series.
@@ -116,7 +119,9 @@ def planted_graph(series: Sequence[PriceSeries], clusters: Sequence[Sequence[str
         raised before any pair of that cluster is fitted.
     """
     by_symbol = {p.symbol: p for p in series}
-    results: list[PairResult] = []
+    symbols = [p.symbol for p in series]
+    index = {s: i for i, s in enumerate(symbols)}
+    parts = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty((0, 6)), np.empty(0, object))]
     for k, cluster in enumerate(clusters):
         seen: set[str] = set()
         for symbol in cluster:
@@ -125,32 +130,50 @@ def planted_graph(series: Sequence[PriceSeries], clusters: Sequence[Sequence[str
             if symbol in seen:
                 raise ValueError(f"cluster {k}: symbol {symbol!r} appears more than once")
             seen.add(symbol)
-        fitted = _scanned_models(by_symbol, cluster)
-        for src in cluster:
-            for dst in cluster:
-                if src == dst:
-                    continue
-                model = fitted.get((src, dst))
-                if model is None:
-                    try:
-                        model = coint_fit(by_symbol[src], by_symbol[dst])
-                    except DegeneratePair:
-                        continue
-                results.append(PairResult(src, dst, model, admitted=True))
-    return graphmod.build_graph(results, epsilon=1.0, symbols=[p.symbol for p in series])
+        src, dst, fields, window_ids = _cluster_columns([by_symbol[s] for s in cluster])
+        members = np.array([index[s] for s in cluster], dtype=np.intp)
+        parts.append((members[src], members[dst], fields, window_ids))
+    src, dst, fields, window_ids = map(np.concatenate, zip(*parts))
+    columns = graphmod.PairColumns(symbols, src, dst, fields, window_ids)
+    return graphmod.build_graph(columns, epsilon=1.0, symbols=symbols)
 
 
-def _scanned_models(
-    by_symbol: Mapping[str, PriceSeries], cluster: Sequence[str]
-) -> dict[tuple[str, str], CointModel]:
-    """The scan's model of each ordered pair of the cluster, by (src, dst);
-    empty when the scan declines the cluster (fewer than two members,
-    misaligned members, or a fit's ValueError)."""
+def _cluster_columns(members: Sequence[PriceSeries]) -> tuple:
+    """The fitted ordered pairs of a cluster as columns, in the order of
+    the per-pair loop (src member, then dst member): src and dst indices
+    into members, ScanResult.FIELDS floats and window ids.
+
+    The scan's rows come first; a pair it skipped, or every pair of a
+    cluster it declines (fewer than two members, misaligned members, or a
+    fit's ValueError), goes to coint_fit in loop order, which drops a
+    degenerate pair and raises any other error.
+    """
+    size = len(members)
     try:
-        scan = scan_pairs([by_symbol[s] for s in cluster])
+        scan = scan_pairs(members)
     except (CointwatchError, ValueError):
-        return {}
-    return {(p.src_symbol, p.dst_symbol): p.model for p in scan.pairs}
+        src, dst, fields = np.empty(0, np.intp), np.empty(0, np.intp), np.empty((0, 6))
+        window_ids = np.empty(0, object)
+    else:
+        src, dst, fields = scan.src, scan.dst, scan.fields
+        window_ids = np.full(len(src), scan.window_id, dtype=object)
+    fitted = set((src * size + dst).tolist())
+    extra = []
+    for i, j in permutations(range(size), 2):
+        if i * size + j not in fitted:
+            try:
+                model = coint_fit(members[i], members[j])
+            except DegeneratePair:
+                continue
+            extra.append((i, j, model))
+    if extra:
+        first, second, models = zip(*extra)
+        src, dst = np.append(src, first), np.append(dst, second)
+        fields = np.vstack([fields, [[getattr(m, name) for name in ScanResult.FIELDS]
+                                     for m in models]])
+        window_ids = np.append(window_ids, np.array([m.window_id for m in models], object))
+    order = np.argsort(src * size + dst, kind="stable")
+    return src[order], dst[order], fields[order], window_ids[order]
 
 
 def _role_coefficient(edge, node_id: int) -> float:
@@ -165,7 +188,9 @@ def baseline_tick(g: CointGraph, fallback: Mapping[str, float]) -> dict[str, flo
     constraint (dst - beta1*src - beta0 - resid_mean)/resid_std = 0, plus a
     weak anchor pulling every node toward its fallback price (which also
     pins isolated nodes). Raises if the solution leaves any edge beyond
-    BASELINE_GUARD sigmas — planted graphs stay well under it.
+    BASELINE_GUARD sigmas — planted graphs stay well under it. The solve
+    runs on one BLAS thread (stats.one_blas_thread): on large designs a
+    solve split over threads changed the prices' last bits.
 
     Raises:
         ScenarioError: fallback has no price for a graph symbol (naming the
@@ -186,7 +211,8 @@ def baseline_tick(g: CointGraph, fallback: Mapping[str, float]) -> dict[str, flo
     except KeyError as exc:
         raise ScenarioError(f"no fallback price for graph symbol {exc.args[0]!r}") from None
     target = np.concatenate(((c.beta0 + c.resid_mean) / c.resid_std, anchor * fallbacks))
-    prices, *_ = np.linalg.lstsq(design, target, rcond=None)
+    with one_blas_thread():
+        prices, *_ = np.linalg.lstsq(design, target, rcond=None)
 
     sigmas = np.abs(prices[c.dst] - c.beta0 - c.beta1 * prices[c.src] - c.resid_mean) / c.resid_std
     beyond = np.flatnonzero(sigmas > BASELINE_GUARD)

@@ -10,6 +10,9 @@ over SymbolNode tuples; the package runs it as one array pass
 (alert.tick_kernel). update_prices and with_nodes are the tuple-backed
 price update and node publish the loop reads and writes, kept apart from
 the package's NodeSnapshot price path so the two can be compared.
+replace_models swaps in models by edge id through graph._patch, as the
+refits publish theirs; nothing in the package calls it, and the tests use
+it to plant models.
 
 replay drives the whole reference run, tick after tick; the tests that
 compare tick_loop with the reference go through it.
@@ -19,6 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from cointwatch import graph as graphmod
 from cointwatch.alert import (
@@ -30,13 +35,16 @@ from cointwatch.alert import (
     leash_check,
     selective_recompute,
 )
-from cointwatch.coint import PriceSeries
+from cointwatch.coint import CointModel, PriceSeries
 from cointwatch.errors import UnknownNode
 from cointwatch.graph import (
+    _MODEL_FLOATS,
+    _NO_ROWS,
     ALERTED,
     CLEAR,
     CointGraph,
     SymbolNode,
+    _patch,
     mark_broken,
     neighbors,
     tick_prices,
@@ -74,6 +82,21 @@ def with_nodes(g: CointGraph, new_nodes: Mapping[int, SymbolNode]) -> CointGraph
             raise UnknownNode(f"node id {nid} is not in the graph")
     nodes = tuple(new_nodes.get(i, n) for i, n in enumerate(g.nodes))
     return replace(g, node_source=nodes)
+
+
+def replace_models(g: CointGraph, models: Mapping[int, CointModel]) -> CointGraph:
+    """Swap in refit models, keyed by edge id, and clear their broken flags;
+    UnknownEdge for an id that is not an edge. No model gives the same
+    version."""
+    rows = g.columns.rows(models)
+    fields = [[getattr(m, name) for name in _MODEL_FLOATS] for m in models.values()]
+    return _patch(
+        g,
+        rows,
+        np.array(fields, dtype=np.float64).reshape(len(rows), len(_MODEL_FLOATS)),
+        [m.window_id for m in models.values()],
+        _NO_ROWS,
+    )
 
 
 def price_broadcast_messages(g: CointGraph) -> list[dict[int, float]]:

@@ -52,6 +52,7 @@ from cointwatch.errors import (
 from cointwatch.graph import CointGraph, build_graph
 
 from conftest import dummy_model, planted_instance
+from oracle import replace_models
 
 # The oracle, as it stood before refits became arrays.
 
@@ -135,7 +136,7 @@ def selective_recompute(
             removed.append(eid)
     if invalid is not None:
         raise invalid
-    out = graphmod.remove_edges(graphmod.replace_models(g, refits), removed)
+    out = graphmod.remove_edges(replace_models(g, refits), removed)
     return out, RecomputeSummary(refitted=tuple(refits), removed=tuple(removed))
 
 

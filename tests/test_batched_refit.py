@@ -39,6 +39,7 @@ from cointwatch.errors import (
 from cointwatch.graph import audit_adjacency, build_graph
 
 from conftest import dummy_model, planted_instance, residual_statistics
+from oracle import replace_models
 
 # (seed, clusters, cluster size, independents)
 PLANTED = [(300, 2, 4, 1), (301, 3, 3, 0), (302, 2, 5, 2)]
@@ -67,7 +68,7 @@ def per_edge_recompute(g, broken, window, config):
             removed.append(eid)
             continue
         if model.pvalue < config.epsilon:
-            out = graphmod.replace_models(out, {eid: model})
+            out = replace_models(out, {eid: model})
             refitted.append(eid)
         else:
             removed.append(eid)

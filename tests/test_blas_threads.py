@@ -1,10 +1,11 @@
-"""Graph bytes do not depend on the BLAS thread count.
+"""Graph and tick bytes do not depend on the BLAS thread count.
 
 With long ADF designs (here 53 columns at --lags 51) a multithreaded BLAS
 splits the scan's design products over threads, and the split used to
-change a pair's last bits. The scan and the refits now pin numpy's bundled
-OpenBLAS to one thread, so a build under OPENBLAS_NUM_THREADS=1 and one
-under the default thread count write the same bytes. Where numpy's BLAS
+change a pair's last bits; so did gen's baseline-tick solve on a large
+graph. The scan, the refits and that solve now pin numpy's bundled
+OpenBLAS to one thread, so a build or a gen under OPENBLAS_NUM_THREADS=1
+and one under the default thread count write the same bytes. Where numpy's BLAS
 exports no thread control, or there is one core, there is nothing to pin
 or to split, and these tests skip.
 """
@@ -44,6 +45,23 @@ def test_build_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     for threads in (1, None):
         out = tmp_path / f"graph-{threads}.json"
         cointwatch(["build", "--prices", str(prices), "--lags", "51", "--out", str(out)], threads)
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def test_gen_ticks_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # gen's baseline tick is a least-squares solve with a row per edge and
+    # per node; at 80 symbols and ~6,000 edges a solve split over threads
+    # rounded the prices differently from one thread
+    prices, graph = tmp_path / "prices.csv", tmp_path / "graph.json"
+    cointwatch(["gen", "universe", "--clusters", "1", "--cluster-size", "5",
+                "--independents", "75", "--days", "250", "--seed", "1", "--out", str(prices)])
+    cointwatch(["build", "--prices", str(prices), "--alpha", "0.9", "--out", str(graph)])
+    outputs = []
+    for threads in (1, None):
+        out = tmp_path / f"ticks-{threads}.csv"
+        cointwatch(["gen", "ticks", "--graph", str(graph), "--prices", str(prices),
+                    "--count", "2", "--seed", "1", "--out", str(out)], threads)
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
 

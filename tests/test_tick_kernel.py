@@ -16,10 +16,10 @@ from cointwatch import graph as graphmod
 from cointwatch.alert import AlertConfig, tick_loop
 from cointwatch.coint import PairResult
 from cointwatch.errors import ZeroSigma
-from cointwatch.graph import build_graph, replace_models, update_prices
+from cointwatch.graph import build_graph, update_prices
 
 from conftest import dummy_model, planted_instance
-from oracle import reference_tick, replay
+from oracle import reference_tick, replace_models, replay
 
 # (seed, clusters, cluster size); every within-cluster ordered pair is an
 # edge, so each pair of symbols is wired both ways
