@@ -16,17 +16,15 @@ neighbourhood against its fresh neighbours' prices, is kept with the tests
 (tests/oracle.py) as the reference the kernel must match: the same reports
 and node versions, byte for byte.
 
-Node state on the tick path is arrays too: last price, last-update epoch
-and alert state, plus one append-only log of each tick's evaluated nodes
-and their new states (graph.NodeSnapshot). A tick validates its prices in
-bulk (graph.tick_prices) and applies them as graph.update_prices does
-(NodeSnapshot.priced, the one price path), copies the three arrays and
-appends one log entry, so its cost follows the edges and the evaluated
-nodes, not the run's length. The kernel computes every edge's deviation
-and reads only the checked ones; whether any edge has a zero sigma is
-decided once per columns object. Each published version builds its
-SymbolNode tuple, alert histories included, only when a caller reads
-.nodes or exports it.
+Every graph version holds its node state as arrays too: last price,
+last-update epoch and alert state, plus one append-only log of each tick's
+evaluated nodes and their new states (graph.NodeSnapshot). A tick prices
+the version with graph.update_prices, copies the alert flags and appends
+one log entry, so its cost follows the edges and the evaluated nodes, not
+the run's length. The kernel computes every edge's deviation and reads
+only the checked ones; whether any edge has a zero sigma is decided once
+per columns object. Each published version builds its SymbolNode tuple,
+alert histories included, only when a caller reads .nodes or exports it.
 
 Refits read a trailing price window. Under the onbreak policy the stream
 keeps it as one float64 array (one row per graph symbol of the supplied
@@ -209,12 +207,11 @@ def tick_kernel(
     """One tick's checks as one pass over edge and node arrays; the same
     results, bit for bit, as the per-node reference in tests/oracle.py.
 
-    g is a priced version whose nodes are held as a graph.NodeSnapshot, as
-    graph.update_prices and TickStream make it; its edges are read from
-    g.columns. Returns
-    the epoch report, the ids of the nodes that evaluated at least one check
-    and their new alerted flags. No node object is built, unless health_fn
-    reads g.nodes.
+    Node state is read from g.node_source and edges from g.columns; on a
+    version no tick has priced every check is skipped. Returns the epoch
+    report, the ids of the nodes that evaluated at least one check and their
+    new alerted flags. No node object is built, unless health_fn reads
+    g.nodes.
 
     Deviations are computed over every edge, stale ones included, and only
     the checked edges' are read. A quiet tick (no checked edge fails) does
@@ -459,12 +456,11 @@ class TickStream:
     broken, or under onbreak refit or removed); one without passes the same
     columns object on.
 
-    Node state is kept as a graph.NodeSnapshot: per-node arrays plus the
-    run's append-only alert log. No tick builds a SymbolNode; each version
-    in .graph holds its own copy of the arrays and the log length at its
-    epoch, and builds its nodes once, when read or exported. A failed tick
-    publishes nothing, appends nothing to the log and leaves
-    last_recompute as it was.
+    Node state lives only in .graph's graph.NodeSnapshot, which starts on
+    a log of its own (NodeSnapshot.branch). Each tick prices it with
+    graph.update_prices and publishes new alert flags and one log entry; no
+    tick builds a SymbolNode. A failed tick publishes nothing, appends
+    nothing to the log and leaves last_recompute as it was.
 
     Under the onbreak policy the price history is kept as a trailing
     window (_History), advanced by every tick that publishes; a failed tick
@@ -486,7 +482,7 @@ class TickStream:
     ):
         if recompute_policy not in (RECOMPUTE_OFF, RECOMPUTE_ON_BREAK):
             raise ValueError(f"unknown recompute policy {recompute_policy!r}")
-        self.graph = g
+        self.graph = CointGraph(g.node_source.branch(), g.columns, g.epoch)
         self.config = config
         self.policy = recompute_policy
         self.health_fn = health_fn
@@ -496,7 +492,6 @@ class TickStream:
         self._history = (
             _History(history, g) if history and recompute_policy == RECOMPUTE_ON_BREAK else None
         )
-        self._nodes = graphmod.NodeSnapshot.start(g)
 
     def __iter__(self) -> Iterator[AlertReport]:
         return self
@@ -515,15 +510,11 @@ class TickStream:
             raise wrapped from exc
 
     def _step(self, tick: Mapping[str, float]) -> AlertReport:
-        ids, prices = graphmod.tick_prices(self.graph.symbol_ids, tick)
-        g = self.graph
-        epoch = g.epoch + 1
-        priced = self._nodes.priced(ids, prices, epoch)
-        g = CointGraph(priced, g.columns, epoch, g.symbol_ids)
+        g = graphmod.update_prices(self.graph, tick)
         report, evaluated, flags = tick_kernel(g, self.config, self.health_fn)
 
         broken_ids = [eid for eid, _ in report.broken_edges]
-        column = None if self._history is None else self._history.column(priced.price)
+        column = None if self._history is None else self._history.column(g.node_source.price)
         summary = None
         if self.policy == RECOMPUTE_ON_BREAK and broken_ids:
             if self._history is None:
@@ -533,17 +524,17 @@ class TickStream:
             # each broken edge is refit, which clears its flag, or removed,
             # so none is marked broken first
             rows = g.columns.rows(broken_ids)
-            wid = f"trailing-{self._history.length}@{epoch}"
+            wid = f"trailing-{self._history.length}@{g.epoch}"
             g, summary = self._history.refit(g, rows, wid, self.config, column)
         elif broken_ids:
             g = graphmod.mark_broken(g, broken_ids)
 
         # published last, so a failed tick leaves the stream, its log and
         # its history as they were
-        self._nodes = priced.evaluated(epoch, evaluated, flags)
+        nodes = g.node_source.evaluated(g.epoch, evaluated, flags)
         if column is not None:
             self._history.push(column)
-        self.graph = CointGraph(self._nodes, g.columns, epoch, g.symbol_ids)
+        self.graph = CointGraph(nodes, g.columns, g.epoch)
         self.last_recompute = summary
         return report
 

@@ -6,15 +6,14 @@ the edge columns it does not write) with its parent, so readers of the
 previous epoch keep a consistent view while the next tick is being
 assembled.
 
-A version holds its nodes either as a tuple of SymbolNode (built or
-loaded) or, when update_prices priced it or a TickStream published it, as
-a NodeSnapshot: the node arrays at its epoch plus the length of the run's
-append-only alert log. A snapshot builds its SymbolNode tuple, alert_history
-included, the first time a caller reads .nodes or exports the version, so a
-tick costs the same however long the run; versions stay immutable by
-snapshot plus log length rather than by copying histories (path copying, as
-in Driscoll, Sarnak, Sleator and Tarjan, "Making Data Structures
-Persistent", JCSS 1989).
+A version holds its nodes as one NodeSnapshot: the node arrays at its
+epoch plus the length of the run's append-only alert log (an empty one for
+a built or loaded graph). The SymbolNode tuple, alert_history included, is
+a view built the first time a caller reads .nodes or exports the version as
+JSON, so a tick costs the same however long the run; versions stay
+immutable by snapshot plus log length rather than by copying histories
+(path copying, as in Driscoll, Sarnak, Sleator and Tarjan, "Making Data
+Structures Persistent", JCSS 1989).
 
 An alert history is held and written run-length encoded, as column stores
 hold long runs of one value (Abadi, Madden and Ferreira, "Integrating
@@ -39,7 +38,7 @@ import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain
 from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -111,22 +110,21 @@ class CointEdge:
 
 @dataclass(frozen=True, eq=False)
 class NodeSnapshot:
-    """The nodes of one graph version a TickStream published or
-    update_prices priced, as arrays.
+    """The nodes of one graph version, as arrays.
 
     price (NaN while unpriced), updated (last_update_epoch) and alerted are
     this version's own arrays, never written after it is published. All
-    versions of one run share base, the nodes the run started from, and
-    log, the run's append-only alert record: one (epoch, ids of the nodes
-    that evaluated at least one check, their new alerted flags) entry per
-    tick, never written again. length is the number of entries at this
-    version's epoch, so entries appended later never reach it. nodes builds
-    the SymbolNode tuple on first read and keeps it: the log's entries are
-    cut into runs in array passes, and one Python tuple is made per run,
-    not per entry.
+    versions of one run share symbol_ids (each symbol's node id, in id
+    order), base, the nodes the run started from, and log, the run's
+    append-only alert record: one (epoch, ids of the nodes that evaluated at
+    least one check, their new alerted flags) entry per tick, never written
+    again. length is the number of entries at this version's epoch, so
+    entries appended later never reach it. nodes builds the SymbolNode tuple
+    on first read and keeps it: the log's entries are cut into runs in array
+    passes, and one Python tuple is made per run, not per entry.
     """
 
-    symbols: tuple[str, ...]
+    symbol_ids: dict[str, int]
     price: np.ndarray
     updated: np.ndarray
     alerted: np.ndarray
@@ -135,24 +133,30 @@ class NodeSnapshot:
     length: int
 
     @classmethod
-    def start(cls, g: CointGraph) -> NodeSnapshot:
-        """The nodes of g at the head of a new, empty log."""
-        nodes = g.nodes
-        return cls(
-            symbols=tuple(n.symbol for n in nodes),
-            price=np.array(
-                [np.nan if n.last_price is None else n.last_price for n in nodes],
-                dtype=np.float64,
-            ),
-            updated=np.array([n.last_update_epoch for n in nodes], dtype=np.int64),
-            alerted=np.array([n.alert_state == ALERTED for n in nodes], dtype=bool),
-            base=nodes,
-            log=[],
-            length=0,
-        )
+    def of_nodes(cls, nodes: Iterable[SymbolNode]) -> NodeSnapshot:
+        """These nodes as the base of a new, empty log; read back through
+        .nodes, they are the nodes given.
 
-    def __len__(self) -> int:
-        return len(self.symbols)
+        Raises:
+            ValueError: the ids are not 0..n-1 in order, or a symbol repeats.
+        """
+        nodes = tuple(nodes)
+        if [n.id for n in nodes] != list(range(len(nodes))):
+            raise ValueError("node ids must be 0..n-1 in order")
+        symbol_ids = {n.symbol: n.id for n in nodes}
+        if len(symbol_ids) != len(nodes):
+            raise ValueError("universe contains duplicate symbols")
+        snapshot = cls(
+            symbol_ids,
+            np.array([np.nan if n.last_price is None else n.last_price for n in nodes], np.float64),
+            np.array([n.last_update_epoch for n in nodes], np.int64),
+            np.array([n.alert_state == ALERTED for n in nodes], bool),
+            nodes,
+            [],
+            0,
+        )
+        snapshot.__dict__["nodes"] = nodes  # the head of an empty log is the base
+        return snapshot
 
     def priced(self, ids: np.ndarray, prices: np.ndarray, epoch: int) -> NodeSnapshot:
         """These nodes after one tick's prices (see tick_prices) at epoch."""
@@ -161,8 +165,14 @@ class NodeSnapshot:
         updated = self.updated.copy()
         updated[ids] = epoch
         return NodeSnapshot(
-            self.symbols, price, updated, self.alerted, self.base, self.log, self.length
+            self.symbol_ids, price, updated, self.alerted, self.base, self.log, self.length
         )
+
+    def branch(self) -> NodeSnapshot:
+        """These nodes at the head of a log of their own, a copy of this
+        version's entries (pointers only), so that two runs never append to
+        one log."""
+        return replace(self, log=self.log[: self.length])
 
     def evaluated(self, epoch: int, ids: np.ndarray, alerted: np.ndarray) -> NodeSnapshot:
         """These nodes after one tick's checks: the evaluated nodes' alerted
@@ -173,7 +183,7 @@ class NodeSnapshot:
         flags[ids] = alerted
         self.log.append((epoch, ids, alerted))
         return NodeSnapshot(
-            self.symbols, self.price, self.updated, flags, self.base, self.log, self.length + 1
+            self.symbol_ids, self.price, self.updated, flags, self.base, self.log, self.length + 1
         )
 
     @cached_property
@@ -200,7 +210,7 @@ class NodeSnapshot:
     def _histories(self) -> list[tuple[tuple[int, int, str], ...]]:
         """Each node's alert history at this version: its base history
         followed by the runs its log entries form."""
-        entries = list(islice(self.log, self.length))
+        entries = self.log[: self.length]
         if not entries:
             return [b.alert_history for b in self.base]
         sizes = [len(ids) for _, ids, _ in entries]
@@ -381,23 +391,25 @@ def _csr(ends: np.ndarray, eid: np.ndarray, n_nodes: int) -> tuple[tuple[int, ..
 class CointGraph:
     """One graph version.
 
-    node_source holds the nodes as a tuple, or as the NodeSnapshot of a
-    version update_prices priced or a TickStream published; read them
-    through .nodes, which builds a snapshot's tuple once. columns holds the
-    edges, also read as the mapping .edges; out_edges and in_edges are
-    derived from them. Versions compare by value, whichever way they hold
-    their nodes.
+    node_source holds the nodes as a NodeSnapshot: the arrays a tick reads
+    and writes, read as SymbolNodes through .nodes, built once per version.
+    symbol_ids maps each symbol to its node id; the store derives it once,
+    and every version of a run shares it, so it is not to be written.
+    columns holds the edges, also read as the mapping .edges; out_edges and
+    in_edges are derived from them. Versions compare by value.
     """
 
-    node_source: tuple[SymbolNode, ...] | NodeSnapshot
+    node_source: NodeSnapshot
     columns: EdgeColumns
     epoch: int
-    symbol_ids: dict[str, int]
 
     @property
     def nodes(self) -> tuple[SymbolNode, ...]:
-        source = self.node_source
-        return source.nodes if isinstance(source, NodeSnapshot) else source
+        return self.node_source.nodes
+
+    @property
+    def symbol_ids(self) -> dict[str, int]:
+        return self.node_source.symbol_ids
 
     @property
     def edges(self) -> EdgeColumns:
@@ -413,35 +425,35 @@ class CointGraph:
 
     @property
     def n_nodes(self) -> int:
-        return len(self.node_source)
+        return len(self.symbol_ids)
 
     @property
     def n_edges(self) -> int:
         return len(self.columns)
 
     def symbol(self, node_id: int) -> str:
-        """The symbol of a node, without building a snapshot's nodes."""
-        source = self.node_source
-        if isinstance(source, NodeSnapshot):
-            return source.symbols[node_id]
-        return source[node_id].symbol
+        """The symbol of a node, without building the nodes."""
+        return self.node_source.base[node_id].symbol
 
-    def node_of(self, symbol: str) -> SymbolNode:
+    def node_id(self, symbol: str) -> int:
         try:
-            return self.nodes[self.symbol_ids[symbol]]
+            return self.symbol_ids[symbol]
         except KeyError:
             raise UnknownSymbol(f"symbol {symbol!r} is not in the graph") from None
 
+    def node_of(self, symbol: str) -> SymbolNode:
+        return self.nodes[self.node_id(symbol)]
+
     def is_fresh(self, node_id: int) -> bool:
-        node = self.nodes[node_id]
-        return node.last_update_epoch == self.epoch and node.last_price is not None
+        nodes = self.node_source
+        fresh = nodes.updated.item(node_id) == self.epoch
+        return fresh and not math.isnan(nodes.price.item(node_id))
 
     def __eq__(self, other):
         if not isinstance(other, CointGraph):
             return NotImplemented
         return (
             self.epoch == other.epoch
-            and self.symbol_ids == other.symbol_ids
             and self.columns == other.columns
             and self.nodes == other.nodes
         )
@@ -477,17 +489,15 @@ def build_graph(
     then sliced from those columns into EdgeColumns.of_lists.
 
     Raises:
+        ValueError: symbols repeats a symbol (NodeSnapshot.of_nodes).
         DuplicateEdge: the results repeat an ordered (src, dst) pair of
             symbol names.
         UnknownSymbol: a result references a symbol outside the universe.
         The first result, in the order given, that repeats a pair or
         references an unknown symbol raises, and a repeat is named first.
     """
-    symbols = list(symbols)
-    if len(set(symbols)) != len(symbols):
-        raise ValueError("universe contains duplicate symbols")
-    symbol_ids = {s: i for i, s in enumerate(symbols)}
-    nodes = tuple(SymbolNode(id=i, symbol=s) for i, s in enumerate(symbols))
+    nodes = NodeSnapshot.of_nodes(SymbolNode(id=i, symbol=s) for i, s in enumerate(symbols))
+    symbol_ids = nodes.symbol_ids
     names, src, dst, fields, window_ids = _columns(results)
     rows = _edge_rows(names, src, dst, symbol_ids)
     rows = rows[(fields[rows, 4] < epsilon) & (fields[rows, 3] > 0.0)]
@@ -500,7 +510,7 @@ def build_graph(
         window_id=window_ids[rows],
         **{name: fields[rows, k] for k, name in enumerate(_MODEL_FLOATS)},
     )
-    return CointGraph(node_source=nodes, columns=columns, epoch=0, symbol_ids=symbol_ids)
+    return CointGraph(nodes, columns, 0)
 
 
 def _columns(results: ScanResult | PairColumns | Iterable[PairResult]) -> PairColumns:
@@ -557,8 +567,7 @@ def tick_prices(
     symbol_ids: Mapping[str, int], tick: Mapping[str, float]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Validate one tick: the node ids (intp) and float64 prices of its
-    symbols, in tick order. update_prices and TickStream call it, and both
-    apply its prices with NodeSnapshot.priced.
+    symbols, in tick order, as update_prices applies them.
 
     A tick of known symbols and plain int/float prices is checked in bulk:
     one np.fromiter over the values and one (prices > 0) & (prices < inf)
@@ -599,13 +608,13 @@ def update_prices(g: CointGraph, tick: Mapping[str, float]) -> CointGraph:
     """Apply one tick: supplied symbols get the new price and become fresh
     for the new epoch; the rest keep their prior price and are stale.
 
-    Never touches topology. Epoch increments by exactly 1. The nodes are
-    priced as TickStream prices them (NodeSnapshot.priced, on a snapshot
-    of g's nodes), so alert.tick_kernel reads the version as it is.
+    Never touches topology. Epoch increments by exactly 1. Only the node
+    arrays are copied (NodeSnapshot.priced), so the cost does not grow with
+    the run; TickStream prices each tick through this function.
     """
     ids, prices = tick_prices(g.symbol_ids, tick)
     epoch = g.epoch + 1
-    return replace(g, node_source=NodeSnapshot.start(g).priced(ids, prices, epoch), epoch=epoch)
+    return CointGraph(g.node_source.priced(ids, prices, epoch), g.columns, epoch)
 
 
 def neighbors(g: CointGraph, node_id: int) -> list[tuple[CointEdge, int]]:
@@ -765,8 +774,8 @@ def _model_from_obj(obj, path, windows: dict[str, str]) -> tuple:
     return beta0, beta1, resid_mean, resid_std, pvalue, adf_stat, window_id
 
 
-def _node_from_obj(node, i: int, epoch: int, symbol_ids: dict[str, int]) -> SymbolNode:
-    """Node i of a graph at epoch, checked; its symbol joins symbol_ids.
+def _node_from_obj(node, i: int, epoch: int, symbols: set[str]) -> SymbolNode:
+    """Node i of a graph at epoch, checked; its symbol joins symbols.
 
     An alert-history item is an [epoch, state] entry (as every file before
     run-length histories) or a [first_epoch, count, state] run; either
@@ -777,9 +786,9 @@ def _node_from_obj(node, i: int, epoch: int, symbol_ids: dict[str, int]) -> Symb
     if node_id != i:
         raise SchemaViolation(f"{path}.id", f"ids must be dense, expected {i}, got {node_id}")
     symbol = _expect(node, "symbol", str, path)
-    if symbol in symbol_ids:
+    if symbol in symbols:
         raise SchemaViolation(f"{path}.symbol", f"duplicate symbol {symbol!r}")
-    symbol_ids[symbol] = i
+    symbols.add(symbol)
     if "last_price" not in node:
         raise SchemaViolation(f"{path}.last_price", "missing field")
     price = node["last_price"]
@@ -844,9 +853,9 @@ def from_json_obj(obj) -> CointGraph:
     epoch = _expect(obj, "epoch", int, "$")
     if not 0 <= epoch <= MAX_EPOCH:
         raise SchemaViolation("$.epoch", f"must be in [0, 2**62], got {epoch}")
-    symbol_ids: dict[str, int] = {}
+    symbols: set[str] = set()
     node_objs = _expect(obj, "nodes", list, "$")
-    nodes = tuple(_node_from_obj(node, i, epoch, symbol_ids) for i, node in enumerate(node_objs))
+    nodes = tuple(_node_from_obj(node, i, epoch, symbols) for i, node in enumerate(node_objs))
     rows: list[tuple] = []  # one per edge, in _DTYPES order
     seen_ids: set[int] = set()
     seen_pairs: set[tuple[int, int]] = set()
@@ -873,7 +882,7 @@ def from_json_obj(obj) -> CointGraph:
         model = _model_from_obj(_expect(edge, "model", dict, path), f"{path}.model", windows)
         rows.append((eid, src, dst, *model, broken))
     columns = dict(zip(_DTYPES, zip(*rows) if rows else [()] * len(_DTYPES)))
-    return CointGraph(nodes, EdgeColumns.of_lists(**columns), epoch, symbol_ids)
+    return CointGraph(NodeSnapshot.of_nodes(nodes), EdgeColumns.of_lists(**columns), epoch)
 
 
 def _dot_quote(s: str) -> str:
@@ -944,8 +953,8 @@ def export(g: CointGraph, format: str = FORMAT_JSON) -> bytes:
         return text.encode("utf-8") + b"\n"
     if format == FORMAT_DOT:
         lines = ["digraph cointegration {"]
-        for n in g.nodes:
-            lines.append(f"  {n.id} [label={_dot_quote(n.symbol)}];")
+        for symbol, nid in g.symbol_ids.items():
+            lines.append(f"  {nid} [label={_dot_quote(symbol)}];")
         c = g.columns
         for src, dst, resid_std, broken in zip(
             c.src.tolist(), c.dst.tolist(), c.resid_std.tolist(), c.broken.tolist()

@@ -205,7 +205,7 @@ def baseline_tick(g: CointGraph, fallback: Mapping[str, float]) -> dict[str, flo
     design[edges, c.dst] = 1.0 / c.resid_std
     design[edges, c.src] = -c.beta1 / c.resid_std
     design[len(c) + np.arange(n), np.arange(n)] = anchor
-    symbols = [node.symbol for node in g.nodes]
+    symbols = list(g.symbol_ids)
     try:
         fallbacks = np.array([float(fallback[s]) for s in symbols])
     except KeyError as exc:
@@ -241,7 +241,7 @@ def jittered_tick(
     node, in node order.
     """
     rng = np.random.default_rng(seed)
-    symbols = [node.symbol for node in g.nodes]
+    symbols = list(g.symbol_ids)
     price = np.array([base[s] for s in symbols], dtype=np.float64)
     draw = rng.uniform(-1.0, 1.0, size=len(symbols))
     # per node, the smallest resid_std / role coefficient over its edges
@@ -288,12 +288,12 @@ def shock_tick(
     past its mean); otherwise the shock tops out at `sigmas` on the most
     sensitive edge and the expected set is empty.
     """
-    node = g.node_of(symbol)
-    delta = shock_delta(g, node.id, sigmas, break_all)
+    nid = g.node_id(symbol)
+    delta = shock_delta(g, nid, sigmas, break_all)
     tick = dict(base)
     tick[symbol] = tick[symbol] + delta
     if break_all:
-        expected = tuple(sorted(e.id for e, _ in neighbors(g, node.id)))
+        expected = tuple(sorted(e.id for e, _ in neighbors(g, nid)))
     else:
         expected = ()
     return tick, expected
@@ -342,7 +342,7 @@ def turbulent_tick(
         )
     tick = dict(base)
     for nid in picked:
-        tick[g.nodes[nid].symbol] += shock_delta(g, nid, sigmas, break_all=True)
+        tick[g.symbol(nid)] += shock_delta(g, nid, sigmas, break_all=True)
     return tick, tuple(sorted(covered))
 
 

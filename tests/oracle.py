@@ -6,10 +6,12 @@ SIGMOD 2010): fresh nodes broadcast their prices along incident edges
 (price_broadcast_messages), each node checks the edges it received a price
 for (AlertVertexProgram.compute), and the per-node outcomes are folded into
 one report (assemble_report). reference_tick runs that job as a plain loop
-over SymbolNode tuples; the package runs it as one array pass
-(alert.tick_kernel). update_prices and with_nodes are the tuple-backed
-price update and node publish the loop reads and writes, kept apart from
-the package's NodeSnapshot price path so the two can be compared.
+over SymbolNodes; the package runs it as one array pass
+(alert.tick_kernel). update_prices and with_nodes are the node-by-node
+price update and node publish the loop reads and writes, each node rebuilt
+as a SymbolNode and the version's store made from them
+(NodeSnapshot.of_nodes), kept apart from the package's array price path
+so the two can be compared.
 replace_models swaps in models by edge id through graph._patch, as the
 refits publish theirs; nothing in the package calls it, and the tests use
 it to plant models.
@@ -43,6 +45,7 @@ from cointwatch.graph import (
     ALERTED,
     CLEAR,
     CointGraph,
+    NodeSnapshot,
     SymbolNode,
     _patch,
     mark_broken,
@@ -70,7 +73,7 @@ def update_prices(g: CointGraph, tick: Mapping[str, float]) -> CointGraph:
             alert_history=n.alert_history,
             last_update_epoch=epoch,
         )
-    return replace(g, node_source=tuple(nodes), epoch=epoch)
+    return CointGraph(NodeSnapshot.of_nodes(nodes), g.columns, epoch)
 
 
 def with_nodes(g: CointGraph, new_nodes: Mapping[int, SymbolNode]) -> CointGraph:
@@ -81,7 +84,7 @@ def with_nodes(g: CointGraph, new_nodes: Mapping[int, SymbolNode]) -> CointGraph
         if not 0 <= nid < g.n_nodes:
             raise UnknownNode(f"node id {nid} is not in the graph")
     nodes = tuple(new_nodes.get(i, n) for i, n in enumerate(g.nodes))
-    return replace(g, node_source=nodes)
+    return CointGraph(NodeSnapshot.of_nodes(nodes), g.columns, g.epoch)
 
 
 def replace_models(g: CointGraph, models: Mapping[int, CointModel]) -> CointGraph:

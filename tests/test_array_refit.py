@@ -204,11 +204,8 @@ class OracleStream(alert.TickStream):
             self._history = _History(history, g)
 
     def _step(self, tick: Mapping[str, float]) -> AlertReport:
-        ids, prices = graphmod.tick_prices(self.graph.symbol_ids, tick)
-        g = self.graph
-        epoch = g.epoch + 1
-        priced = self._nodes.priced(ids, prices, epoch)
-        g = CointGraph(priced, g.columns, epoch, g.symbol_ids)
+        g = graphmod.update_prices(self.graph, tick)
+        priced, epoch = g.node_source, g.epoch
         report, evaluated, flags = tick_kernel(g, self.config, self.health_fn)
 
         broken_ids = [eid for eid, _ in report.broken_edges]
@@ -230,10 +227,10 @@ class OracleStream(alert.TickStream):
 
         # published last, so a failed tick leaves the stream, its log and
         # its history as they were
-        self._nodes = priced.evaluated(epoch, evaluated, flags)
+        nodes = priced.evaluated(epoch, evaluated, flags)
         if column is not None:
             self._history.push(column)
-        self.graph = CointGraph(self._nodes, g.columns, epoch, g.symbol_ids)
+        self.graph = CointGraph(nodes, g.columns, epoch)
         self.last_recompute = summary
         return report
 

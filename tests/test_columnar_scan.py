@@ -35,7 +35,7 @@ from cointwatch.coint import (
     scan_pairs,
 )
 from cointwatch.errors import DuplicateEdge, UnknownSymbol
-from cointwatch.graph import CointGraph, EdgeColumns, SymbolNode, build_graph, export
+from cointwatch.graph import CointGraph, EdgeColumns, NodeSnapshot, SymbolNode, build_graph, export
 
 from test_scan_kernel import universes
 
@@ -266,7 +266,7 @@ def build_graph_by_loop(results, epsilon, symbols) -> CointGraph:
         **{name: [getattr(m, name) for m in models]
            for name in (*coint.ScanResult.FIELDS, "window_id")},
     )
-    return CointGraph(node_source=nodes, columns=columns, epoch=0, symbol_ids=symbol_ids)
+    return CointGraph(NodeSnapshot.of_nodes(nodes), columns, 0)
 
 
 MODEL_FLOATS = [0.0, 1.0, 0.0, 1.0, 0.01, -5.0]

@@ -169,12 +169,7 @@ def oracle_from_json_obj(obj: dict) -> CointGraph:
         broken=[e["broken"] for e in edges],
         **{name: [m[name] for m in models] for name in _MODEL_FIELDS},
     )
-    return CointGraph(
-        node_source=nodes,
-        columns=columns,
-        epoch=obj["epoch"],
-        symbol_ids={n.symbol: n.id for n in nodes},
-    )
+    return CointGraph(graphmod.NodeSnapshot.of_nodes(nodes), columns, obj["epoch"])
 
 
 def oracle_loads(data: str) -> CointGraph:
@@ -252,7 +247,7 @@ def _as_runs(g: CointGraph) -> CointGraph:
             else:
                 runs.append((epoch, 1, state))
         nodes.append(replace(n, alert_history=tuple(runs)))
-    return replace(g, node_source=tuple(nodes))
+    return CointGraph(graphmod.NodeSnapshot.of_nodes(nodes), g.columns, g.epoch)
 
 
 def v2_oracle_loads(data: str) -> CointGraph:

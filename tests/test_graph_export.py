@@ -43,7 +43,7 @@ def graph_of(nodes, edges, epoch):
         eid=eid, src=src, dst=dst, broken=broken, window_id=window_id,
         **{name: [f[k] for f in floats] for k, name in enumerate(FLOATS)},
     )
-    return CointGraph(tuple(nodes), columns, epoch, {n.symbol: n.id for n in nodes})
+    return CointGraph(graphmod.NodeSnapshot.of_nodes(nodes), columns, epoch)
 
 
 model_floats = st.one_of(
