@@ -8,13 +8,14 @@ on a trailing window and either re-admitted or dropped.
 The paper's monitor is a synchronous vertex-centric job: fresh nodes
 broadcast their prices along incident edges, and each node checks the
 edges it received a price for. That job sends no further messages, so it
-is one scan over the edges, and tick_kernel, the package's only tick
-implementation, runs it as one numpy pass over the graph's own edge
-columns (graph.EdgeColumns), which the graph's mutators replace when edges
-break, refit or go. The per-node job, in which each node checks its own
-neighbourhood against its fresh neighbours' prices, is kept with the tests
-(tests/oracle.py) as the reference the kernel must match: the same reports
-and node versions, byte for byte.
+is one scan over the edges. TickStream (public name tick_loop) runs each
+tick through tick_kernel, the package's only tick implementation: one
+numpy pass over the graph's own edge columns (graph.EdgeColumns), which
+graph._patch replaces when edges break, refit or go. The per-node job,
+in which each node checks its own neighbourhood against its fresh
+neighbours' prices, is kept with the tests (tests/oracle.py) as the
+reference the kernel must match: the same reports and node versions, byte
+for byte.
 
 Every graph version holds its node state as arrays too: last price,
 last-update epoch and alert state, plus one append-only log of each tick's
@@ -37,11 +38,12 @@ stacked Cholesky factorization of the pairs' ADF moment matrices). Only a
 pair fit_pairs declines gets PriceSeries, for coint_fit alone, so outcomes
 and errors are those of one coint_fit per edge, and the refit models'
 pvalue and adf_stat agree with coint_fit's to rounding. The refits and
-removals are published as one column patch (graph._patch): each column is
-copied once. With recompute off no history is kept. selective_recompute
-holds its window as the same _History, with no tick column appended, and
-runs the same refit (_History.refit). Either way a window whose series
-differ in window id or length raises MisalignedCalendar before any fit.
+removals are published as one column patch (graph._patch): each column it
+writes or cuts is copied once. With recompute off no history is kept.
+selective_recompute holds its window as the same _History, with no tick
+column appended, and runs the same refit (_History.refit). Either way a
+window whose series differ in window id or length raises
+MisalignedCalendar before any fit.
 """
 
 from __future__ import annotations
@@ -443,13 +445,17 @@ class _History:
             raise missing
         refit = ok & (fields[:, 4] < config.epsilon)  # pvalue
         eids = columns.eid[rows]
-        out = graphmod._patch(g, rows[refit], fields[refit], window_id, rows[~refit])
+        models = dict(zip(ScanResult.FIELDS, fields[refit].T), window_id=window_id, broken=False)
+        out = graphmod._patch(g, rows[refit], models, rows[~refit])
         return out, RecomputeSummary(tuple(eids[refit].tolist()), tuple(eids[~refit].tolist()))
 
 
 class TickStream:
-    """Iterator over per-tick AlertReports; .graph tracks the latest
-    published graph version (refits and removals included).
+    """The alertness pipeline over an ordered tick stream, also exported
+    as tick_loop: one AlertReport per tick, in order, and the whole run
+    deterministic for fixed inputs, config and seeds. A failing tick aborts
+    iteration with the epoch number in the diagnostic. .graph tracks the
+    latest published graph version (refits and removals included).
 
     Ticks run through tick_kernel over the edge columns of the latest
     version. A tick with breaks publishes new columns (the edges marked
@@ -539,25 +545,4 @@ class TickStream:
         return report
 
 
-def tick_loop(
-    g: CointGraph,
-    ticks: Iterable[Mapping[str, float]],
-    config: AlertConfig,
-    recompute_policy: str = RECOMPUTE_OFF,
-    history: Sequence[PriceSeries] | None = None,
-    health_fn: HealthFn | None = None,
-) -> TickStream:
-    """Drive the alertness pipeline over an ordered tick stream.
-
-    Returns a TickStream yielding one AlertReport per tick, in order; the
-    whole run is deterministic for fixed inputs, config, and seeds. A
-    failing tick aborts iteration with the epoch number in the diagnostic.
-    """
-    return TickStream(
-        g,
-        ticks,
-        config,
-        recompute_policy=recompute_policy,
-        history=history,
-        health_fn=health_fn,
-    )
+tick_loop = TickStream

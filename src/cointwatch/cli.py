@@ -307,7 +307,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gen", help="generate synthetic universes and scenarios")
     p.add_argument("kind", choices=("universe", "ticks", "shock", "turbulent"))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--clusters", type=_non_negative_int, default=1)
     p.add_argument("--cluster-size", dest="cluster_size", type=_non_negative_int, default=5)

@@ -23,8 +23,9 @@ consecutive evaluated epochs in one state, so a history grows with the
 node's state changes and stale ticks, not with the run's length.
 
 Edges are held only as columns (EdgeColumns, as in column stores): one
-array per edge field, rows in ascending id order. The mutators return new
-columns; the tick kernel, refits, tick builders and export read them, and
+array per edge field, rows in ascending id order. Every edge change is one
+call of _patch, which copies the columns it writes or cuts and shares the
+rest; the tick kernel, refits, tick builders and export read them, and
 g.edges reads them as a mapping. Each node's in/out edge-id tuples are
 derived once per columns object (CSR), so adjacency cannot disagree with
 the edges. Node ids are dense integers assigned at build time.
@@ -634,45 +635,34 @@ _NO_ROWS = np.empty(0, dtype=np.intp)
 def remove_edges(g: CointGraph, edge_ids: Iterable[int]) -> CointGraph:
     """Drop the given edges (UnknownEdge for an id that is not one); node
     set and prices are untouched. No id gives the same version."""
-    return _patch(g, _NO_ROWS, np.empty((0, len(_MODEL_FLOATS))), (), g.columns.rows(edge_ids))
+    return _patch(g, _NO_ROWS, {}, g.columns.rows(edge_ids))
 
 
 def mark_broken(g: CointGraph, edge_ids: Iterable[int]) -> CointGraph:
     """Flag edges as broken (leash violation observed); UnknownEdge for an
     id that is not an edge. No id gives the same version."""
-    rows = g.columns.rows(edge_ids)
-    if not len(rows):
-        return g
-    broken = g.columns.broken.copy()
-    broken[rows] = True
-    return replace(g, columns=replace(g.columns, broken=broken))
+    return _patch(g, g.columns.rows(edge_ids), {"broken": True})
 
 
 def _patch(
-    g: CointGraph,
-    refit: np.ndarray,
-    fields: np.ndarray,
-    window_id: str | Sequence[str],
-    removed: np.ndarray,
+    g: CointGraph, rows: np.ndarray, values: Mapping[str, object], removed: np.ndarray = _NO_ROWS
 ) -> CointGraph:
-    """g with new models at the rows refit, their broken flags cleared, and
-    the rows removed dropped: each column is copied once, and one neither
-    written nor cut is shared. No row gives the same version.
+    """g with values written at rows and the rows removed dropped, the one
+    writer every edge change goes through: each column it writes or cuts
+    is copied once, and every other column is g's own. Nothing to write or
+    remove gives g itself.
 
-    refit and removed are disjoint rows of g.columns (EdgeColumns.rows);
-    fields holds one row of model floats per refit row, in
-    ScanResult.FIELDS order, and window_id is their window id, one for all
-    or one per row.
+    rows and removed are disjoint rows of g.columns (EdgeColumns.rows);
+    values maps column names to what is written at rows, one value for
+    every row or one per row.
     """
     columns = g.columns
-    if not len(refit) and not len(removed):
+    if not len(removed) and not (len(rows) and values):
         return g
     keep = np.ones(len(columns), dtype=bool)
     keep[removed] = False
-    # the refit rows' positions once the removed rows are dropped
-    at = refit - np.flatnonzero(~keep).searchsorted(refit)
-    values = {name: fields[:, k] for k, name in enumerate(_MODEL_FLOATS)}
-    values.update(window_id=window_id, broken=False)
+    # the rows' positions once the removed rows are dropped
+    rows = rows - np.flatnonzero(~keep).searchsorted(rows)
     out = {}
     for name in _DTYPES:
         column = getattr(columns, name)
@@ -681,9 +671,9 @@ def _patch(
         elif name in values:
             column = column.copy()
         if name in values:
-            column[at] = values[name]
+            column[rows] = values[name]
         out[name] = column
-    return replace(g, columns=EdgeColumns(**out))
+    return CointGraph(g.node_source, EdgeColumns(**out), g.epoch)
 
 
 def audit_adjacency(g: CointGraph) -> bool:
@@ -903,7 +893,7 @@ def _edges_json(c: EdgeColumns) -> str | None:
     _edges_to_obj(c) with sorted keys and no whitespace, from
     _EDGE_TEMPLATE; None when a value is one the template cannot vouch
     for: a non-finite model float (json.dumps writes NaN or Infinity) or a
-    window id that is not a str.
+    window id that is not a str; export then writes the edges by json.dumps.
 
     ids, endpoints and broken flags are ints and bools by their dtypes,
     and a finite float's JSON is its repr, as json.dumps writes it; each
@@ -932,24 +922,18 @@ def export(g: CointGraph, format: str = FORMAT_JSON) -> bytes:
 
     JSON: canonical (sorted keys, no whitespace) so save/load/save is
     byte-stable: the bytes of json.dumps(to_json_obj(g), sort_keys=True,
-    separators=(",", ":")) and a newline. The edges are written from a
-    template (_edges_json) and the epoch and nodes by json.dumps; a graph
-    whose edges the template declines is written by json.dumps whole.
+    separators=(",", ":")) and a newline, assembled as
+    {"edges":E,"epoch":N,"nodes":V}: E from a template (_edges_json), or by
+    json.dumps where the template declines, and N and V by json.dumps.
     DOT: one node statement per symbol and one edge statement per edge
     with penwidth = 1/resid_std (tighter pairs draw thicker) and
     style=dashed on broken edges.
     """
     if format == FORMAT_JSON:
-        edges = _edges_json(g.columns)
-        if edges is None:
-            text = json.dumps(to_json_obj(g), sort_keys=True, separators=(",", ":"))
-        else:
-            nodes = [_node_to_obj(n) for n in g.nodes]
-            text = '{"edges":%s,"epoch":%s,"nodes":%s}' % (
-                edges,
-                json.dumps(g.epoch),
-                json.dumps(nodes, sort_keys=True, separators=(",", ":")),
-            )
+        canonical = {"sort_keys": True, "separators": (",", ":")}
+        edges = _edges_json(g.columns) or json.dumps(_edges_to_obj(g.columns), **canonical)
+        nodes = json.dumps([_node_to_obj(n) for n in g.nodes], **canonical)
+        text = '{"edges":%s,"epoch":%s,"nodes":%s}' % (edges, json.dumps(g.epoch), nodes)
         return text.encode("utf-8") + b"\n"
     if format == FORMAT_DOT:
         lines = ["digraph cointegration {"]

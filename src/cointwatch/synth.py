@@ -193,11 +193,14 @@ def baseline_tick(g: CointGraph, fallback: Mapping[str, float]) -> dict[str, flo
     solve split over threads changed the prices' last bits.
 
     Raises:
-        ScenarioError: fallback has no price for a graph symbol (naming the
-            first in node order), or the solution leaves an edge beyond
-            BASELINE_GUARD sigmas or a price non-positive.
+        ScenarioError: the graph has no nodes, fallback has no price for a
+            graph symbol (naming the first in node order), or the solution
+            leaves an edge beyond BASELINE_GUARD sigmas or a price
+            non-positive.
     """
     n, c = g.n_nodes, g.columns
+    if not n:
+        raise ScenarioError("graph has no nodes to price")
     edges = np.arange(len(c))
     anchor = 1e-3
     # one row per edge in id order, then one anchor row per node
@@ -263,10 +266,11 @@ def jittered_tick(
 def shock_delta(g: CointGraph, node_id: int, sigmas: float, break_all: bool) -> float:
     """Price delta for one node: large enough to push every incident edge
     beyond `sigmas` (break_all) or small enough that even the most
-    sensitive incident edge moves exactly `sigmas` (break_none)."""
+    sensitive incident edge moves exactly `sigmas` (break_none). A node
+    without incident edges raises ScenarioError naming its symbol."""
     incident = neighbors(g, node_id)
     if not incident:
-        raise ValueError(f"node {node_id} has no incident edges to shock")
+        raise ScenarioError(f"symbol {g.symbol(node_id)!r} has no incident edges to shock")
     per_edge = [
         sigmas * e.model.resid_std / max(_role_coefficient(e, node_id), 1e-12)
         for e, _ in incident
@@ -311,10 +315,12 @@ def turbulent_tick(
     Picks a seeded independent set of nodes (no two adjacent, so their
     incident edge sets are disjoint and shocks cannot cancel) until the
     union of incident edges covers the requested fraction, then applies a
-    break-all shock to each. Returns the tick and the exact broken set.
+    break-all shock to each. Returns the tick and the exact broken set;
+    ScenarioError when the graph has no edges or no such set covers the
+    fraction.
     """
     if not g.edges:
-        raise ValueError("graph has no edges to break")
+        raise ScenarioError("graph has no edges to break")
     rng = np.random.default_rng(seed)
     order = list(range(g.n_nodes))
     rng.shuffle(order)

@@ -25,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Mapping, Sequence
 
-import numpy as np
-
 from cointwatch import graph as graphmod
 from cointwatch.alert import (
     AlertConfig,
@@ -40,8 +38,7 @@ from cointwatch.alert import (
 from cointwatch.coint import CointModel, PriceSeries
 from cointwatch.errors import UnknownNode
 from cointwatch.graph import (
-    _MODEL_FLOATS,
-    _NO_ROWS,
+    _MODEL_FIELDS,
     ALERTED,
     CLEAR,
     CointGraph,
@@ -91,15 +88,8 @@ def replace_models(g: CointGraph, models: Mapping[int, CointModel]) -> CointGrap
     """Swap in refit models, keyed by edge id, and clear their broken flags;
     UnknownEdge for an id that is not an edge. No model gives the same
     version."""
-    rows = g.columns.rows(models)
-    fields = [[getattr(m, name) for name in _MODEL_FLOATS] for m in models.values()]
-    return _patch(
-        g,
-        rows,
-        np.array(fields, dtype=np.float64).reshape(len(rows), len(_MODEL_FLOATS)),
-        [m.window_id for m in models.values()],
-        _NO_ROWS,
-    )
+    values = {name: [getattr(m, name) for m in models.values()] for name in _MODEL_FIELDS}
+    return _patch(g, g.columns.rows(models), dict(values, broken=False))
 
 
 def price_broadcast_messages(g: CointGraph) -> list[dict[int, float]]:

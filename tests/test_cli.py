@@ -511,6 +511,52 @@ class TestGen:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "symbols, pairs, kind, message",
+        [
+            (["A", "B"], [], "turbulent", "graph has no edges to break"),
+            (["A", "B", "C"], [("A", "B")], "shock", "symbol 'C' has no incident edges to shock"),
+            ([], [], "ticks", "graph has no nodes to price"),
+            ([], [], "shock", "graph has no nodes to price"),
+            ([], [], "turbulent", "graph has no nodes to price"),
+        ],
+    )
+    def test_a_graph_the_scenario_cannot_use_is_a_data_error(
+        self, tmp_path, capsys, symbols, pairs, kind, message
+    ):
+        results = [PairResult(src, dst, dummy_model(), admitted=True) for src, dst in pairs]
+        graph = tmp_path / "g.json"
+        save_graph(build_graph(results, 1.0, symbols), graph)
+        prices = tmp_path / "p.csv"
+        days = [date(2015, 1, 2), date(2015, 1, 3)]
+        write_prices_csv(prices, days, {s: [10.0, 10.0] for s in ("A", "B", "C")})
+        out, expected = tmp_path / "t.csv", tmp_path / "expected.json"
+        argv = [
+            "gen", kind, "--graph", str(graph), "--prices", str(prices), "--symbol", "C",
+            "--out", str(out), "--expected", str(expected),
+        ]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"cointwatch: error: {message}\n"
+        assert captured.out == ""
+        assert not out.exists() and not expected.exists()
+
+    @pytest.mark.parametrize("kind", ["universe", "ticks", "turbulent"])
+    def test_negative_seed_is_a_usage_error(
+        self, tmp_path, built_graph, universe_csv, capsys, kind
+    ):
+        out, expected = tmp_path / "t.csv", tmp_path / "expected.json"
+        argv = [
+            "gen", kind, "--graph", str(built_graph), "--prices", str(universe_csv),
+            "--seed", "-1", "--out", str(out), "--expected", str(expected),
+        ]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert "--seed" in captured.err and captured.err.count("error:") == 1
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not out.exists() and not expected.exists()
+
     @pytest.mark.parametrize("kind", ["ticks", "shock", "turbulent"])
     @pytest.mark.parametrize("cause", ["no rows", "no first day", "long gap"])
     def test_prices_without_a_graph_symbol_are_a_data_error(

@@ -85,13 +85,10 @@ def oracle_replace(edges, models):
 def patch(g, step):
     """graph._patch with refit models and removed ids turned into rows."""
     models, removed = step
-    fields = [[getattr(m, name) for name in ScanResult.FIELDS] for m in models.values()]
+    fields = (*ScanResult.FIELDS, "window_id")
+    values = {name: [getattr(m, name) for m in models.values()] for name in fields}
     return graphmod._patch(
-        g,
-        g.columns.rows(models),
-        np.array(fields, dtype=np.float64).reshape(len(models), 6),
-        [m.window_id for m in models.values()],
-        g.columns.rows(removed),
+        g, g.columns.rows(models), dict(values, broken=False), g.columns.rows(removed)
     )
 
 
@@ -246,3 +243,24 @@ def test_calm_run_shares_one_columns_object(small_planted):
     stream = tick_loop(g, ticks, AlertConfig())
     for _ in stream:
         assert stream.graph.columns is g.columns
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_an_edge_writer_shares_the_columns_it_does_not_write(seed):
+    g = random_graph(seed, n_nodes=6, n_edges=8)
+    eids = sorted(g.edges)
+
+    def shared(g2, written):
+        for name in graphmod._DTYPES:
+            column, parent = getattr(g2.columns, name), getattr(g.columns, name)
+            assert (column is parent) == (name not in written), name
+        assert g2.node_source is g.node_source and g2.epoch == g.epoch
+
+    shared(mark_broken(g, eids[:3]), {"broken"})
+    model = CointModel(1.0, 2.0, 0.5, 0.25, 0.01, -4.0, "refit")
+    refit = patch(g, ({eids[1]: model, eids[4]: model}, []))
+    shared(refit, {*ScanResult.FIELDS, "window_id", "broken"})
+    # nothing to write or remove
+    assert mark_broken(g, []) is g
+    assert remove_edges(g, []) is g
+    assert patch(g, ({}, [])) is g
