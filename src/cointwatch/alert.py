@@ -79,7 +79,8 @@ class AlertConfig:
     """Knobs for the alertness pipeline.
 
     sigma_k: leash width in residual standard deviations (alert on strictly
-        greater deviation).
+        greater deviation); a positive finite number, since no deviation
+        exceeds an infinite leash.
     epsilon: p-value threshold used when refitting broken edges.
     global_fraction: alerted-node fraction above which the default health
         reducer declares a global alert (an arbitrary, documented default;
@@ -94,8 +95,8 @@ class AlertConfig:
     latch_alerts: bool = False
 
     def __post_init__(self):
-        if not self.sigma_k > 0:
-            raise ValueError(f"sigma_k must be > 0, got {self.sigma_k}")
+        if not 0.0 < self.sigma_k < math.inf:
+            raise ValueError(f"sigma_k must be a positive finite number, got {self.sigma_k}")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
         if not 0.0 <= self.global_fraction <= 1.0:
@@ -216,10 +217,15 @@ def tick_kernel(
     g.nodes.
 
     Deviations are computed over every edge, stale ones included, and only
-    the checked edges' are read. A quiet tick (no checked edge fails) does
-    no alert bookkeeping: its report has no node alert and no broken edge,
-    and its flags are all False, or under latch_alerts the evaluated nodes'
-    previous flags.
+    the checked edges' are read. The evaluated nodes are read from the
+    columns' incidence index (graph.Incidence), as each node of the paper's
+    vertex-centric job reads its own neighbourhood: one logical_or.reduceat
+    of the checked flags over every node's segment. The index is built once
+    per columns object and carried by graph._patch, so no tick sorts.
+
+    A quiet tick (no checked edge fails) does no alert bookkeeping: its
+    report has no node alert and no broken edge, and its flags are all
+    False, or under latch_alerts the evaluated nodes' previous flags.
 
     Raises:
         ZeroSigma: a checked edge has resid_std <= 0.
@@ -249,9 +255,11 @@ def tick_kernel(
         deviation /= columns.resid_std
         failing = np.flatnonzero(checked & (deviation > config.sigma_k))
 
+    # a node evaluated a check iff one of its edges was checked: one OR
+    # over each node's incidence segment; a node without an edge has none
+    index = columns.incidence
     evaluated = np.zeros(g.n_nodes, dtype=bool)
-    evaluated[src[checked]] = True
-    evaluated[dst[checked]] = True
+    evaluated[index.nodes] = np.logical_or.reduceat(checked[index.rows], index.starts)
     ids = np.flatnonzero(evaluated)
     if len(failing):
         alerted = np.zeros(g.n_nodes, dtype=bool)

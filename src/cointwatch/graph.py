@@ -26,9 +26,14 @@ Edges are held only as columns (EdgeColumns, as in column stores): one
 array per edge field, rows in ascending id order. Every edge change is one
 call of _patch, which copies the columns it writes or cuts and shares the
 rest; the tick kernel, refits, tick builders and export read them, and
-g.edges reads them as a mapping. Each node's in/out edge-id tuples are
-derived once per columns object (CSR), so adjacency cannot disagree with
-the edges. Node ids are dense integers assigned at build time.
+g.edges reads them as a mapping. Each node's neighbourhood is one index
+over the 2E edge endpoints (Incidence, in CSR form: the edge rows grouped
+by node, as Pregel keeps per-vertex edge lists; Malewicz et al., SIGMOD
+2010), built once per columns object from one stable argsort and carried
+by _patch, which shares it when no row goes and patches it when rows do.
+The tick kernel reads each node's segment, and the in/out edge-id tuples
+(adjacency) are split from the same segments, so neither can disagree
+with the edges. Node ids are dense integers assigned at build time.
 """
 
 from __future__ import annotations
@@ -258,8 +263,10 @@ class EdgeColumns(Mapping):
 
     Read as a mapping, they are {edge id: CointEdge} in id order, each
     CointEdge built when its id is read. What is derived from them is
-    computed once per columns object: zero_sigma, and the adjacency for
-    each node count asked.
+    computed at most once per columns object, on first read: zero_sigma;
+    incidence, each node's edge rows, unless _patch carried it from the
+    parent columns; and, split from incidence, the adjacency for each node
+    count asked.
     """
 
     eid: np.ndarray
@@ -352,14 +359,67 @@ class EdgeColumns(Mapping):
         """Rows whose resid_std <= 0: a tick that checks one of them raises."""
         return np.flatnonzero(self.resid_std <= 0.0)
 
+    @cached_property
+    def incidence(self) -> Incidence:
+        """Each node's edge rows (Incidence), from one stable argsort of the
+        2E endpoints src, then dst."""
+        ends = np.concatenate((self.src, self.dst))
+        rows = np.argsort(ends, kind="stable")
+        rows[rows >= len(self)] -= len(self)  # entry E + r is row r's dst
+        degree = np.bincount(ends)
+        nodes = np.flatnonzero(degree)
+        return Incidence.of_segments(rows, nodes, degree[nodes])
+
     def adjacency(self, n_nodes: int):
         """(out_edges, in_edges): per node id below n_nodes, its out- and
-        in-edge ids, ascending; CSR splits of a stable argsort of src, dst."""
+        in-edge ids, ascending; each node's incidence segment split where
+        its out-edge rows end."""
         found = self._adjacency.get(n_nodes)
         if found is None:
-            found = (_csr(self.src, self.eid, n_nodes), _csr(self.dst, self.eid, n_nodes))
+            ids = self.eid[self.incidence.rows].tolist()
+            # node v's out- and in-degree, at 2v and 2v + 1
+            degrees = np.stack([np.bincount(self.src, minlength=n_nodes),
+                                np.bincount(self.dst, minlength=n_nodes)], axis=1)
+            bounds = [0, *np.cumsum(degrees).tolist()]
+            segments = [tuple(ids[a:b]) for a, b in zip(bounds, bounds[1:])]
+            found = (tuple(segments[0::2]), tuple(segments[1::2]))
             self._adjacency[n_nodes] = found
         return found
+
+
+class Incidence(NamedTuple):
+    """The edge rows incident to each node, in CSR form over the 2E edge
+    endpoints. rows lists every edge row twice, once under its src and once
+    under its dst, grouped by node id ascending; within a node's segment
+    its out-edge rows come first, then its in-edge rows, each ascending.
+    nodes holds the ids of the nodes with at least one edge, ascending, and
+    starts and degree the offset and length of each one's segment in rows,
+    so a node without an edge has no segment (np.ufunc.reduceat reads a
+    segment of length 0 as one entry).
+    """
+
+    rows: np.ndarray
+    nodes: np.ndarray
+    starts: np.ndarray
+    degree: np.ndarray
+
+    @classmethod
+    def of_segments(cls, rows: np.ndarray, nodes: np.ndarray, degree: np.ndarray) -> Incidence:
+        """The index of rows whose segments, in order, are the nodes' with
+        these degrees."""
+        return cls(rows, nodes, np.cumsum(degree) - degree, degree)
+
+    def without(self, keep: np.ndarray, ends: np.ndarray) -> Incidence:
+        """The index once the rows keep marks False are dropped, the rest
+        renumbered in order; ends holds the dropped rows' endpoints, src and
+        dst. One mask drops their entries and one bincount recounts the
+        degrees; nothing is sorted again."""
+        rows = self.rows[keep[self.rows]]
+        renumbered = (np.cumsum(keep) - 1)[rows]
+        lost = np.bincount(self.nodes.searchsorted(ends), minlength=len(self.nodes))
+        degree = self.degree - lost
+        has = degree > 0
+        return Incidence.of_segments(renumbered, self.nodes[has], degree[has])
 
 
 def _int64(eid) -> int | None:
@@ -379,13 +439,6 @@ _DTYPES = {
     "window_id": object,
     "broken": bool,
 }
-
-
-def _csr(ends: np.ndarray, eid: np.ndarray, n_nodes: int) -> tuple[tuple[int, ...], ...]:
-    order = np.argsort(ends, kind="stable")  # eid ascends within each node
-    offsets = np.searchsorted(ends[order], np.arange(n_nodes + 1)).tolist()
-    ids = eid[order].tolist()
-    return tuple(tuple(ids[a:b]) for a, b in zip(offsets, offsets[1:]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -655,6 +708,12 @@ def _patch(
     rows and removed are disjoint rows of g.columns (EdgeColumns.rows);
     values maps column names to what is written at rows, one value for
     every row or one per row.
+
+    The topology changes only when rows are removed, so g.columns'
+    incidence index, once built, is carried over: shared when no row is
+    removed (mark_broken, a refit), and otherwise patched
+    (Incidence.without), never sorted again. An index g.columns has not
+    built is left for the new columns to build on first read.
     """
     columns = g.columns
     if not len(removed) and not (len(rows) and values):
@@ -673,7 +732,14 @@ def _patch(
         if name in values:
             column[rows] = values[name]
         out[name] = column
-    return CointGraph(g.node_source, EdgeColumns(**out), g.epoch)
+    patched = EdgeColumns(**out)
+    index = columns.__dict__.get("incidence")
+    if index is not None:
+        if len(removed):
+            gone = ~keep  # removed may repeat a row
+            index = index.without(keep, np.concatenate((columns.src[gone], columns.dst[gone])))
+        patched.__dict__["incidence"] = index
+    return CointGraph(g.node_source, patched, g.epoch)
 
 
 def audit_adjacency(g: CointGraph) -> bool:

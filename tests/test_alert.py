@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -380,6 +381,8 @@ class TestAlertConfig:
             {"epsilon": 1.0},
             {"global_fraction": -0.1},
             {"global_fraction": 1.5},
+            {"sigma_k": math.inf},
+            {"sigma_k": math.nan},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):

@@ -258,6 +258,31 @@ class TestRunCommand:
         after = load_graph(out_graph)
         assert all(after.edges[eid].broken for eid in broken_ids)
 
+    def test_an_infinite_leash_is_a_usage_error(
+        self, tmp_path, built_graph, universe_csv, capsys
+    ):
+        # no deviation exceeds an infinite leash, so even a 6-sigma shock
+        # would report nothing broken
+        symbol = load_graph(built_graph).nodes[0].symbol
+        ticks = tmp_path / "shock.csv"
+        code = run(
+            [
+                "gen", "shock", "--graph", str(built_graph), "--prices", str(universe_csv),
+                "--symbol", symbol, "--sigmas", "6", "--out", str(ticks),
+            ]
+        )
+        assert code == 0
+        reports = tmp_path / "reports.jsonl"
+        code = run(
+            [
+                "run", "--graph", str(built_graph), "--ticks", str(ticks),
+                "--sigma", "inf", "--out", str(reports),
+            ]
+        )
+        assert code == 1
+        assert "sigma_k must be a positive finite number, got inf" in capsys.readouterr().err
+        assert not reports.exists()
+
     def test_recompute_off_does_not_read_prices(self, tmp_path, built_graph, universe_csv):
         # only onbreak refits read the price history, so off never opens it
         ticks = tmp_path / "shock.csv"
