@@ -56,7 +56,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from . import graph as graphmod
-from .coint import PriceSeries, ScanResult, check_aligned, coint_fit, fit_pairs
+from .coint import PriceSeries, ScanResult, admits, check_aligned, coint_fit, fit_pairs
 from .errors import (
     CointwatchError,
     DegeneratePair,
@@ -65,7 +65,6 @@ from .errors import (
     NonFiniteFit,
     SingularDesign,
     TooShort,
-    UnknownEdge,
     ZeroSigma,
 )
 from .graph import CointGraph
@@ -299,7 +298,7 @@ def selective_recompute(
 ) -> tuple[CointGraph, RecomputeSummary]:
     """Refit only the broken edges on the supplied window.
 
-    An edge whose refit clears pvalue < epsilon gets the new model (broken
+    An edge whose refit meets the admission rule gets the new model (broken
     flag cleared); one that does not is removed from the graph. Edges not
     listed are left untouched (same rows, same bytes).
 
@@ -405,10 +404,10 @@ class _History:
         pair of its src and dst rows in it; the edges are fitted together
         (coint.fit_pairs). A PriceSeries of window_id is built only for the
         rows of an edge fit_pairs declines, which coint_fit decides in row
-        order. An edge is refit when its pvalue < config.epsilon; it is
-        removed otherwise, and when coint_fit finds no testable leash
-        (DegeneratePair, DegenerateRegressor, SingularDesign,
-        NonFiniteFit).
+        order. An edge is refit when its model meets the admission rule
+        (coint.admits) at config.epsilon; it is removed otherwise, and when
+        coint_fit finds no testable leash (DegeneratePair,
+        DegenerateRegressor, SingularDesign, NonFiniteFit).
 
         Raises:
             InsufficientWindow: the window lacks an endpoint's symbol,
@@ -451,7 +450,7 @@ class _History:
             ok[r] = True
         if missing is not None:
             raise missing
-        refit = ok & (fields[:, 4] < config.epsilon)  # pvalue
+        refit = ok & admits(fields, config.epsilon)
         eids = columns.eid[rows]
         models = dict(zip(ScanResult.FIELDS, fields[refit].T), window_id=window_id, broken=False)
         out = graphmod._patch(g, rows[refit], models, rows[~refit])

@@ -116,16 +116,16 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    g = pipeline.load_graph(args.graph)
-    ticks = pipeline.load_ticks(args.ticks)
     config = alert.AlertConfig(
         sigma_k=args.sigma, epsilon=args.epsilon, global_fraction=args.global_fraction
     )
+    if args.recompute == alert.RECOMPUTE_ON_BREAK and args.prices is None:
+        raise CointwatchError("--recompute onbreak requires --prices for the refit window")
+    g = pipeline.load_graph(args.graph)
+    ticks = pipeline.load_ticks(args.ticks)
     # only onbreak refits read the price history
     history = None
     if args.recompute == alert.RECOMPUTE_ON_BREAK:
-        if args.prices is None:
-            raise CointwatchError("--recompute onbreak requires --prices for the refit window")
         _, window = _window_series(args.prices, args.window_start, args.window_end)
         history = window.series
 
@@ -160,6 +160,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_recompute(args) -> int:
+    config = alert.AlertConfig(epsilon=args.epsilon)
+    if args.broken is None and args.broken_file is None:
+        raise CointwatchError("no broken edges given; pass --broken or --broken-file")
     g = pipeline.load_graph(args.graph)
     broken = args.broken
     if args.broken_file is not None:
@@ -169,15 +172,12 @@ def _cmd_recompute(args) -> int:
             raise CointwatchError(f"{args.broken_file}: invalid JSON input: {exc}") from exc
         if not isinstance(broken, list) or not all(type(i) is int for i in broken):
             raise CointwatchError(f"{args.broken_file}: expected a JSON list of edge ids")
-    if broken is None:
-        raise CointwatchError("no broken edges given; pass --broken or --broken-file")
     _, window = _window_series(args.prices, args.window_start, args.window_end)
-    config = alert.AlertConfig(epsilon=args.epsilon)
     g2, summary = alert.selective_recompute(g, broken, window.series, config)
     pipeline.save_graph(g2, args.out)
     print(
-        f"recomputed {len(broken)} edges: {len(summary.refitted)} refitted, "
-        f"{len(summary.removed)} removed -> {args.out}"
+        f"recomputed {len(summary.refitted) + len(summary.removed)} edges: "
+        f"{len(summary.refitted)} refitted, {len(summary.removed)} removed -> {args.out}"
     )
     return 0
 
@@ -237,12 +237,10 @@ def _cmd_gen(args) -> int:
         tick, expected = synth.shock_tick(
             g, base, args.symbol, sigmas=args.sigmas, break_all=(args.mode == "all")
         )
-    elif args.kind == "turbulent":
+    else:  # turbulent: argparse admits only the four kinds
         tick, expected = synth.turbulent_tick(
             g, base, fraction=args.fraction, seed=args.seed, sigmas=args.sigmas
         )
-    else:  # unreachable with argparse choices
-        raise CointwatchError(f"unknown gen kind {args.kind!r}")
     _write_ticks(args.out, _gen_dates(last_day, 1), [tick])
     if args.expected is not None:
         Path(args.expected).write_text(json.dumps(list(expected)) + "\n")

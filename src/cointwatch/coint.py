@@ -193,6 +193,12 @@ class ScanResult:
         return f"ScanResult(pairs={self.pairs!r}, skipped={self.skipped!r})"
 
 
+def admits(fields: np.ndarray, epsilon: float) -> np.ndarray:
+    """The admission rule on rows of ScanResult.FIELDS floats, for the scan,
+    graph.build_graph and the refits: pvalue < epsilon with resid_std > 0."""
+    return (fields[:, 4] < epsilon) & (fields[:, 3] > 0.0)
+
+
 def coint_fit(x: PriceSeries, y: PriceSeries, lags: int | None = None) -> CointModel:
     """Fit the directional cointegration model x -> y.
 
@@ -530,7 +536,7 @@ def _assemble(parts, scan: _Scan, epsilon: float) -> ScanResult:
         dst=dst[fitted],
         fields=fields,
         window_id=scan.window_id,
-        admit=(fields[:, 4] < epsilon) & (fields[:, 3] > 0.0),
+        admit=admits(fields, epsilon),
         skipped_src=src[failed],
         skipped_dst=dst[failed],
         reasons=tuple(map(reasons.__getitem__, skip_order.tolist())),

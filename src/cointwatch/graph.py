@@ -50,7 +50,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .coint import CointModel, PairResult, ScanResult
+from .coint import CointModel, PairResult, ScanResult, admits
 from .errors import (
     DuplicateEdge,
     NonPositivePrice,
@@ -495,14 +495,6 @@ class CointGraph:
         except KeyError:
             raise UnknownSymbol(f"symbol {symbol!r} is not in the graph") from None
 
-    def node_of(self, symbol: str) -> SymbolNode:
-        return self.nodes[self.node_id(symbol)]
-
-    def is_fresh(self, node_id: int) -> bool:
-        nodes = self.node_source
-        fresh = nodes.updated.item(node_id) == self.epoch
-        return fresh and not math.isnan(nodes.price.item(node_id))
-
     def __eq__(self, other):
         if not isinstance(other, CointGraph):
             return NotImplemented
@@ -533,10 +525,9 @@ def build_graph(
     """Assemble the graph from scanned pair results.
 
     One node per universe symbol (isolated symbols included). One edge per
-    result whose model clears the admission rule pvalue < epsilon with
-    resid_std > 0; admission is re-derived from the stored model so a scan
-    can be re-thresholded without refitting. Edge ids follow (src, dst)
-    symbol order.
+    result whose model meets the admission rule, coint.admits; admission
+    is re-derived from the stored model so a scan can be re-thresholded
+    without refitting. Edge ids follow (src, dst) symbol order.
 
     results is a ScanResult, PairColumns or PairResults; a ScanResult and
     PairResults are first turned into PairColumns. The admitted rows are
@@ -554,7 +545,7 @@ def build_graph(
     symbol_ids = nodes.symbol_ids
     names, src, dst, fields, window_ids = _columns(results)
     rows = _edge_rows(names, src, dst, symbol_ids)
-    rows = rows[(fields[rows, 4] < epsilon) & (fields[rows, 3] > 0.0)]
+    rows = rows[admits(fields[rows], epsilon)]
     ids = np.array([symbol_ids.get(s, -1) for s in names], dtype=np.intp)
     columns = EdgeColumns.of_lists(
         eid=np.arange(len(rows)),
@@ -786,14 +777,6 @@ def _edges_to_obj(c: EdgeColumns) -> list[dict]:
     ]
 
 
-def to_json_obj(g: CointGraph) -> dict:
-    return {
-        "epoch": g.epoch,
-        "nodes": [_node_to_obj(n) for n in g.nodes],
-        "edges": _edges_to_obj(g.columns),
-    }
-
-
 # the JSON name of each type (or types) a field is checked against or holds
 _JSON_NAMES = {int: "integer", float: "number", (int, float): "number", str: "string",
                list: "array", dict: "object", bool: "boolean", type(None): "null"}
@@ -987,10 +970,10 @@ def export(g: CointGraph, format: str = FORMAT_JSON) -> bytes:
     """Serialize the graph.
 
     JSON: canonical (sorted keys, no whitespace) so save/load/save is
-    byte-stable: the bytes of json.dumps(to_json_obj(g), sort_keys=True,
-    separators=(",", ":")) and a newline, assembled as
-    {"edges":E,"epoch":N,"nodes":V}: E from a template (_edges_json), or by
-    json.dumps where the template declines, and N and V by json.dumps.
+    byte-stable: {"edges":E,"epoch":N,"nodes":V} and a newline, where N and
+    V are the json.dumps of the epoch and of the nodes' _node_to_obj
+    objects, and E that of the edges' _edges_to_obj objects, written from a
+    template (_edges_json), or by json.dumps where the template declines.
     DOT: one node statement per symbol and one edge statement per edge
     with penwidth = 1/resid_std (tighter pairs draw thicker) and
     style=dashed on broken edges.

@@ -7,6 +7,8 @@ from cointwatch import stats, synth
 from cointwatch.coint import CointModel, PairResult, fit_pairs
 from cointwatch.graph import build_graph
 
+from oracle import is_fresh
+
 
 def planted_instance(seed, n_clusters=2, cluster_size=4, n_independent=0, n_days=250):
     """Planted multi-cluster graph plus an in-band baseline tick."""
@@ -96,7 +98,7 @@ def sequential_broken_oracle(g, sigma_k):
     broken = {}
     for eid in sorted(g.edges):
         e = g.edges[eid]
-        if not (g.is_fresh(e.src) and g.is_fresh(e.dst)):
+        if not (is_fresh(g, e.src) and is_fresh(g, e.dst)):
             continue
         x_price = g.nodes[e.src].last_price
         y_price = g.nodes[e.dst].last_price

@@ -14,7 +14,9 @@ as a SymbolNode and the version's store made from them
 so the two can be compared.
 replace_models swaps in models by edge id through graph._patch, as the
 refits publish theirs; nothing in the package calls it, and the tests use
-it to plant models.
+it to plant models. is_fresh and node_of read one node of a version (the
+kernel computes freshness for all nodes at once), and graph.export's JSON
+bytes are the canonical json.dumps of to_json_obj's document.
 
 replay drives the whole reference run, tick after tick; the tests that
 compare tick_loop with the reference go through it.
@@ -22,6 +24,7 @@ compare tick_loop with the reference go through it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -44,6 +47,8 @@ from cointwatch.graph import (
     CointGraph,
     NodeSnapshot,
     SymbolNode,
+    _edges_to_obj,
+    _node_to_obj,
     _patch,
     mark_broken,
     neighbors,
@@ -92,6 +97,24 @@ def replace_models(g: CointGraph, models: Mapping[int, CointModel]) -> CointGrap
     return _patch(g, g.columns.rows(models), dict(values, broken=False))
 
 
+def node_of(g: CointGraph, symbol: str) -> SymbolNode:
+    return g.nodes[g.node_id(symbol)]
+
+
+def is_fresh(g: CointGraph, node_id: int) -> bool:
+    nodes = g.node_source
+    fresh = nodes.updated.item(node_id) == g.epoch
+    return fresh and not math.isnan(nodes.price.item(node_id))
+
+
+def to_json_obj(g: CointGraph) -> dict:
+    return {
+        "epoch": g.epoch,
+        "nodes": [_node_to_obj(n) for n in g.nodes],
+        "edges": _edges_to_obj(g.columns),
+    }
+
+
 def price_broadcast_messages(g: CointGraph) -> list[dict[int, float]]:
     """Every fresh node sends its last price along every incident edge
     (stale nodes stay silent); returns, per node id, the {sender id: price}
@@ -99,9 +122,9 @@ def price_broadcast_messages(g: CointGraph) -> list[dict[int, float]]:
     inboxes: list[dict[int, float]] = [{} for _ in range(g.n_nodes)]
     for eid in sorted(g.edges):
         e = g.edges[eid]
-        if g.is_fresh(e.src):
+        if is_fresh(g, e.src):
             inboxes[e.dst][e.src] = g.nodes[e.src].last_price
-        if g.is_fresh(e.dst):
+        if is_fresh(g, e.dst):
             inboxes[e.src][e.dst] = g.nodes[e.dst].last_price
     return inboxes
 
@@ -132,7 +155,7 @@ class AlertVertexProgram:
         self, node: graphmod.SymbolNode, prices: Mapping[int, float], epoch: int
     ) -> AlertVertexState:
         """The node's outcome, given its fresh neighbours' prices by id."""
-        self_fresh = self.graph.is_fresh(node.id)
+        self_fresh = is_fresh(self.graph, node.id)
         checked = 0
         skipped = 0
         failed: list[tuple[int, float]] = []
@@ -244,7 +267,7 @@ def replay(
         summary = None
         if history:
             for symbol, col in columns.items():
-                price = g.node_of(symbol).last_price if symbol in g.symbol_ids else None
+                price = node_of(g, symbol).last_price if symbol in g.symbol_ids else None
                 col.append(col[-1] if price is None else price)
                 del col[0]
             if broken:

@@ -19,6 +19,7 @@ from cointwatch.coint import scan_pairs
 from cointwatch.graph import build_graph, update_prices
 from cointwatch.pipeline import load_graph, save_graph
 
+import scenarios
 from conftest import planted_instance, sequential_broken_oracle
 
 
@@ -186,14 +187,14 @@ class TestC6SelectiveRecompute:
     def test_criterion_6(self):
         retained = 0
         for seed in range(50):
-            scenario = synth.transient_scenario(seed)
-            g = synth.pair_graph(scenario.fit_x, scenario.fit_y)
+            scenario = scenarios.transient_scenario(seed)
+            g = scenarios.pair_graph(scenario.fit_x, scenario.fit_y)
             _, summary = selective_recompute(g, [0], scenario.refit_window, AlertConfig())
             retained += summary.refitted == (0,)
         removed = 0
         for seed in range(50):
-            scenario = synth.regime_break_scenario(seed)
-            g = synth.pair_graph(scenario.fit_x, scenario.fit_y)
+            scenario = scenarios.regime_break_scenario(seed)
+            g = scenarios.pair_graph(scenario.fit_x, scenario.fit_y)
             _, summary = selective_recompute(g, [0], scenario.refit_window, AlertConfig())
             removed += summary.removed == (0,)
         check(

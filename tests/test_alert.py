@@ -22,6 +22,7 @@ from cointwatch.errors import (
 from cointwatch.graph import ALERTED, CLEAR, build_graph, update_prices
 from cointwatch.coint import PriceSeries
 
+import scenarios
 from conftest import dummy_model, planted_instance, sequential_broken_oracle
 from oracle import reference_tick
 from test_graph import pair
@@ -184,8 +185,8 @@ class TestSelectiveRecompute:
         assert summary.refitted == () and summary.removed == ()
 
     def test_transient_shock_edge_retained(self):
-        scenario = synth.transient_scenario(seed=3)
-        g = synth.pair_graph(scenario.fit_x, scenario.fit_y)
+        scenario = scenarios.transient_scenario(seed=3)
+        g = scenarios.pair_graph(scenario.fit_x, scenario.fit_y)
         old_model = g.edges[0].model
         g2, summary = selective_recompute(g, [0], scenario.refit_window, AlertConfig())
         assert summary.refitted == (0,)
@@ -194,8 +195,8 @@ class TestSelectiveRecompute:
         assert not g2.edges[0].broken
 
     def test_regime_break_edge_removed(self):
-        scenario = synth.regime_break_scenario(seed=3)
-        g = synth.pair_graph(scenario.fit_x, scenario.fit_y)
+        scenario = scenarios.regime_break_scenario(seed=3)
+        g = scenarios.pair_graph(scenario.fit_x, scenario.fit_y)
         g2, summary = selective_recompute(g, [0], scenario.refit_window, AlertConfig())
         assert summary.removed == (0,)
         assert g2.n_edges == 0
@@ -325,8 +326,8 @@ class TestTickLoop:
         assert sorted(stream.graph.edges) == sorted(g.edges)
 
     def test_recompute_onbreak_repairs_or_prunes(self):
-        scenario = synth.transient_scenario(seed=11)
-        g = synth.pair_graph(scenario.fit_x, scenario.fit_y)
+        scenario = scenarios.transient_scenario(seed=11)
+        g = scenarios.pair_graph(scenario.fit_x, scenario.fit_y)
         stream = tick_loop(
             g,
             [scenario.tick],

@@ -376,6 +376,19 @@ class TestRecompute:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_counts_a_repeated_id_once(self, tmp_path, built_graph, universe_csv, capsys):
+        # the refit fits each listed edge once, and the count is of those
+        out = tmp_path / "refit.json"
+        code = run(
+            [
+                "recompute", "--graph", str(built_graph), "--broken", "0,0",
+                "--prices", str(universe_csv), "--out", str(out),
+            ]
+        )
+        assert code == 0
+        assert "recomputed 1 edges: 1 refitted, 0 removed" in capsys.readouterr().out
+        assert out.read_bytes() == built_graph.read_bytes()
+
     def test_requires_broken_list(self, tmp_path, built_graph, universe_csv):
         code = run(
             [
@@ -384,6 +397,31 @@ class TestRecompute:
             ]
         )
         assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, status, message",
+    [
+        (["run", "--sigma", "inf", "--ticks"], 1,
+         "sigma_k must be a positive finite number, got inf"),
+        (["recompute", "--epsilon", "1", "--broken", "0", "--prices"], 1,
+         "epsilon must be in (0, 1), got 1.0"),
+        (["run", "--recompute", "onbreak", "--ticks"], 2,
+         "--recompute onbreak requires --prices"),
+        (["recompute", "--prices"], 2, "no broken edges given"),
+    ],
+    ids=["run", "recompute", "run-onbreak", "recompute-no-ids"],
+)
+def test_flags_are_checked_before_any_input_is_read(tmp_path, capsys, argv, status, message):
+    # no input exists: the bad flag is reported, not the first missing file
+    out = tmp_path / "out"
+    missing = [str(tmp_path / "missing.csv"), "--graph", str(tmp_path / "missing.json")]
+    code = run(argv + missing + ["--out", str(out)])
+    assert code == status
+    err = capsys.readouterr().err
+    assert message in err
+    assert "No such file" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["build", "run", "recompute"])

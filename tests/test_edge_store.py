@@ -30,11 +30,10 @@ from cointwatch.graph import (
     from_json_obj,
     mark_broken,
     remove_edges,
-    to_json_obj,
 )
 
 from conftest import random_graph
-from oracle import replace_models
+from oracle import replace_models, to_json_obj
 
 UNKNOWN = (10**6, -7, 2**63, 2**70, -(2**70))
 

@@ -19,12 +19,11 @@ from cointwatch.graph import (
     from_json_obj,
     neighbors,
     remove_edges,
-    to_json_obj,
     update_prices,
 )
 
 from conftest import dummy_model, random_graph
-from oracle import replace_models
+from oracle import is_fresh, replace_models, to_json_obj
 
 
 def pair(src, dst, pvalue=0.01, resid_std=1.0):
@@ -86,19 +85,19 @@ class TestUpdatePrices:
         g2 = update_prices(self.g, {"A": 10.0, "B": 20.0})
         assert g2.epoch == 1
         assert g2.nodes[0].last_price == 10.0
-        assert g2.is_fresh(0) and g2.is_fresh(1)
+        assert is_fresh(g2, 0) and is_fresh(g2, 1)
         assert self.g.epoch == 0  # prior version untouched
 
     def test_empty_tick_everyone_stale(self):
         g2 = update_prices(update_prices(self.g, {"A": 10.0, "B": 20.0}), {})
         assert g2.epoch == 2
         assert g2.nodes[0].last_price == 10.0
-        assert not g2.is_fresh(0) and not g2.is_fresh(1)
+        assert not is_fresh(g2, 0) and not is_fresh(g2, 1)
 
     def test_partial_tick(self):
         g2 = update_prices(self.g, {"A": 10.0, "B": 20.0})
         g3 = update_prices(g2, {"A": 11.0})
-        assert g3.is_fresh(0) and not g3.is_fresh(1)
+        assert is_fresh(g3, 0) and not is_fresh(g3, 1)
         assert g3.nodes[1].last_price == 20.0
 
     def test_unknown_symbol(self):

@@ -18,12 +18,14 @@ from cointwatch import graph as graphmod
 from cointwatch import synth
 from cointwatch.graph import ALERTED, CLEAR, CointGraph, EdgeColumns, SymbolNode, export
 
+from oracle import to_json_obj
+
 FLOATS = ("beta0", "beta1", "resid_mean", "resid_std", "pvalue", "adf_stat")
 
 
 def oracle_bytes(g):
     """The graph as json.dumps writes it."""
-    text = json.dumps(graphmod.to_json_obj(g), sort_keys=True, separators=(",", ":"))
+    text = json.dumps(to_json_obj(g), sort_keys=True, separators=(",", ":"))
     return text.encode("utf-8") + b"\n"
 
 

@@ -117,7 +117,7 @@ def test_symbol_readers_build_no_nodes_on_a_long_run(planted, monkeypatch):
     synth.shock_tick(published, base, symbol, sigmas=6.0)
     synth.turbulent_tick(published, base, fraction=0.1)
     export(published, "dot")
-    published.is_fresh(0), published.symbol(0), published.node_id(symbol)
+    oracle.is_fresh(published, 0), published.symbol(0), published.node_id(symbol)
     assert built == []
     assert len(published.nodes) == published.n_nodes
     assert len(built) == published.n_nodes
@@ -200,7 +200,7 @@ def test_of_nodes_derives_symbol_ids_and_keeps_the_nodes():
     no_edges = graphmod.EdgeColumns.of_lists(**dict.fromkeys(graphmod._DTYPES, ()))
     g = graphmod.CointGraph(store, no_edges, 2)
     assert g.symbol_ids is store.symbol_ids
-    assert [g.is_fresh(i) for i in range(3)] == [False, True, False]
+    assert [oracle.is_fresh(g, i) for i in range(3)] == [False, True, False]
     # an int price is kept as the int it is, through a tick that leaves it stale
     priced = update_prices(g, {"C": 2.0})
     assert type(priced.nodes[1].last_price) is int

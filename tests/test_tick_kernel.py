@@ -18,6 +18,7 @@ from cointwatch.coint import PairResult
 from cointwatch.errors import ZeroSigma
 from cointwatch.graph import build_graph, update_prices
 
+import scenarios
 from conftest import dummy_model, planted_instance
 from oracle import reference_tick, replace_models, replay
 
@@ -160,13 +161,13 @@ def test_zero_sigma_edge_with_a_stale_endpoint_is_skipped():
 @pytest.mark.parametrize(
     "scenario, outcome",
     [
-        (synth.transient_scenario(seed=11), "refitted"),
-        (synth.regime_break_scenario(seed=3), "removed"),
+        (scenarios.transient_scenario(seed=11), "refitted"),
+        (scenarios.regime_break_scenario(seed=3), "removed"),
     ],
     ids=["refit", "removal"],
 )
 def test_ticks_after_a_refit_see_the_new_edges(scenario, outcome):
-    g = synth.pair_graph(scenario.fit_x, scenario.fit_y)
+    g = scenarios.pair_graph(scenario.fit_x, scenario.fit_y)
     config = AlertConfig()
     stream = tick_loop(
         g,
