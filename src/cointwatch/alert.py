@@ -205,15 +205,16 @@ def tick_kernel(
     g: CointGraph,
     config: AlertConfig,
     health_fn: HealthFn | None = None,
-) -> tuple[AlertReport, np.ndarray, np.ndarray]:
+) -> tuple[AlertReport, np.ndarray, np.ndarray, np.ndarray]:
     """One tick's checks as one pass over edge and node arrays; the same
     results, bit for bit, as the per-node reference in tests/oracle.py.
 
     Node state is read from g.node_source and edges from g.columns; on a
     version no tick has priced every check is skipped. Returns the epoch
-    report, the ids of the nodes that evaluated at least one check and their
-    new alerted flags. No node object is built, unless health_fn reads
-    g.nodes.
+    report, the ids of the nodes that evaluated at least one check, their
+    new alerted flags, and the rows of g.columns of the broken edges,
+    ascending (the report's broken_edges in order). No node object is
+    built, unless health_fn reads g.nodes.
 
     Deviations are computed over every edge, stale ones included, and only
     the checked edges' are read. The evaluated nodes are read from the
@@ -281,7 +282,7 @@ def tick_kernel(
 
     if config.latch_alerts:
         flags |= nodes.alerted[ids]
-    return report, ids, flags
+    return report, ids, flags, failing
 
 
 @dataclass(frozen=True)
@@ -529,23 +530,21 @@ class TickStream:
 
     def _step(self, tick: Mapping[str, float]) -> AlertReport:
         g = graphmod.update_prices(self.graph, tick)
-        report, evaluated, flags = tick_kernel(g, self.config, self.health_fn)
+        report, evaluated, flags, broken = tick_kernel(g, self.config, self.health_fn)
 
-        broken_ids = [eid for eid, _ in report.broken_edges]
         column = None if self._history is None else self._history.column(g.node_source.price)
         summary = None
-        if self.policy == RECOMPUTE_ON_BREAK and broken_ids:
+        if self.policy == RECOMPUTE_ON_BREAK and len(broken):
             if self._history is None:
                 raise InsufficientWindow(
                     "recompute policy is on but no price history window was provided"
                 )
             # each broken edge is refit, which clears its flag, or removed,
             # so none is marked broken first
-            rows = g.columns.rows(broken_ids)
             wid = f"trailing-{self._history.length}@{g.epoch}"
-            g, summary = self._history.refit(g, rows, wid, self.config, column)
-        elif broken_ids:
-            g = graphmod.mark_broken(g, broken_ids)
+            g, summary = self._history.refit(g, broken, wid, self.config, column)
+        elif len(broken):
+            g = graphmod._patch(g, broken, {"broken": True})
 
         # published last, so a failed tick leaves the stream, its log and
         # its history as they were

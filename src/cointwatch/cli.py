@@ -8,7 +8,9 @@ Subcommands:
   gen        seeded synthetic universes and shock/turbulence scenarios
 
 Exit codes: 0 success, 1 usage error, 2 data/model error. All randomness is
-seed-controlled; identical invocations produce identical outputs.
+seed-controlled; identical invocations produce identical outputs. Every
+output file is written through _replaced_on_success, so a command that
+exits non-zero leaves no new output and an existing one as it was.
 """
 
 from __future__ import annotations
@@ -73,6 +75,39 @@ def _edge_ids(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated id list") from None
 
 
+@contextmanager
+def _replaced_on_success(*paths):
+    """The paths to write in place of the given ones. A file's is a
+    temporary file beside it (beside a symlink's target), which replaces it
+    when the block ends without error; on an error it is removed, so the
+    file is left as it was. None, and a path that exists but is not a
+    regular file (a device such as /dev/null, a pipe), are given as they
+    are: those are written in place."""
+    # temporary file -> (the file it replaces, the path given for it)
+    staged: dict[Path, tuple[Path, str]] = {}
+    writes = []
+    for path in paths:
+        if path is None or (os.path.exists(path) and not os.path.isfile(path)):
+            writes.append(path)
+            continue
+        target = Path(os.path.realpath(path))
+        temp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+        staged[temp] = (target, path)
+        writes.append(temp)
+    try:
+        yield writes
+        for temp, (target, _) in staged.items():
+            os.replace(temp, target)
+    except OSError as exc:
+        # an error names the path given, not its temporary stand-in
+        if exc.filename is not None and Path(exc.filename) in staged:
+            exc.filename = staged[Path(exc.filename)][1]
+        raise
+    finally:
+        for temp in staged:
+            temp.unlink(missing_ok=True)
+
+
 def _window_series(prices_path, start, end):
     table = pipeline.load_prices(prices_path, start, end)
     lo = start or table.calendar[0]
@@ -112,7 +147,8 @@ def _cmd_build(args) -> int:
     )
     _report_skips(scan)
     g = graphmod.build_graph(scan, args.alpha, [s.symbol for s in window.series])
-    pipeline.save_graph(g, args.out)
+    with _replaced_on_success(args.out) as (out,):
+        pipeline.save_graph(g, out)
     print(
         f"built graph: {g.n_nodes} nodes, {g.n_edges} edges "
         f"({len(scan.src)} pairs evaluated, {len(scan.reasons)} skipped) -> {args.out}"
@@ -137,39 +173,6 @@ def _tick_line(
     if summary is not None:
         line += f", refit {len(summary.refitted)}, removed {len(summary.removed)}"
     return line
-
-
-@contextmanager
-def _replaced_on_success(*paths):
-    """The paths to write in place of the given ones. A file's is a
-    temporary file beside it (beside a symlink's target), which replaces it
-    when the block ends without error; on an error it is removed, so the
-    file is left as it was. None, and a path that exists but is not a
-    regular file (a device such as /dev/null, a pipe), are given as they
-    are: those are written in place."""
-    # temporary file -> (the file it replaces, the path given for it)
-    staged: dict[Path, tuple[Path, str]] = {}
-    writes = []
-    for path in paths:
-        if path is None or (os.path.exists(path) and not os.path.isfile(path)):
-            writes.append(path)
-            continue
-        target = Path(os.path.realpath(path))
-        temp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
-        staged[temp] = (target, path)
-        writes.append(temp)
-    try:
-        yield writes
-        for temp, (target, _) in staged.items():
-            os.replace(temp, target)
-    except OSError as exc:
-        # an error names the path given, not its temporary stand-in
-        if exc.filename is not None and Path(exc.filename) in staged:
-            exc.filename = staged[Path(exc.filename)][1]
-        raise
-    finally:
-        for temp in staged:
-            temp.unlink(missing_ok=True)
 
 
 def _cmd_run(args) -> int:
@@ -220,7 +223,8 @@ def _cmd_recompute(args) -> int:
             raise CointwatchError(f"{args.broken_file}: expected a JSON list of edge ids")
     _, window = _window_series(args.prices, args.window_start, args.window_end)
     g2, summary = alert.selective_recompute(g, broken, window.series, config)
-    pipeline.save_graph(g2, args.out)
+    with _replaced_on_success(args.out) as (out,):
+        pipeline.save_graph(g2, out)
     print(
         f"recomputed {len(summary.refitted) + len(summary.removed)} edges: "
         f"{len(summary.refitted)} refitted, {len(summary.removed)} removed -> {args.out}"
@@ -234,7 +238,8 @@ def _cmd_export(args) -> int:
     if args.out == "-":
         sys.stdout.write(payload.decode("utf-8"))
     else:
-        Path(args.out).write_bytes(payload)
+        with _replaced_on_success(args.out) as (out,):
+            Path(out).write_bytes(payload)
     return 0
 
 
@@ -259,7 +264,8 @@ def _cmd_gen(args) -> int:
         )
         table = universe.table
         columns = {s: table.prices[:, j] for j, s in enumerate(table.symbols)}
-        pipeline.write_prices_csv(args.out, table.calendar, columns)
+        with _replaced_on_success(args.out) as (out,):
+            pipeline.write_prices_csv(out, table.calendar, columns)
         print(
             f"wrote universe: {len(table.symbols)} symbols x {len(table.calendar)} days "
             f"({args.clusters} clusters of {args.cluster_size}) -> {args.out}"
@@ -275,7 +281,8 @@ def _cmd_gen(args) -> int:
     if args.kind == "ticks":
         days = _gen_dates(last_day, args.count)
         tick_maps = [synth.jittered_tick(g, base, seed=args.seed + i) for i in range(args.count)]
-        _write_ticks(args.out, days, tick_maps)
+        with _replaced_on_success(args.out) as (out,):
+            _write_ticks(out, days, tick_maps)
         print(f"wrote {args.count} in-band ticks -> {args.out}")
         return 0
 
@@ -287,9 +294,10 @@ def _cmd_gen(args) -> int:
         tick, expected = synth.turbulent_tick(
             g, base, fraction=args.fraction, seed=args.seed, sigmas=args.sigmas
         )
-    _write_ticks(args.out, _gen_dates(last_day, 1), [tick])
-    if args.expected is not None:
-        Path(args.expected).write_text(json.dumps(list(expected)) + "\n")
+    with _replaced_on_success(args.out, args.expected) as (out, expected_out):
+        _write_ticks(out, _gen_dates(last_day, 1), [tick])
+        if expected_out is not None:
+            Path(expected_out).write_text(json.dumps(list(expected)) + "\n")
     print(f"wrote {args.kind} tick breaking {len(expected)} edges -> {args.out}")
     return 0
 

@@ -476,7 +476,8 @@ def scan_pairs(
 
     Args:
         universe: aligned PriceSeries, one per symbol.
-        epsilon: admission threshold on the residual test p-value, in (0, 1).
+        epsilon: admission threshold on the residual test p-value, in [0, 1);
+            0 admits nothing.
         direction_policy: "both" fits x->y and y->x independently;
             "single" fits only the lexicographic direction (half the cost).
         workers: an upper bound on the processes the fits fan out to. A

@@ -409,17 +409,15 @@ class Incidence(NamedTuple):
         these degrees."""
         return cls(rows, nodes, np.cumsum(degree) - degree, degree)
 
-    def without(self, keep: np.ndarray, ends: np.ndarray) -> Incidence:
+    def without(self, keep: np.ndarray, renumber: np.ndarray) -> Incidence:
         """The index once the rows keep marks False are dropped, the rest
-        renumbered in order; ends holds the dropped rows' endpoints, src and
-        dst. One mask drops their entries and one bincount recounts the
-        degrees; nothing is sorted again."""
-        rows = self.rows[keep[self.rows]]
-        renumbered = (np.cumsum(keep) - 1)[rows]
-        lost = np.bincount(self.nodes.searchsorted(ends), minlength=len(self.nodes))
-        degree = self.degree - lost
+        renumbered in order: renumber maps each kept row to its new one.
+        One mask drops their entries, and each node's degree is recounted
+        from its kept entries; nothing is sorted again."""
+        kept = keep[self.rows]
+        degree = np.add.reduceat(kept, self.starts, dtype=self.degree.dtype)
         has = degree > 0
-        return Incidence.of_segments(renumbered, self.nodes[has], degree[has])
+        return Incidence.of_segments(renumber[self.rows[kept]], self.nodes[has], degree[has])
 
 
 def _int64(eid) -> int | None:
@@ -776,10 +774,12 @@ def _patch(
     columns = g.columns
     if not len(removed) and not (len(rows) and values):
         return g
-    keep = np.ones(len(columns), dtype=bool)
-    keep[removed] = False
-    # the rows' positions once the removed rows are dropped
-    rows = rows - np.flatnonzero(~keep).searchsorted(rows)
+    if len(removed):
+        keep = np.ones(len(columns), dtype=bool)
+        keep[removed] = False
+        # each kept row's position once the removed rows are dropped
+        renumber = np.cumsum(keep) - 1
+        rows = renumber[rows]
     out = {}
     for name in _DTYPES:
         column = getattr(columns, name)
@@ -794,8 +794,7 @@ def _patch(
     index = columns.__dict__.get("incidence")
     if index is not None:
         if len(removed):
-            gone = ~keep  # removed may repeat a row
-            index = index.without(keep, np.concatenate((columns.src[gone], columns.dst[gone])))
+            index = index.without(keep, renumber)
         patched.__dict__["incidence"] = index
     return CointGraph(g.node_source, patched, g.epoch)
 

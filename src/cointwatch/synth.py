@@ -15,6 +15,7 @@ bit for bit the one `cointwatch build` fits for that pair.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from datetime import date, timedelta
 from itertools import permutations
@@ -279,6 +280,16 @@ def shock_delta(g: CointGraph, node_id: int, sigmas: float, break_all: bool) -> 
     return max(per_edge) if break_all else min(per_edge)
 
 
+def _shock(tick: dict[str, float], symbol: str, delta: float) -> None:
+    """Add delta to the symbol's price in tick; ScenarioError, naming the
+    symbol, when the shocked price is not finite (a close the tick loader
+    would reject)."""
+    price = tick[symbol] + delta
+    if not math.isfinite(price):
+        raise ScenarioError(f"symbol {symbol!r}: shocked price {price!r} is not finite")
+    tick[symbol] = price
+
+
 def shock_tick(
     g: CointGraph,
     base: Mapping[str, float],
@@ -291,12 +302,12 @@ def shock_tick(
     With break_all the returned expected-broken set is every edge incident
     to the node (each is pushed at least `sigmas` minus the baseline guard
     past its mean); otherwise the shock tops out at `sigmas` on the most
-    sensitive edge and the expected set is empty.
+    sensitive edge and the expected set is empty. A shocked price that is
+    not finite raises ScenarioError naming the symbol.
     """
     nid = g.node_id(symbol)
-    delta = shock_delta(g, nid, sigmas, break_all)
     tick = dict(base)
-    tick[symbol] = tick[symbol] + delta
+    _shock(tick, symbol, shock_delta(g, nid, sigmas, break_all))
     if break_all:
         expected = tuple(sorted(e.id for e, _ in neighbors(g, nid)))
     else:
@@ -317,8 +328,8 @@ def turbulent_tick(
     incident edge sets are disjoint and shocks cannot cancel) until the
     union of incident edges covers the requested fraction, then applies a
     break-all shock to each. Returns the tick and the exact broken set;
-    ScenarioError when the graph has no edges or no such set covers the
-    fraction.
+    ScenarioError when the graph has no edges, no such set covers the
+    fraction, or a shocked price is not finite (naming its symbol).
     """
     if not g.edges:
         raise ScenarioError("graph has no edges to break")
@@ -349,5 +360,5 @@ def turbulent_tick(
         )
     tick = dict(base)
     for nid in picked:
-        tick[g.symbol(nid)] += shock_delta(g, nid, sigmas, break_all=True)
+        _shock(tick, g.symbol(nid), shock_delta(g, nid, sigmas, break_all=True))
     return tick, tuple(sorted(covered))

@@ -206,7 +206,7 @@ class OracleStream(alert.TickStream):
     def _step(self, tick: Mapping[str, float]) -> AlertReport:
         g = graphmod.update_prices(self.graph, tick)
         priced, epoch = g.node_source, g.epoch
-        report, evaluated, flags = tick_kernel(g, self.config, self.health_fn)
+        report, evaluated, flags, _ = tick_kernel(g, self.config, self.health_fn)
 
         broken_ids = [eid for eid, _ in report.broken_edges]
         column = None if self._history is None else self._history.column(priced.price)

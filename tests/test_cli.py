@@ -1,12 +1,14 @@
+import errno
 import json
 import os
 import threading
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cointwatch import synth
+from cointwatch import pipeline, synth
 from cointwatch.cli import main
 from cointwatch.coint import PairResult
 from cointwatch.graph import build_graph
@@ -240,6 +242,81 @@ class TestFailedRunLeavesNoOutput:
         assert not reader.is_alive()
         assert fifo.is_fifo()
         assert got == [plain.read_bytes()]
+
+
+def _part_then_disk_full(path, data: bytes):
+    """Write the first bytes of data to path, then fail as a full disk does."""
+    with open(path, "wb") as fh:
+        fh.write(data[:8])
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+
+class TestFailedCommandLeavesNoOutput:
+    """Every command writes its files through one staged writer: a writer
+    that fails after writing part of a file leaves no new output, and an
+    existing output byte for byte."""
+
+    @pytest.fixture()
+    def failing_writers(self, monkeypatch):
+        def save_graph(g, path):
+            _part_then_disk_full(path, b'{"edges":[')
+
+        def write_prices_csv(path, calendar, series):
+            _part_then_disk_full(path, b"date,symbol,close\r\n")
+
+        def write_bytes(self, data):
+            _part_then_disk_full(self, data)
+
+        monkeypatch.setattr(pipeline, "save_graph", save_graph)
+        monkeypatch.setattr(pipeline, "write_prices_csv", write_prices_csv)
+        monkeypatch.setattr(Path, "write_bytes", write_bytes)
+
+    @staticmethod
+    def argv(command, out, built_graph, universe_csv):
+        inputs = ["--graph", str(built_graph), "--prices", str(universe_csv)]
+        return {
+            "build": ["build", "--prices", str(universe_csv)],
+            "recompute": ["recompute", *inputs, "--broken", "0"],
+            "export": ["export", "--graph", str(built_graph), "--format", "json"],
+            "gen-universe": ["gen", "universe", "--days", "20"],
+            "gen-ticks": ["gen", "ticks", *inputs, "--count", "2"],
+            "gen-shock": ["gen", "shock", *inputs, "--symbol", "C0S00",
+                          "--expected", str(out.with_suffix(".expected"))],
+        }[command] + ["--out", str(out)]
+
+    COMMANDS = ["build", "recompute", "export", "gen-universe", "gen-ticks", "gen-shock"]
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_a_failed_write_leaves_the_outputs_as_they_were(
+        self, tmp_path, built_graph, universe_csv, capsys, failing_writers, command, existing
+    ):
+        out = tmp_path / "out" / "result"
+        out.parent.mkdir()
+        expected = out.with_suffix(".expected")
+        if existing:  # Path.write_bytes is the failing writer here
+            out.write_text("earlier output\n")
+            expected.write_text("earlier expected\n")
+        before = {p.name: p.read_bytes() for p in out.parent.iterdir()}
+        assert run(self.argv(command, out, built_graph, universe_csv)) == 2
+        err = capsys.readouterr().err
+        assert f"No space left on device: {str(out)!r}" in err
+        # no temporary file is left either
+        assert {p.name: p.read_bytes() for p in out.parent.iterdir()} == before
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_a_command_that_succeeds_replaces_them(self, tmp_path, built_graph, universe_csv,
+                                                   command):
+        fresh, old = tmp_path / "fresh" / "result", tmp_path / "old" / "result"
+        for out in (fresh, old):
+            out.parent.mkdir()
+        old.write_bytes(b"x" * 100_000)
+        if command == "gen-shock":
+            old.with_suffix(".expected").write_bytes(b"x" * 100_000)
+        for out in (fresh, old):
+            assert run(self.argv(command, out, built_graph, universe_csv)) == 0
+        written = {p.name: p.read_bytes() for p in fresh.parent.iterdir()}
+        assert {p.name: p.read_bytes() for p in old.parent.iterdir()} == written
 
 
 class TestRunCommand:
@@ -811,6 +888,37 @@ class TestGen:
         assert run(argv) == 1
         assert flag in capsys.readouterr().err
         assert not out.exists() and not expected.exists()
+
+    @pytest.mark.parametrize(
+        "kind, flags",
+        [("shock", ["--symbol", "C0S00"]), ("turbulent", ["--fraction", "0.2"])],
+    )
+    def test_a_shock_beyond_the_float_range_is_a_data_error(
+        self, tmp_path, built_graph, universe_csv, capsys, kind, flags
+    ):
+        # the shocked close would be written as inf, which the tick loader rejects
+        out, expected = tmp_path / "t.csv", tmp_path / "expected.json"
+        argv = [
+            "gen", kind, "--graph", str(built_graph), "--prices", str(universe_csv), *flags,
+            "--sigmas", "1e308", "--out", str(out), "--expected", str(expected),
+        ]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cointwatch: error: symbol 'C") and "is not finite" in err
+        assert err.count("\n") == 1
+        assert not out.exists() and not expected.exists()
+
+    def test_an_expected_file_it_cannot_write_leaves_no_ticks(
+        self, tmp_path, built_graph, universe_csv, capsys
+    ):
+        out, expected = tmp_path / "s.csv", tmp_path / "missing" / "e.json"
+        argv = [
+            "gen", "shock", "--graph", str(built_graph), "--prices", str(universe_csv),
+            "--symbol", "C0S00", "--out", str(out), "--expected", str(expected),
+        ]
+        assert run(argv) == 2
+        assert f"No such file or directory: {str(expected)!r}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "kind, flag, value",

@@ -55,7 +55,7 @@ def evaluated_oracle(g, fresh):
 def kernel_evaluated(g, fresh):
     """The ids tick_kernel gives as evaluated once the fresh nodes are priced."""
     tick = {g.symbol(v): 1.0 + v for v in np.flatnonzero(fresh).tolist()}
-    _, ids, _ = tick_kernel(update_prices(g, tick), AlertConfig())
+    _, ids, _, _ = tick_kernel(update_prices(g, tick), AlertConfig())
     return ids.tolist()
 
 
@@ -134,7 +134,7 @@ def test_a_graph_without_edges():
     assert [len(a) for a in index] == [0, 0, 0, 0]
     assert g.out_edges == g.in_edges == ((), (), ())
     priced = update_prices(g, {"A": 1.0, "B": 2.0, "C": 3.0})
-    report, ids, flags = tick_kernel(priced, AlertConfig())
+    report, ids, flags, _ = tick_kernel(priced, AlertConfig())
     assert ids.tolist() == flags.tolist() == []
     assert (report.edges_checked, report.edges_skipped_stale) == (0, 0)
 

@@ -77,7 +77,7 @@ def test_tick_kernel_reads_a_version_no_tick_priced(planted, start, latch):
     elif start == "loaded after a run":
         g = loaded_after_a_run(g, base)
     config = AlertConfig(latch_alerts=latch)
-    report, ids, flags = tick_kernel(g, config)
+    report, ids, flags, _ = tick_kernel(g, config)
     states, want = oracle.reference_tick(g, config)
     assert report == want
     evaluated = [s.node for s in states if s.evaluated]

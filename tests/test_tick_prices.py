@@ -215,7 +215,7 @@ def test_update_prices_matches_the_node_loop(starts, data, start, latch):
         assert graphmod.export(got) == graphmod.export(want)
 
         # the kernel reads the version update_prices made as it is
-        report, ids, flags = tick_kernel(got, config)
+        report, ids, flags, _ = tick_kernel(got, config)
         states, expected = oracle.reference_tick(want, config)
         assert report.to_json() == expected.to_json()
         evaluated = [s.node for s in states if s.evaluated]
