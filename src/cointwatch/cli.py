@@ -25,7 +25,7 @@ from datetime import date, timedelta
 from pathlib import Path
 
 from . import alert, coint, graph as graphmod, pipeline, stats, synth
-from .errors import CointwatchError
+from .errors import CointwatchError, EmptyWindow
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
@@ -109,9 +109,19 @@ def _replaced_on_success(*paths):
 
 
 def _window_series(prices_path, start, end):
+    """The file's price table and its slice over [start, end], a bound not
+    given being the file's first or last date. A window holding none of the
+    file's dates is an EmptyWindow (a data error) naming the bounds given
+    and the file's first and last dates."""
     table = pipeline.load_prices(prices_path, start, end)
-    lo = start or table.calendar[0]
-    hi = end or table.calendar[-1]
+    first, last = table.calendar[0], table.calendar[-1]
+    lo, hi = start or first, end or last
+    if not any(lo <= day <= hi for day in table.calendar):
+        bounds = [f"--{flag} {day}" for flag, day in (("from", start), ("to", end)) if day]
+        raise EmptyWindow(
+            f"window {' '.join(bounds)} holds no date of {prices_path}: "
+            f"its dates run from {first} to {last}"
+        )
     return table, pipeline.slice_window(table, lo, hi)
 
 

@@ -525,25 +525,30 @@ def build_graph(
     One node per universe symbol (isolated symbols included). One edge per
     result whose model meets the admission rule, coint.admits; admission
     is re-derived from the stored model so a scan can be re-thresholded
-    without refitting. Edge ids follow (src, dst) symbol order.
+    without refitting. Edge ids follow (src, dst) symbol order. Every graph
+    it returns saves to bytes load_graph reads back.
 
     results is a ScanResult, PairColumns or PairResults; a ScanResult and
     PairResults are first turned into PairColumns. The admitted rows are
     then sliced from those columns into EdgeColumns.of_lists.
 
     Raises:
-        ValueError: symbols repeats a symbol (NodeSnapshot.of_nodes).
+        ValueError: symbols repeats a symbol (NodeSnapshot.of_nodes), or an
+            admitted result is an edge load_graph refuses: a self-pair, a
+            model float that is not finite, a pvalue outside [0, 1] or a
+            window id that is not a str (np.str_, a subclass, is one).
         DuplicateEdge: the results repeat an ordered (src, dst) pair of
             symbol names.
         UnknownSymbol: a result references a symbol outside the universe.
-        The first result, in the order given, that repeats a pair or
-        references an unknown symbol raises, and a repeat is named first.
+        The first result, in the order given, that repeats a pair,
+        references an unknown symbol or is refused raises, naming the
+        pair; a repeat is named first, then an unknown symbol.
     """
     nodes = NodeSnapshot.of_nodes(SymbolNode(id=i, symbol=s) for i, s in enumerate(symbols))
     symbol_ids = nodes.symbol_ids
-    names, src, dst, fields, window_ids = _columns(results)
-    rows = _edge_rows(names, src, dst, symbol_ids)
-    rows = rows[admits(fields[rows], epsilon)]
+    pairs = _columns(results)
+    names, src, dst, fields, window_ids = pairs
+    rows = _edge_rows(pairs, admits(fields, epsilon), symbol_ids)
     ids = np.array([symbol_ids.get(s, -1) for s in names], dtype=np.intp)
     columns = EdgeColumns.of_lists(
         eid=np.arange(len(rows)),
@@ -577,11 +582,12 @@ def _columns(results: ScanResult | PairColumns | Iterable[PairResult]) -> PairCo
 
 
 def _edge_rows(
-    names: Sequence[str], src: np.ndarray, dst: np.ndarray, symbol_ids: Mapping[str, int]
+    pairs: PairColumns, admit: np.ndarray, symbol_ids: Mapping[str, int]
 ) -> np.ndarray:
-    """The rows of the fitted pairs in (src, dst) symbol-name order, once
-    checked that none repeats a pair of names or names a symbol outside
-    symbol_ids."""
+    """The admitted rows in (src, dst) symbol-name order, once checked that
+    no row repeats a pair of names or names a symbol outside symbol_ids,
+    and that no admitted row is an edge load_graph refuses."""
+    names, src, dst, fields, window_ids = pairs
     rank_of = {s: k for k, s in enumerate(sorted(set(names)))}  # equal names, equal ranks
     rank = np.array([rank_of[s] for s in names], dtype=np.intp)
     key = rank[src] * len(rank_of) + rank[dst]
@@ -590,15 +596,30 @@ def _edge_rows(
     repeat = np.zeros(len(key), dtype=bool)
     repeat[order[1:][key[order[1:]] == key[order[:-1]]]] = True
     known = np.array([s in symbol_ids for s in names], dtype=bool)
-    bad = repeat | ~known[src] | ~known[dst]
+    at = np.flatnonzero(admit)
+    pvalue = fields[at, 4]
+    refusals = {  # what load_graph refuses in an edge, over the admitted rows
+        "is a self-pair": rank[src[at]] == rank[dst[at]],
+        "has a model float that is not finite": ~np.isfinite(fields[at]).all(axis=1),
+        "has a pvalue outside [0, 1]": ~((0.0 <= pvalue) & (pvalue <= 1.0)),
+        "has a window id that is not a str": np.array(
+            [not isinstance(w, str) for w in window_ids[at].tolist()], dtype=bool
+        ),
+    }
+    refused = np.zeros(len(key), dtype=bool)
+    refused[at] = np.logical_or.reduce(list(refusals.values()))
+    bad = repeat | ~known[src] | ~known[dst] | refused
     if bad.any():
         r = int(bad.argmax())
         a, b = names[src[r]], names[dst[r]]
         if repeat[r]:
             raise DuplicateEdge(f"pair {a}->{b} appears more than once")
+        if known[src[r]] and known[dst[r]]:
+            k = np.searchsorted(at, r)
+            raise ValueError(f"pair {a}->{b} " + next(t for t, hit in refusals.items() if hit[k]))
         unknown = a if a not in symbol_ids else b
         raise UnknownSymbol(f"result references unknown symbol {unknown!r}")
-    return order
+    return order[admit[order]]
 
 
 class TickColumns:
@@ -833,16 +854,6 @@ def _node_to_obj(n: SymbolNode) -> dict:
     }
 
 
-def _edges_to_obj(c: EdgeColumns) -> list[dict]:
-    models = zip(*(getattr(c, name).tolist() for name in _MODEL_FIELDS))
-    return [
-        {"id": eid, "src": src, "dst": dst, "broken": broken, "model": dict(zip(_MODEL_FIELDS, m))}
-        for eid, src, dst, broken, m in zip(
-            c.eid.tolist(), c.src.tolist(), c.dst.tolist(), c.broken.tolist(), models
-        )
-    ]
-
-
 # the JSON name of each type (or types) a field is checked against or holds
 _JSON_NAMES = {int: "integer", float: "number", (int, float): "number", str: "string",
                list: "array", dict: "object", bool: "boolean", type(None): "null"}
@@ -1003,23 +1014,23 @@ _EDGE_TEMPLATE = (
 _TEMPLATE_FLOATS = tuple(sorted(_MODEL_FLOATS))
 
 
-def _edges_json(c: EdgeColumns) -> str | None:
-    """The edges' JSON array, byte for byte as json.dumps writes
-    _edges_to_obj(c) with sorted keys and no whitespace, from
-    _EDGE_TEMPLATE; None when a value is one the template cannot vouch
-    for: a non-finite model float (json.dumps writes NaN or Infinity) or a
-    window id that is not a str; export then writes the edges by json.dumps.
+def _edges_json(c: EdgeColumns) -> str:
+    """The edges' JSON array, keys sorted and no whitespace, from
+    _EDGE_TEMPLATE: ids, endpoints and broken flags are ints and bools by
+    their dtypes, a finite float's JSON is its repr, as json.dumps writes
+    it, and each distinct window id is quoted by json.dumps once.
 
-    ids, endpoints and broken flags are ints and bools by their dtypes,
-    and a finite float's JSON is its repr, as json.dumps writes it; each
-    distinct window id is quoted by json.dumps once.
+    Raises:
+        ValueError: a model float is not finite or a window id is not a
+            str; such columns are only made by hand, and load_graph refuses
+            both.
     """
-    window_ids = c.window_id.tolist()
-    if not all(type(w) is str for w in window_ids):
-        return None
     floats = [getattr(c, name) for name in _TEMPLATE_FLOATS]
     if not all(np.isfinite(column).all() for column in floats):
-        return None
+        raise ValueError("a model float is not finite: JSON has no NaN or Infinity")
+    window_ids = c.window_id.tolist()
+    if not all(isinstance(w, str) for w in window_ids):
+        raise ValueError("a window id is not a str")
     quoted = {w: json.dumps(w) for w in set(window_ids)}
     rows = zip(
         map(("false", "true").__getitem__, c.broken.tolist()),
@@ -1036,17 +1047,19 @@ def export(g: CointGraph, format: str = FORMAT_JSON) -> bytes:
     """Serialize the graph.
 
     JSON: canonical (sorted keys, no whitespace) so save/load/save is
-    byte-stable: {"edges":E,"epoch":N,"nodes":V} and a newline, where N and
-    V are the json.dumps of the epoch and of the nodes' _node_to_obj
-    objects, and E that of the edges' _edges_to_obj objects, written from a
-    template (_edges_json), or by json.dumps where the template declines.
+    byte-stable: {"edges":E,"epoch":N,"nodes":V} and a newline, where E is
+    the edges' array as _edges_json writes it from a template, and N and V
+    are the json.dumps of the epoch and of the nodes' _node_to_obj objects.
+    A graph build_graph returns, or load_graph reads, is always written;
+    a hand-built one holding a value JSON cannot carry (a non-finite
+    float, a window id that is not a str) raises ValueError.
     DOT: one node statement per symbol and one edge statement per edge
     with penwidth = 1/resid_std (tighter pairs draw thicker) and
     style=dashed on broken edges.
     """
     if format == FORMAT_JSON:
-        canonical = {"sort_keys": True, "separators": (",", ":")}
-        edges = _edges_json(g.columns) or json.dumps(_edges_to_obj(g.columns), **canonical)
+        canonical = {"sort_keys": True, "separators": (",", ":"), "allow_nan": False}
+        edges = _edges_json(g.columns)
         nodes = json.dumps([_node_to_obj(n) for n in g.nodes], **canonical)
         text = '{"edges":%s,"epoch":%s,"nodes":%s}' % (edges, json.dumps(g.epoch), nodes)
         return text.encode("utf-8") + b"\n"

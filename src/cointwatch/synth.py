@@ -18,14 +18,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import date, timedelta
-from itertools import permutations
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import graph as graphmod
-from .coint import PriceSeries, ScanResult, coint_fit, scan_pairs
-from .errors import CointwatchError, DegeneratePair, ScenarioError, UnknownSymbol
+from .coint import PriceSeries, scan_pairs
+from .errors import ScenarioError, UnknownSymbol
 from .graph import CointGraph, neighbors
 from .pipeline import PriceTable, WindowSlice, slice_window
 from .stats import one_blas_thread
@@ -104,21 +103,22 @@ def planted_graph(series: Sequence[PriceSeries], clusters: Sequence[Sequence[str
     within-cluster ordered pairs) with genuinely fitted models, which is
     what shock-scenario tests need: known structure, real numbers.
 
-    Each cluster is fitted by the scan kernel (scan_pairs), so an edge's
-    model is the one `cointwatch build` fits for that pair, pvalue and
-    adf_stat included. A pair the scan skips goes to coint_fit: a
-    degenerate pair is dropped, any other error raises. A cluster the scan
-    declines (members of different windows or lengths, a fit raising
-    ValueError) is fitted pair by pair, so it raises the error the loop
-    meets first. Every cluster's scan columns and fallback rows, mapped to
-    the series' indices, go to one build_graph call as PairColumns; no
-    per-pair object is made.
+    Each cluster of two or more members is fitted by one scan (scan_pairs),
+    so an edge's model is the one `cointwatch build` fits for that pair,
+    pvalue and adf_stat included. A pair the scan skips as degenerate
+    (DegeneratePair: zero residual spread) is dropped. Every cluster's scan
+    columns, mapped to the series' indices, go to one build_graph call as
+    PairColumns; no per-pair object is made.
 
     Raises:
         UnknownSymbol: a cluster names a symbol outside the series.
         ValueError: a cluster names a symbol twice.
         Either names the cluster's index and the first such member, and is
         raised before any pair of that cluster is fitted.
+        MisalignedCalendar: a cluster's members differ in window or length
+            (the scan's alignment check, as `cointwatch build` reports it).
+        ScenarioError: the scan skips a pair for any other reason, naming
+            the cluster, the pair and the scan's reason.
     """
     by_symbol = {p.symbol: p for p in series}
     symbols = [p.symbol for p in series]
@@ -132,50 +132,19 @@ def planted_graph(series: Sequence[PriceSeries], clusters: Sequence[Sequence[str
             if symbol in seen:
                 raise ValueError(f"cluster {k}: symbol {symbol!r} appears more than once")
             seen.add(symbol)
-        src, dst, fields, window_ids = _cluster_columns([by_symbol[s] for s in cluster])
+        if len(cluster) < 2:
+            continue
+        scan = scan_pairs([by_symbol[s] for s in cluster])
+        for skip in scan.skipped:
+            if not skip.reason.startswith("DegeneratePair:"):
+                pair = f"{skip.src_symbol}->{skip.dst_symbol}"
+                raise ScenarioError(f"cluster {k}: pair {pair}: {skip.reason}")
         members = np.array([index[s] for s in cluster], dtype=np.intp)
-        parts.append((members[src], members[dst], fields, window_ids))
+        window_ids = np.full(len(scan.src), scan.window_id, dtype=object)
+        parts.append((members[scan.src], members[scan.dst], scan.fields, window_ids))
     src, dst, fields, window_ids = map(np.concatenate, zip(*parts))
     columns = graphmod.PairColumns(symbols, src, dst, fields, window_ids)
     return graphmod.build_graph(columns, epsilon=1.0, symbols=symbols)
-
-
-def _cluster_columns(members: Sequence[PriceSeries]) -> tuple:
-    """The fitted ordered pairs of a cluster as columns, in the order of
-    the per-pair loop (src member, then dst member): src and dst indices
-    into members, ScanResult.FIELDS floats and window ids.
-
-    The scan's rows come first; a pair it skipped, or every pair of a
-    cluster it declines (fewer than two members, misaligned members, or a
-    fit's ValueError), goes to coint_fit in loop order, which drops a
-    degenerate pair and raises any other error.
-    """
-    size = len(members)
-    try:
-        scan = scan_pairs(members)
-    except (CointwatchError, ValueError):
-        src, dst, fields = np.empty(0, np.intp), np.empty(0, np.intp), np.empty((0, 6))
-        window_ids = np.empty(0, object)
-    else:
-        src, dst, fields = scan.src, scan.dst, scan.fields
-        window_ids = np.full(len(src), scan.window_id, dtype=object)
-    fitted = set((src * size + dst).tolist())
-    extra = []
-    for i, j in permutations(range(size), 2):
-        if i * size + j not in fitted:
-            try:
-                model = coint_fit(members[i], members[j])
-            except DegeneratePair:
-                continue
-            extra.append((i, j, model))
-    if extra:
-        first, second, models = zip(*extra)
-        src, dst = np.append(src, first), np.append(dst, second)
-        fields = np.vstack([fields, [[getattr(m, name) for name in ScanResult.FIELDS]
-                                     for m in models]])
-        window_ids = np.append(window_ids, np.array([m.window_id for m in models], object))
-    order = np.argsort(src * size + dst, kind="stable")
-    return src[order], dst[order], fields[order], window_ids[order]
 
 
 def _role_coefficient(edge, node_id: int) -> float:

@@ -16,7 +16,8 @@ replace_models swaps in models by edge id through graph._patch, as the
 refits publish theirs; nothing in the package calls it, and the tests use
 it to plant models. is_fresh and node_of read one node of a version (the
 kernel computes freshness for all nodes at once), and graph.export's JSON
-bytes are the canonical json.dumps of to_json_obj's document.
+bytes are the canonical json.dumps of to_json_obj's document, whose edges
+are the objects _edges_to_obj makes of the columns.
 
 replay drives the whole reference run, tick after tick; the tests that
 compare tick_loop with the reference go through it.
@@ -46,8 +47,8 @@ from cointwatch.graph import (
     CLEAR,
     CointGraph,
     NodeSnapshot,
+    EdgeColumns,
     SymbolNode,
-    _edges_to_obj,
     _node_to_obj,
     _patch,
     mark_broken,
@@ -105,6 +106,16 @@ def is_fresh(g: CointGraph, node_id: int) -> bool:
     nodes = g.node_source
     fresh = nodes.updated.item(node_id) == g.epoch
     return fresh and not math.isnan(nodes.price.item(node_id))
+
+
+def _edges_to_obj(c: EdgeColumns) -> list[dict]:
+    models = zip(*(getattr(c, name).tolist() for name in _MODEL_FIELDS))
+    return [
+        {"id": eid, "src": src, "dst": dst, "broken": broken, "model": dict(zip(_MODEL_FIELDS, m))}
+        for eid, src, dst, broken, m in zip(
+            c.eid.tolist(), c.src.tolist(), c.dst.tolist(), c.broken.tolist(), models
+        )
+    ]
 
 
 def to_json_obj(g: CointGraph) -> dict:

@@ -640,6 +640,35 @@ def test_window_start_after_end_is_usage_error(tmp_path, built_graph, universe_c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["build", "recompute", "run"])
+@pytest.mark.parametrize(
+    "bounds",
+    [["--from", "2030-01-01"], ["--to", "2000-01-01"],
+     ["--from", "2000-01-01", "--to", "2001-01-01"], ["--from", "2015-07-21", "--to", "2015-08-01"]],
+    ids=["after", "before", "both-before", "both-after"],
+)
+def test_a_window_holding_no_date_of_the_file_is_a_data_error(
+    tmp_path, built_graph, universe_csv, capsys, command, bounds
+):
+    # the message names the bounds given and the file's first and last dates
+    out = tmp_path / "out"
+    argv = {
+        "build": ["build", "--prices", str(universe_csv)],
+        "recompute": ["recompute", "--graph", str(built_graph), "--broken", "0",
+                      "--prices", str(universe_csv)],
+        "run": ["run", "--graph", str(built_graph), "--ticks", str(universe_csv),
+                "--recompute", "onbreak", "--prices", str(universe_csv)],
+    }[command]
+    capsys.readouterr()
+    assert run(argv + bounds + ["--out", str(out)]) == 2
+    last = date(2015, 1, 2) + timedelta(days=199)
+    assert capsys.readouterr().err == (
+        f"cointwatch: error: window {' '.join(bounds)} holds no date of {universe_csv}: "
+        f"its dates run from 2015-01-02 to {last}\n"
+    )
+    assert not out.exists()
+
+
 class TestExport:
     def test_dot_to_stdout(self, built_graph, capsys):
         assert run(["export", "--graph", str(built_graph), "--format", "dot"]) == 0

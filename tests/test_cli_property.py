@@ -9,7 +9,11 @@ graph with a field removed, a missing file) and edge-case flag values
 - the exit code is 0, 1 or 2, and no exception escapes;
 - stderr holds no traceback;
 - on a non-zero exit every output path is as it was: absent if it was
-  absent, byte for byte if it existed, and no temporary file is left.
+  absent, byte for byte if it existed, and no temporary file is left;
+- on exit 0, build's, export's and run's outputs are the bytes of the
+  library calls they stand for (library_outputs): export(build_graph(
+  scan_pairs(...))) on the same window, export(load_graph(...), format),
+  and the to_json lines of tick_loop over load_ticks, with its end graph.
 
 --workers is drawn as 1 or 2 only, and the sizes gen universe and gen
 ticks make (--clusters, --cluster-size, --independents, --days, --count)
@@ -27,7 +31,11 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from cointwatch.cli import main
+from cointwatch import pipeline
+from cointwatch.alert import RECOMPUTE_ON_BREAK, AlertConfig, tick_loop
+from cointwatch.cli import build_parser, main
+from cointwatch.coint import scan_pairs
+from cointwatch.graph import build_graph, export
 
 FLOATS = ["0.05", "0.5", "0", "1", "3", "-1", "nan", "inf", "-inf", "1e308", "-1e308",
           "1e-300", "x"]
@@ -199,6 +207,38 @@ def invocations(draw, inputs):
     return argv, files, existing
 
 
+def _window(args):
+    """The series of --prices over the --from/--to window, a bound not
+    given being the file's first or last date."""
+    table = pipeline.load_prices(args.prices, args.window_start, args.window_end)
+    lo, hi = args.window_start or table.calendar[0], args.window_end or table.calendar[-1]
+    return pipeline.slice_window(table, lo, hi).series
+
+
+def library_outputs(argv):
+    """{output path ("-" for stdout): the bytes the library calls the
+    command stands for write there}, for build, export and run."""
+    args = build_parser().parse_args(argv)
+    if args.command == "build":
+        series = _window(args)
+        scan = scan_pairs(series, args.alpha, args.direction, lags=args.lags)
+        return {args.out: export(build_graph(scan, args.alpha, [p.symbol for p in series]))}
+    if args.command == "export":
+        return {args.out: export(pipeline.load_graph(args.graph), args.format)}
+    if args.command == "run":
+        config = AlertConfig(sigma_k=args.sigma, epsilon=args.epsilon,
+                             global_fraction=args.global_fraction)
+        history = _window(args) if args.recompute == RECOMPUTE_ON_BREAK else None
+        ticks = (tick for _, tick in pipeline.load_ticks(args.ticks))
+        stream = tick_loop(pipeline.load_graph(args.graph), ticks, config,
+                           recompute_policy=args.recompute, history=history)
+        want = {args.out: "".join(report.to_json() + "\n" for report in stream).encode()}
+        if args.graph_out is not None:
+            want[args.graph_out] = export(stream.graph)
+        return want
+    return {}
+
+
 def _contents(directory):
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
 
@@ -236,5 +276,9 @@ def test_a_command_exits_cleanly_and_a_failed_one_leaves_its_outputs(inputs, scr
         assert "Traceback" not in stderr.getvalue(), (argv, stderr.getvalue())
         if code != 0:
             assert _contents(out) == before, (argv, stderr.getvalue())
+        else:
+            for path, want in library_outputs(argv).items():
+                got = stdout.getvalue().encode() if path == "-" else Path(path).read_bytes()
+                assert got == want, argv
     finally:
         shutil.rmtree(root)

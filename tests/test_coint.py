@@ -41,6 +41,18 @@ class TestPriceSeries:
         with pytest.raises(ValueError):
             PriceSeries("A", [1.0, float("nan")])
 
+    def test_is_immutable(self):
+        p = PriceSeries("A", [1.0, 2.0], "w")
+        for name in ("symbol", "window_id", "series", "other"):
+            with pytest.raises(AttributeError, match="PriceSeries is immutable"):
+                setattr(p, name, "B")
+        assert (p.symbol, p.window_id, list(p.values)) == ("A", "w", [1.0, 2.0])
+
+    def test_repr_names_symbol_length_and_window(self):
+        assert repr(PriceSeries("A", [1.0, 2.0, 3.0], "2015-01-02:2015-01-04")) == (
+            "PriceSeries('A', n=3, window='2015-01-02:2015-01-04')"
+        )
+
 
 class TestCointFit:
     def test_cointegrated_pairs_admitted(self):

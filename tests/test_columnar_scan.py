@@ -13,11 +13,13 @@ build_graph turns PairResults into the same columns before it checks and
 admits them, so one path serves both inputs. Its oracle is the per-object
 loop it replaced, kept below as build_graph_by_loop: on PairResults, and
 on a ScanResult's .pairs, the path must give the loop's graph bytes or
-its error class and message.
+its error class and message. The loop refuses an admitted result that
+load_graph would refuse in a saved graph (refusal), as build_graph does,
+so every graph build_graph returns saves to bytes load_graph reads back.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from unittest import mock
 
 import numpy as np
@@ -36,6 +38,7 @@ from cointwatch.coint import (
 )
 from cointwatch.errors import DuplicateEdge, UnknownSymbol
 from cointwatch.graph import CointGraph, EdgeColumns, NodeSnapshot, SymbolNode, build_graph, export
+from cointwatch.pipeline import loads_graph
 
 from test_scan_kernel import universes
 
@@ -176,6 +179,7 @@ def outcome(fn, *args):
 NAMES = ["A", "B", "C", "D", "b", "AA"]
 WINDOWS = ["w", "v", ""]
 FLOATS = st.floats(-1e3, 1e3, allow_nan=False)
+ODD_FLOATS = [math.nan, math.inf, -math.inf]
 SPREADS = [0.0, -1.0, 0.5, 2.0]
 PVALUES = [1e-6, 0.01, 0.05, 0.2, 1.0 - 1e-6]
 # model fields as floats, ints (within float64's range) or np.float64s
@@ -230,8 +234,44 @@ def scans(draw, name):
          draw(st.sampled_from(SPREADS)), draw(st.sampled_from(PVALUES)), draw(FLOATS)]
         for _ in rows
     ]
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):  # a value load_graph refuses
+        row, k = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, 5))
+        fields[row][k] = draw(st.sampled_from([*ODD_FLOATS, -0.5]))
     return scan_of(symbols, [a for a, _ in rows], [b for _, b in rows], fields,
                    draw(st.sampled_from(WINDOWS)))
+
+
+def with_odd_models(draw, results):
+    """The results with up to two model fields made a value load_graph
+    refuses (a float that is not finite, a pvalue of -0.5, a window id
+    that is not a str) or a str subclass window id, which it reads."""
+    results = list(results)
+    for _ in range(draw(st.integers(0, 2)) if results else 0):
+        at = draw(st.integers(0, len(results) - 1))
+        name = draw(st.sampled_from([*coint.ScanResult.FIELDS, "window_id"]))
+        if name == "window_id":
+            value = draw(st.sampled_from([7, None, np.str_("w")]))
+        else:
+            value = draw(st.sampled_from(ODD_FLOATS + [-0.5] * (name == "pvalue")))
+        r = results[at]
+        results[at] = replace(r, model=replace(r.model, **{name: value}))
+    return results
+
+
+def refusal(r: PairResult) -> str | None:
+    """Why load_graph would refuse the edge of an admitted result, or None:
+    the first of a self-pair, a model float that is not finite, a pvalue
+    outside [0, 1] and a window id that is not a str."""
+    m = r.model
+    if r.src_symbol == r.dst_symbol:
+        return "is a self-pair"
+    if not all(math.isfinite(getattr(m, name)) for name in coint.ScanResult.FIELDS):
+        return "has a model float that is not finite"
+    if not 0 <= m.pvalue <= 1:
+        return "has a pvalue outside [0, 1]"
+    if not isinstance(m.window_id, str):
+        return "has a window id that is not a str"
+    return None
 
 
 def build_graph_by_loop(results, epsilon, symbols) -> CointGraph:
@@ -254,6 +294,9 @@ def build_graph_by_loop(results, epsilon, symbols) -> CointGraph:
         if r.dst_symbol not in symbol_ids:
             raise UnknownSymbol(f"result references unknown symbol {r.dst_symbol!r}")
         if r.model.pvalue < epsilon and r.model.resid_std > 0.0:
+            reason = refusal(r)
+            if reason is not None:
+                raise ValueError(f"pair {key[0]}->{key[1]} {reason}")
             admitted.append(r)
 
     admitted.sort(key=lambda r: (r.src_symbol, r.dst_symbol))
@@ -288,8 +331,9 @@ def test_build_graph_on_columns_matches_pair_results(results, universe, epsilon)
 def loop_cases(draw):
     """A universe, and a ScanResult or PairResults mostly over its symbols.
     PairResults' models mix floats, ints and np.float64s, and their window
-    ids differ from row to row; now and then a row repeats a pair or names
-    a symbol outside the universe."""
+    ids differ from row to row; now and then a row repeats a pair, names a
+    symbol outside the universe or twice (a self-pair), or holds a value
+    load_graph refuses."""
     universe = draw(UNIVERSES)
     name = st.sampled_from(universe * 8 + ["AA"])  # AA is in no universe
     if draw(st.booleans()):
@@ -298,7 +342,8 @@ def loop_cases(draw):
     if pairs and draw(st.sampled_from([False, False, True])):
         pairs.insert(draw(st.integers(0, len(pairs))), draw(st.sampled_from(pairs)))
     model = models(st.sampled_from(WINDOWS), NUMBERS, WIDE_SPREADS, WIDE_PVALUES)
-    return [PairResult(a, b, draw(model), draw(st.booleans())) for a, b in pairs], universe
+    results = [PairResult(a, b, draw(model), draw(st.booleans())) for a, b in pairs]
+    return with_odd_models(draw, results), universe
 
 
 @settings(max_examples=300, deadline=None)
@@ -313,9 +358,38 @@ def test_build_graph_matches_the_object_loop(case, epsilon):
     )
 
 
+@settings(max_examples=200, deadline=None)
+@given(case=loop_cases(), epsilon=EPSILONS)
+def test_a_built_graph_saves_to_bytes_load_graph_reads_back(case, epsilon):
+    results, universe = case
+    try:
+        g = build_graph(results, epsilon, universe)
+    except (ValueError, DuplicateEdge, UnknownSymbol):
+        return
+    data = export(g)
+    assert export(loads_graph(data)) == data
+
+
+def result(src, dst, **model):
+    return PairResult(src, dst, replace(MODEL, **model), True)
+
+
+def test_a_str_subclass_window_id_is_kept():
+    g = build_graph([result("A", "B", window_id=np.str_("w"))], 0.05, ["A", "B"])
+    data = export(g)
+    assert export(loads_graph(data)) == data == export(build_graph([result("A", "B")], 0.05,
+                                                                   ["A", "B"]))
+
+
 def as_results_and_columns(pairs):
-    results = [PairResult(a, b, MODEL, True) for a, b in pairs]
-    return [results, columns_of(results)]
+    return results_and_columns([PairResult(a, b, MODEL, True) for a, b in pairs])
+
+
+def results_and_columns(results):
+    """The results, and their columns where all share window id "w"."""
+    if all(r.model.window_id == "w" for r in results):
+        return [results, columns_of(results)]
+    return [results]
 
 
 @pytest.mark.parametrize(
@@ -342,6 +416,43 @@ def as_results_and_columns(pairs):
         (
             [scan_of(("A", "A", "B"), [0, 1], [2, 2], [MODEL_FLOATS] * 2)],
             DuplicateEdge("pair A->B appears more than once"),
+        ),
+        # an admitted result load_graph would refuse as an edge
+        (as_results_and_columns([("A", "A")]), ValueError("pair A->A is a self-pair")),
+        *(
+            (results_and_columns([result("A", "B", **{name: value})]),
+             ValueError("pair A->B has a model float that is not finite"))
+            for name, value in [("beta0", math.nan), ("adf_stat", math.nan),
+                                ("beta1", math.inf), ("resid_std", math.inf)]
+        ),
+        (
+            results_and_columns([result("A", "B", pvalue=-0.5)]),
+            ValueError("pair A->B has a pvalue outside [0, 1]"),
+        ),
+        (
+            results_and_columns([result("A", "B", window_id=7)]),
+            ValueError("pair A->B has a window id that is not a str"),
+        ),
+        # refused, repeated and unknown results alike: the first in the order given
+        (
+            results_and_columns([result("B", "A", pvalue=-0.5), result("A", "B", beta0=math.nan),
+                                 result("B", "A")]),
+            ValueError("pair B->A has a pvalue outside [0, 1]"),
+        ),
+        (
+            results_and_columns([result("A", "B"), result("A", "B"), result("A", "A")]),
+            DuplicateEdge("pair A->B appears more than once"),
+        ),
+        (
+            results_and_columns([result("X", "X"), result("A", "A")]),
+            UnknownSymbol("result references unknown symbol 'X'"),
+        ),
+        # a result that is not admitted is never refused
+        (
+            results_and_columns([result("A", "A", pvalue=0.5),
+                                 result("A", "B", beta0=math.nan, pvalue=math.nan),
+                                 result("B", "A", window_id=7)]),
+            ValueError("pair B->A has a window id that is not a str"),
         ),
     ],
 )

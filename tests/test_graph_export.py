@@ -1,16 +1,19 @@
 """graph.export against the json.dumps document it replaced.
 
-export writes each edge from a template when it can vouch for every edge
-value (finite model floats, str window ids) and hands any other graph to
-json.dumps whole. Either way the bytes must be those of
+export writes every edge from a template. On a graph whose edge values
+JSON can carry and load_graph reads (finite model floats, window ids that
+are a str or a str subclass such as np.str_) the bytes must be those of
 json.dumps(to_json_obj(g), sort_keys=True, separators=(",", ":")) and a
-newline, or the same error class.
+newline. A hand-built graph holding a non-finite model float or node
+price, or a window id that is not a str, raises ValueError, where
+json.dumps would write NaN, Infinity or a number load_graph refuses.
 """
 
 import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -59,8 +62,10 @@ epochs = st.one_of(st.sampled_from([0, 2**62]), st.integers(0, 2**62))
 # symbols and window ids json must escape: quotes, backslashes, controls,
 # and non-ASCII characters inside and outside the basic plane
 texts = st.one_of(st.text(max_size=5), st.sampled_from(['"', "\\", "\n", "é", " ", "𝄞"]))
+# a window id may also be a str subclass
+window_texts = st.one_of(texts, texts.map(np.str_))
 odd_floats = st.sampled_from([math.nan, math.inf, -math.inf])
-odd_window_ids = st.sampled_from([None, 7, np.str_("w")])
+odd_window_ids = st.sampled_from([None, 7, b"w"])
 
 
 @st.composite
@@ -79,8 +84,8 @@ def histories(draw, epoch):
 
 @st.composite
 def graphs(draw):
-    """A graph with at most one edge value the template cannot vouch for;
-    returns (graph, whether it holds one)."""
+    """A graph with at most one edge value export refuses; returns (graph,
+    whether it holds one)."""
     epoch = draw(epochs)
     symbols = draw(st.lists(texts, max_size=5, unique=True))
     nodes = [
@@ -94,7 +99,7 @@ def graphs(draw):
         )
         for i, symbol in enumerate(symbols)
     ]
-    window_ids = draw(st.lists(texts, min_size=1, max_size=3))
+    window_ids = draw(st.lists(window_texts, min_size=1, max_size=3))
     edges = []
     if len(nodes) >= 2:
         ids = draw(st.lists(st.integers(-(2**63), 2**63 - 1), max_size=6, unique=True))
@@ -135,17 +140,28 @@ NODES = [SymbolNode(0, "Aé\"", 3, CLEAR, ((0, 2, CLEAR), (4, 1, ALERTED)), 4),
                 True))
 @example(drawn=(graph_of(NODES, [(0, 0, 1, (1.0, 1.0, 0.0, math.inf, 0.5, -3.0), "w", False)], 0),
                 True))
-# a window id that is not a str
+# a window id that is not a str, and one that is a str subclass
 @example(drawn=(graph_of(NODES, [(0, 0, 1, (1.0, 1.0, 0.0, 1.0, 0.5, -3.0), 7, False)], 0), True))
+@example(drawn=(graph_of(NODES, [(0, 0, 1, (1.0, 1.0, 0.0, 1.0, 0.5, -3.0), np.str_("wé"),
+                                  False)], 0), False))
 def test_export_is_the_json_dumps_document(drawn):
     g, odd = drawn
-    assert outcome(export, g) == outcome(oracle_bytes, g)
-    # the template writes every graph but one holding an odd edge value
-    assert (graphmod._edges_json(g.columns) is None) == odd
+    if odd:
+        with pytest.raises(ValueError, match="^a (model float|window id) is not"):
+            export(g)
+    else:
+        assert outcome(export, g) == outcome(oracle_bytes, g)
+
+
+@pytest.mark.parametrize("price", [math.inf, -math.inf])
+def test_a_node_price_json_cannot_carry_is_refused(price):
+    nodes = [SymbolNode(0, "A", price, CLEAR, (), 0)]
+    assert b"Infinity" in oracle_bytes(graph_of(nodes, [], 0))
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        export(graph_of(nodes, [], 0))
 
 
 def test_a_planted_graph_is_written_from_the_template():
     universe = synth.planted_universe(n_clusters=2, cluster_size=4, n_independent=2, seed=3)
     g = synth.planted_graph(synth.universe_series(universe.table).series, universe.clusters)
-    assert graphmod._edges_json(g.columns) is not None
     assert export(g) == oracle_bytes(g)

@@ -1,14 +1,19 @@
 """synth.planted_graph against the per-pair loop it replaced.
 
-planted_graph fits each cluster with the scan kernel. The per-pair loop
-below is the oracle: the graph must keep its topology, edge ids, leash
+planted_graph fits each cluster with one scan (scan_pairs). The per-pair
+loop below is the oracle: the graph must keep its topology, edge ids, leash
 fields and baseline tick bit for bit, its pvalue/adf_stat must agree to
-rounding and equal the bits the batch kernel gives the same pair, and every
-input the loop rejects must raise the same error class and message. The
-loop checks each cluster's members before fitting it, as planted_graph
-does: an unknown or repeated member is an UnknownSymbol or ValueError
-naming the cluster, not the loop's bare KeyError or build_graph's
-DuplicateEdge.
+rounding and equal the bits the batch kernel gives the same pair, and
+planted_graph must raise exactly when the loop raises. The loop checks each
+cluster's members before fitting it, as planted_graph does: an unknown or
+repeated member is an UnknownSymbol or ValueError naming the cluster, not
+the loop's bare KeyError or build_graph's DuplicateEdge, and planted_graph
+raises the same error. A fit error the loop meets in cluster k is, in
+planted_graph, the scan's MisalignedCalendar where the cluster's members
+are misaligned, and otherwise a ScenarioError naming cluster k, a pair of
+it and the scan's reason for that pair, which is coint_fit's own error.
+Misaligned members raise before any fit, so the loop's error there may be
+another pair's.
 """
 
 import numpy as np
@@ -18,7 +23,13 @@ from hypothesis import strategies as st
 
 from cointwatch import synth
 from cointwatch.coint import PairResult, PriceSeries, coint_fit
-from cointwatch.errors import DegeneratePair, NonFiniteFit, UnknownSymbol
+from cointwatch.errors import (
+    CointwatchError,
+    DegeneratePair,
+    MisalignedCalendar,
+    ScenarioError,
+    UnknownSymbol,
+)
 from cointwatch.graph import build_graph
 
 from conftest import batch_models
@@ -28,7 +39,8 @@ CLUSTER_SIZE = 6
 
 
 def oracle_planted_graph(series, clusters):
-    """One coint_fit per ordered within-cluster pair, in cluster order."""
+    """One coint_fit per ordered within-cluster pair, in cluster order; a
+    fit error leaves with the cluster's index as its `cluster`."""
     by_symbol = {p.symbol: p for p in series}
     results = []
     for k, cluster in enumerate(clusters):
@@ -45,16 +57,38 @@ def oracle_planted_graph(series, clusters):
                     model = coint_fit(by_symbol[src], by_symbol[dst])
                 except DegeneratePair:
                     continue
+                except CointwatchError as exc:
+                    exc.cluster = k
+                    raise
                 results.append(PairResult(src, dst, model, admitted=True))
     return build_graph(results, epsilon=1.0, symbols=[p.symbol for p in series])
 
 
 def outcome(fn, *args):
-    """(result, None) or (None, (error class, message))."""
+    """(result, None) or (None, the error)."""
     try:
         return fn(*args), None
     except Exception as exc:  # noqa: BLE001 - the class is what is compared
-        return None, (type(exc), str(exc))
+        return None, exc
+
+
+def assert_raises_as_the_loop(got, want, series, clusters):
+    """planted_graph's error got against the loop's error want."""
+    if not hasattr(want, "cluster"):  # a member check: the same error
+        assert (type(got), str(got)) == (type(want), str(want))
+        return
+    members = [p for p in series if p.symbol in clusters[want.cluster]]
+    if len({(p.window_id, len(p)) for p in members}) > 1:  # misaligned
+        assert type(got) is MisalignedCalendar
+        return
+    assert type(got) is ScenarioError, (got, want)
+    prefix = f"cluster {want.cluster}: pair "
+    assert str(got).startswith(prefix), (got, want)
+    pair, reason = str(got)[len(prefix):].split(": ", 1)
+    x, y = (next(p for p in members if p.symbol == s) for s in pair.split("->"))
+    with pytest.raises(CointwatchError) as raised:
+        coint_fit(x, y)
+    assert reason == f"{type(raised.value).__name__}: {raised.value}"
 
 
 def tampered(series, symbol, tamper):
@@ -78,8 +112,9 @@ def tampered(series, symbol, tamper):
 def assert_same_graph(series, clusters):
     want, want_error = outcome(oracle_planted_graph, series, clusters)
     got, got_error = outcome(synth.planted_graph, series, clusters)
-    assert got_error == want_error
+    assert (got_error is None) == (want_error is None), (got_error, want_error)
     if want_error:
+        assert_raises_as_the_loop(got_error, want_error, series, clusters)
         return
     w, g = want.columns, got.columns
     for name in ("eid", "src", "dst") + LEASH_FIELDS:
@@ -122,6 +157,9 @@ def assert_same_graph(series, clusters):
 # members of different windows: both raise MisalignedCalendar, the loop's
 # message names the pair
 @example(seed=1, n_days=250, members=[[0, 1, 2]], tamper="window")
+# a constant member: the loop raises DegenerateRegressor, planted_graph a
+# ScenarioError naming the pair; members out of symbol order
+@example(seed=1, n_days=250, members=[[2, 1, 0]], tamper="flat")
 @example(seed=1, n_days=250, members=[[0, 1, 2]], tamper="copy")
 @example(seed=1, n_days=250, members=[[0, 1, 2]], tamper="flat")
 @example(seed=1, n_days=250, members=[[0, 1, 2]], tamper="missing")
@@ -143,15 +181,15 @@ def test_planted_graph_matches_the_per_pair_loop(seed, n_days, members, tamper):
 def test_an_overflowing_cluster_raises_as_the_loop_does():
     # prices near the float64 limit: the spread of C0S00 -> C0S01's
     # residuals and every pair with C0S02 overflow (NonFiniteFit). The scan
-    # lists them as skipped; the loop over the skipped pairs raises at the
-    # first, as the per-pair loop does.
+    # lists them as skipped, and planted_graph raises a ScenarioError naming
+    # one of them where the per-pair loop raises NonFiniteFit.
     universe = synth.planted_universe(n_clusters=1, cluster_size=3, n_independent=0, seed=1)
     series = list(synth.universe_series(universe.table).series)
     series[1] = PriceSeries(series[1].symbol, series[1].values * 1e300, series[1].window_id)
     series[2] = PriceSeries(series[2].symbol, series[2].values * 1e305, series[2].window_id)
     assert_same_graph(series, universe.clusters)
     series[1] = synth.universe_series(universe.table).series[1]
-    with pytest.raises(NonFiniteFit):
+    with pytest.raises(ScenarioError, match=r"^cluster 0: pair C0S0\d->C0S0\d: NonFiniteFit: "):
         synth.planted_graph(series, universe.clusters)
 
 

@@ -53,6 +53,41 @@ class TestSeries:
         arr[0] = 99.0
         assert s.values[0] == 1.0
 
+    def test_reads_as_a_sequence_of_its_values(self):
+        s = stats.Series([1.0, 2.5, 4.0])
+        assert (s[0], s[-1]) == (1.0, 4.0)
+        assert list(s) == [1.0, 2.5, 4.0]
+        assert s == stats.Series(np.array([1, 2.5, 4]))
+        assert s != stats.Series([1.0, 2.5])
+        assert s.__eq__([1.0, 2.5, 4.0]) is NotImplemented
+        assert repr(s) == "Series(n=3)"
+
+
+class TestBlasThreads:
+    def test_a_block_runs_where_the_thread_count_cannot_be_set(self, monkeypatch):
+        # another BLAS, or a numpy without scipy-openblas: nothing to pin
+        monkeypatch.setattr(stats, "_openblas_threads", lambda: None)
+        assert stats.set_blas_threads(1) is None
+        ran = []
+        with stats.one_blas_thread(), stats.one_blas_thread():  # nested, too
+            ran.append(True)
+        assert ran == [True]
+        assert stats._pins == 0
+
+
+class TestUncenteredCond1:
+    def test_an_exactly_singular_matrix_reads_inf_in_its_own_row_only(self):
+        rng = np.random.default_rng(4)
+        factors = rng.standard_normal((4, 3, 3))
+        a = factors @ factors.transpose(0, 2, 1) + 3 * np.eye(3)
+        a[2] = [[2.0, 1.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]  # two equal rows
+        mu = rng.uniform(0.5, 2.0, (4, 3))  # positive: the inverse's inf meets no 0 or -inf
+        cond = stats._uncentered_cond1(a, mu, 50)
+        assert cond[2] == math.inf
+        for r in (0, 1, 3):
+            assert cond[r] == stats._uncentered_cond1(a[r:r + 1], mu[r:r + 1], 50)[0]
+            assert math.isfinite(cond[r])
+
 
 class TestOlsFit:
     def test_exact_line(self):
