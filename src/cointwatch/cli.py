@@ -25,7 +25,7 @@ from datetime import date, timedelta
 from pathlib import Path
 
 from . import alert, coint, graph as graphmod, pipeline, stats, synth
-from .errors import CointwatchError, EmptyWindow
+from .errors import CointwatchError, EmptyWindow, InsufficientWindow, TooShort
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
@@ -125,6 +125,24 @@ def _window_series(prices_path, start, end):
     return table, pipeline.slice_window(table, lo, hi)
 
 
+def _refit_history(prices_path, start, end):
+    """The window's series that onbreak refits fit on. A window with fewer
+    dates than coint_fit's ADF lag rule (stats.default_lag) needs is an
+    InsufficientWindow naming the window, raised before any tick is read."""
+    _, window = _window_series(prices_path, start, end)
+    if window.series:  # aligned, so of one length
+        try:
+            # the default lag order leaves the lags + 4 samples the ADF
+            # regression needs, so the lag rule's minimum is the bound
+            stats.default_lag(len(window.series[0].values))
+        except TooShort as exc:
+            raise InsufficientWindow(
+                f"refit window {window.window_id} of {prices_path} is too short to fit "
+                f"a pair on: {exc}"
+            ) from None
+    return window.series
+
+
 def _report_skips(scan: coint.ScanResult) -> None:
     """One stderr line per skip reason (exception type): count and the first
     pair in canonical order as the example."""
@@ -192,12 +210,11 @@ def _cmd_run(args) -> int:
     if args.recompute == alert.RECOMPUTE_ON_BREAK and args.prices is None:
         raise CointwatchError("--recompute onbreak requires --prices for the refit window")
     g = pipeline.load_graph(args.graph)
-    ticks = pipeline.load_ticks(args.ticks)
     # only onbreak refits read the price history
     history = None
     if args.recompute == alert.RECOMPUTE_ON_BREAK:
-        _, window = _window_series(args.prices, args.window_start, args.window_end)
-        history = window.series
+        history = _refit_history(args.prices, args.window_start, args.window_end)
+    ticks = pipeline.load_ticks(args.ticks)
 
     stream = alert.tick_loop(
         g,
@@ -257,11 +274,6 @@ def _gen_dates(last: date, count: int) -> list[date]:
     return [last + timedelta(days=i + 1) for i in range(count)]
 
 
-def _write_ticks(path, days, tick_maps) -> None:
-    columns = {sym: [tick.get(sym) for tick in tick_maps] for sym in tick_maps[0]}
-    pipeline.write_prices_csv(path, days, columns)
-
-
 def _cmd_gen(args) -> int:
     if args.kind == "universe":
         universe = synth.planted_universe(
@@ -289,10 +301,10 @@ def _cmd_gen(args) -> int:
     last_day = table.calendar[-1]
 
     if args.kind == "ticks":
-        days = _gen_dates(last_day, args.count)
-        tick_maps = [synth.jittered_tick(g, base, seed=args.seed + i) for i in range(args.count)]
+        # each day's tick is drawn as the writer reaches it, so one is held at a time
+        ticks = (synth.jittered_tick(g, base, seed=args.seed + i) for i in range(args.count))
         with _replaced_on_success(args.out) as (out,):
-            _write_ticks(out, days, tick_maps)
+            pipeline.write_prices_csv(out, _gen_dates(last_day, args.count), ticks)
         print(f"wrote {args.count} in-band ticks -> {args.out}")
         return 0
 
@@ -305,7 +317,7 @@ def _cmd_gen(args) -> int:
             g, base, fraction=args.fraction, seed=args.seed, sigmas=args.sigmas
         )
     with _replaced_on_success(args.out, args.expected) as (out, expected_out):
-        _write_ticks(out, _gen_dates(last_day, 1), [tick])
+        pipeline.write_prices_csv(out, _gen_dates(last_day, 1), [tick])
         if expected_out is not None:
             Path(expected_out).write_text(json.dumps(list(expected)) + "\n")
     print(f"wrote {args.kind} tick breaking {len(expected)} edges -> {args.out}")

@@ -22,9 +22,9 @@ import json
 import math
 from dataclasses import dataclass
 from datetime import date
-from itertools import compress
+from itertools import chain, compress
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -363,27 +363,48 @@ def save_graph(g: CointGraph, path) -> None:
     Path(path).write_bytes(graphmod.export(g, graphmod.FORMAT_JSON))
 
 
-def write_prices_csv(path, calendar: Sequence[date], series: dict[str, Sequence[float]]) -> None:
+def write_prices_csv(
+    path,
+    calendar: Sequence[date],
+    series: Mapping[str, Sequence[float]] | Iterable[Mapping[str, float]],
+) -> None:
     """Write the long-format CSV: one row per (date, symbol) observation.
 
-    A value that is None or a NaN of any float type is a gap and writes no
-    row. Closes are written as ``repr(float(value))`` with csv's ``\\r\\n``
-    terminator.
+    `series` holds the closes either as columns, a mapping symbol -> closes
+    by date, or as rows, an iterable of mappings symbol -> close, one per
+    date. Rows are read one at a time as their dates are written, so rows a
+    generator draws are never all held; their symbols are the first row's.
+    A value that is None, missing from a row, or a NaN of any float type is
+    a gap and writes no row. Closes are written as ``repr(float(value))``
+    with csv's ``\\r\\n`` terminator.
     """
-    symbols = sorted(series)
-    closes = np.array(
-        [np.asarray(series[s], dtype=np.float64)[: len(calendar)] for s in symbols]
-    ).reshape(len(symbols), len(calendar)).T
-    present = (~np.isnan(closes)).tolist()
+    # the closes as blocks of rows: all dates at once, or one at a time
+    if isinstance(series, Mapping):
+        symbols = sorted(series)
+        closes = np.array(
+            [np.asarray(series[s], dtype=np.float64)[: len(calendar)] for s in symbols]
+        ).reshape(len(symbols), len(calendar)).T
+        blocks: Iterable[np.ndarray] = [closes]
+    else:
+        rows = iter(series)
+        first = next(rows, {})
+        symbols = sorted(first)
+        blocks = (
+            np.array([[row.get(s) for s in symbols]], dtype=np.float64)
+            for row in chain([first], rows)
+        )
     # csv.writer quotes a field holding one of these; only it formats such rows
     quoted = any(_CSV_QUOTED.intersection(s) for s in symbols)
+    days = iter(calendar)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_HEADER)
-        for day, row, seen in zip(calendar, closes.tolist(), present):
-            iso = day.isoformat()
-            cells = compress(zip(symbols, row), seen)
-            if quoted:
-                writer.writerows([iso, s, repr(v)] for s, v in cells)
-            else:
-                fh.write("".join([f"{iso},{s},{v!r}\r\n" for s, v in cells]))
+        for block in blocks:
+            # a block's rows come first, so its end takes no date from the calendar
+            for row, seen, day in zip(block.tolist(), (~np.isnan(block)).tolist(), days):
+                iso = day.isoformat()
+                cells = compress(zip(symbols, row), seen)
+                if quoted:
+                    writer.writerows([iso, s, repr(v)] for s, v in cells)
+                else:
+                    fh.write("".join([f"{iso},{s},{v!r}\r\n" for s, v in cells]))

@@ -159,36 +159,78 @@ def baseline_tick(g: CointGraph, fallback: Mapping[str, float]) -> dict[str, flo
     constraint (dst - beta1*src - beta0 - resid_mean)/resid_std = 0, plus a
     weak anchor pulling every node toward its fallback price (which also
     pins isolated nodes). Raises if the solution leaves any edge beyond
-    BASELINE_GUARD sigmas — planted graphs stay well under it. The solve
-    runs on one BLAS thread (stats.one_blas_thread): on large designs a
-    solve split over threads changed the prices' last bits.
+    BASELINE_GUARD sigmas — planted graphs stay well under it.
+
+    The problem A p ~ b is solved through its normal equations A'A p = A'b
+    (Björck, Numerical Methods for Least Squares Problems, 1996, ch. 2):
+    the n x n matrix A'A and the vector A'b are summed straight from the
+    edge columns, so no (edges + nodes) x n design is built; the cost is
+    O(E + n^2) memory and O(E + n^3) time. Squaring the design squares its
+    condition number. The anchor adds anchor^2 to every diagonal entry,
+    which keeps A'A positive definite and its condition number at most its
+    largest eigenvalue over anchor^2. A direction the edges leave free (a
+    component that is one directed edge, say) is held by the anchor alone,
+    and as resid_std shrinks rounding in A'A erodes that hold: on one
+    directed edge the prices lie 1e-6 (relative) from lstsq's at resid_std
+    1e-2, and near 1e-6 the system is singular and refused. The edges
+    themselves stay in band; the guard checks every one. The sums run in a
+    fixed order (np.bincount adds its weights in input order) and the solve
+    runs on one BLAS thread (stats.one_blas_thread), since a solve split
+    over threads rounds differently; so a graph's prices are the same bits
+    on every call and under any BLAS thread count.
 
     Raises:
         ScenarioError: the graph has no nodes, fallback has no price for a
-            graph symbol (naming the first in node order), or the solution
-            leaves an edge beyond BASELINE_GUARD sigmas or a price
-            non-positive.
+            graph symbol (naming the first in node order), the system has
+            no finite solution, or the solution leaves an edge beyond
+            BASELINE_GUARD sigmas or a price non-positive.
     """
     n, c = g.n_nodes, g.columns
     if not n:
         raise ScenarioError("graph has no nodes to price")
-    edges = np.arange(len(c))
-    anchor = 1e-3
-    # one row per edge in id order, then one anchor row per node
-    design = np.zeros((len(c) + n, n))
-    design[edges, c.dst] = 1.0 / c.resid_std
-    design[edges, c.src] = -c.beta1 / c.resid_std
-    design[len(c) + np.arange(n), np.arange(n)] = anchor
     symbols = list(g.symbol_ids)
     try:
         fallbacks = np.array([float(fallback[s]) for s in symbols])
     except KeyError as exc:
         raise ScenarioError(f"no fallback price for graph symbol {exc.args[0]!r}") from None
-    target = np.concatenate(((c.beta0 + c.resid_mean) / c.resid_std, anchor * fallbacks))
-    with one_blas_thread():
-        prices, *_ = np.linalg.lstsq(design, target, rcond=None)
-
-    sigmas = np.abs(prices[c.dst] - c.beta0 - c.beta1 * prices[c.src] - c.resid_mean) / c.resid_std
+    anchor = 1e-3
+    # a model far from unit scale can overflow the sums (a resid_std below
+    # ~1e-154 squares past float64's range) or leave the system singular to
+    # working precision; the checks below refuse such a result
+    with np.errstate(all="ignore"):
+        # an edge's design row: 1/resid_std at dst, -beta1/resid_std at src;
+        # its target (beta0 + resid_mean)/resid_std
+        w_dst = 1.0 / c.resid_std
+        w_src = -c.beta1 / c.resid_std
+        target = (c.beta0 + c.resid_mean) / c.resid_std
+        cross = w_dst * w_src
+        nodes = np.arange(n)
+        # A'A and A'b as sums over the design's entries: the edges' terms,
+        # then each node's anchor row (anchor at the node, target anchor *
+        # fallback)
+        gram = np.bincount(
+            np.concatenate((c.dst * (n + 1), c.src * (n + 1), c.dst * n + c.src,
+                            c.src * n + c.dst, nodes * (n + 1))),
+            np.concatenate((w_dst * w_dst, w_src * w_src, cross, cross,
+                            np.full(n, anchor * anchor))),
+            minlength=n * n,
+        ).reshape(n, n)
+        rhs = np.bincount(
+            np.concatenate((c.dst, c.src, nodes)),
+            np.concatenate((w_dst * target, w_src * target, anchor * anchor * fallbacks)),
+            minlength=n,
+        )
+        try:
+            with one_blas_thread():
+                prices = np.linalg.solve(gram, rhs)
+        except np.linalg.LinAlgError:  # singular to working precision: no solution
+            prices = np.full(n, np.nan)
+        deviations = prices[c.dst] - c.beta0 - c.beta1 * prices[c.src] - c.resid_mean
+        sigmas = np.abs(deviations) / c.resid_std
+    if not np.isfinite(prices).all():
+        raise ScenarioError(
+            "baseline tick has no finite solution: a model or fallback price is out of range"
+        )
     beyond = np.flatnonzero(sigmas > BASELINE_GUARD)
     if len(beyond):
         raise ScenarioError(

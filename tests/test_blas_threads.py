@@ -50,12 +50,13 @@ def test_build_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
 
 
 def test_gen_ticks_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # gen's baseline tick is a least-squares solve with a row per edge and
-    # per node; at 80 symbols and ~6,000 edges a solve split over threads
-    # rounded the prices differently from one thread
+    # gen's baseline tick solves one n x n system, n the graph's symbols;
+    # from about 100 symbols on, a solve split over two threads rounded the
+    # prices differently from one thread (at 80 it did not), so this graph
+    # has 160
     prices, graph = tmp_path / "prices.csv", tmp_path / "graph.json"
     cointwatch(["gen", "universe", "--clusters", "1", "--cluster-size", "5",
-                "--independents", "75", "--days", "250", "--seed", "1", "--out", str(prices)])
+                "--independents", "155", "--days", "250", "--seed", "1", "--out", str(prices)])
     cointwatch(["build", "--prices", str(prices), "--alpha", "0.9", "--out", str(graph)])
     outputs = []
     for threads in (1, None):

@@ -427,6 +427,53 @@ class TestRunCommand:
         assert len(reports.read_text().splitlines()) == 200
         assert load_graph(after).n_edges < g.n_edges
 
+    @pytest.mark.parametrize("ticks", ["universe", "missing"])
+    @pytest.mark.parametrize("to", ["2015-01-03", "2015-01-05"])
+    def test_onbreak_refuses_a_window_too_short_to_refit_before_any_tick(
+        self, tmp_path, built_graph, universe_csv, capsys, ticks, to
+    ):
+        # the universe replayed as ticks breaks edges from tick 21 on; a
+        # window of 1 or 3 dates cannot refit them (the ADF lag rule needs
+        # 4), so the run is refused before its tick file is read
+        out = tmp_path / "reports.jsonl"
+        tick_file = universe_csv if ticks == "universe" else tmp_path / "absent.csv"
+        capsys.readouterr()
+        code = run(
+            [
+                "run", "--graph", str(built_graph), "--ticks", str(tick_file),
+                "--recompute", "onbreak", "--prices", str(universe_csv),
+                "--from", "2015-01-03", "--to", to, "--out", str(out),
+            ]
+        )
+        n = 1 if to == "2015-01-03" else 3
+        assert code == 2
+        assert capsys.readouterr() == (
+            "",
+            f"cointwatch: error: refit window 2015-01-03:{to} of {universe_csv} is too short "
+            f"to fit a pair on: need at least 4 samples to pick a lag order, got {n}\n",
+        )
+        assert not out.exists()
+        # build on the same window fits nothing and writes an empty graph
+        graph = tmp_path / "short.json"
+        argv = ["build", "--prices", str(universe_csv), "--from", "2015-01-03", "--to", to,
+                "--out", str(graph)]
+        assert run(argv) == 0
+        assert load_graph(graph).n_edges == 0
+
+    def test_onbreak_runs_on_the_shortest_window_a_pair_fits_on(
+        self, tmp_path, built_graph, universe_csv, capsys
+    ):
+        out = tmp_path / "reports.jsonl"
+        code = run(
+            [
+                "run", "--graph", str(built_graph), "--ticks", str(universe_csv),
+                "--recompute", "onbreak", "--prices", str(universe_csv),
+                "--from", "2015-01-03", "--to", "2015-01-06", "--out", str(out),
+            ]
+        )
+        assert code == 0, capsys.readouterr().err
+        assert len(out.read_text().splitlines()) == 200
+
     def test_shock_scenario_detected(self, tmp_path, built_graph, universe_csv):
         g = load_graph(built_graph)
         symbol = g.nodes[0].symbol
@@ -721,6 +768,21 @@ class TestGen:
 
     def test_gen_ticks_requires_graph(self, tmp_path):
         assert run(["gen", "ticks", "--out", str(tmp_path / "t.csv")]) == 1
+
+    def test_ticks_are_the_bytes_of_a_whole_file_write(self, tmp_path, built_graph, universe_csv):
+        # gen ticks draws and writes one day at a time; the file is the one
+        # the same ticks, held whole and written as columns, give
+        out, whole = tmp_path / "t.csv", tmp_path / "whole.csv"
+        argv = ["gen", "ticks", "--graph", str(built_graph), "--prices", str(universe_csv),
+                "--count", "7", "--seed", "3", "--out", str(out)]
+        assert run(argv) == 0
+        g = load_graph(built_graph)
+        table = pipeline.load_prices(universe_csv)
+        base = synth.baseline_tick(g, dict(zip(table.symbols, table.prices[-1].tolist())))
+        ticks = [synth.jittered_tick(g, base, seed=3 + i) for i in range(7)]
+        days = [table.calendar[-1] + timedelta(days=i + 1) for i in range(7)]
+        write_prices_csv(whole, days, {s: [t[s] for t in ticks] for s in ticks[0]})
+        assert out.read_bytes() == whole.read_bytes()
 
     @pytest.mark.parametrize("count", ["0", "-2"])
     def test_ticks_count_below_one_is_usage_error(

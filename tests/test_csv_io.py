@@ -10,6 +10,7 @@ every written file must hold the same bytes.
 
 import csv
 import math
+import tracemalloc
 from contextlib import contextmanager
 from datetime import date, timedelta
 from unittest import mock
@@ -517,6 +518,53 @@ class TestWritePricesCsvMatchesRowWriter:
         calendar = [date(2015, 1, 2) + timedelta(days=k) for k in range(6)]
         new, old = write_both(tmp_path, calendar, columns)
         assert new == old
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        columns=st.dictionaries(
+            st.one_of(
+                st.sampled_from(SYMBOLS),
+                st.text(st.sampled_from('ab ,"\r\n'), min_size=1, max_size=4),
+            ),
+            column_values,
+            min_size=1,
+            max_size=5,
+        ),
+        drop=st.sets(st.integers(0, 29), max_size=6),
+    )
+    def test_rows_write_the_bytes_of_columns(self, tmp_path, columns, drop):
+        # the same closes given one mapping per date; a symbol a later row
+        # lacks is a gap, as a None is
+        calendar = [date(2015, 1, 2) + timedelta(days=k) for k in range(6)]
+        symbols = list(columns)
+        rows = [{s: columns[s][k] for s in symbols} for k in range(6)]
+        for cell in drop:
+            day, j = divmod(cell, 5)
+            if 0 < day < 6 and j < len(symbols):
+                del rows[day][symbols[j]]
+                columns[symbols[j]] = list(columns[symbols[j]])
+                columns[symbols[j]][day] = None
+        by_rows, by_columns = tmp_path / "rows.csv", tmp_path / "columns.csv"
+        write_prices_csv(by_rows, calendar, iter(rows))
+        write_prices_csv(by_columns, calendar, columns)
+        assert by_rows.read_bytes() == by_columns.read_bytes()
+
+    def test_rows_are_drawn_one_at_a_time(self, tmp_path):
+        # 400 dates x 200 symbols drawn by a generator: holding them all
+        # takes ~4.5 MB, a row at a time ~0.2 MB (tracemalloc)
+        symbols = [f"S{j:03d}" for j in range(200)]
+        calendar = [date(2000, 1, 1) + timedelta(days=k) for k in range(400)]
+        rows = ({s: 100.0 + k + j / 1000 for j, s in enumerate(symbols)} for k in range(400))
+        tracemalloc.start()
+        try:
+            write_prices_csv(tmp_path / "p.csv", calendar, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, peak
+        table = load_prices(tmp_path / "p.csv")
+        assert table.calendar == tuple(calendar) and table.symbols == tuple(symbols)
 
     def test_quoted_symbol_bytes(self, tmp_path):
         calendar = [date(2015, 1, 2), date(2015, 1, 5)]
