@@ -126,9 +126,10 @@ def _window_series(prices_path, start, end):
 
 
 def _refit_history(prices_path, start, end):
-    """The window's series that onbreak refits fit on. A window with fewer
-    dates than coint_fit's ADF lag rule (stats.default_lag) needs is an
-    InsufficientWindow naming the window, raised before any tick is read."""
+    """The window's series that recompute and onbreak refits fit on. A
+    window with fewer dates than coint_fit's ADF lag rule (stats.default_lag)
+    needs is an InsufficientWindow naming the window, raised before any fit
+    is made or tick is read."""
     _, window = _window_series(prices_path, start, end)
     if window.series:  # aligned, so of one length
         try:
@@ -248,8 +249,8 @@ def _cmd_recompute(args) -> int:
             raise CointwatchError(f"{args.broken_file}: invalid JSON input: {exc}") from exc
         if not isinstance(broken, list) or not all(type(i) is int for i in broken):
             raise CointwatchError(f"{args.broken_file}: expected a JSON list of edge ids")
-    _, window = _window_series(args.prices, args.window_start, args.window_end)
-    g2, summary = alert.selective_recompute(g, broken, window.series, config)
+    history = _refit_history(args.prices, args.window_start, args.window_end)
+    g2, summary = alert.selective_recompute(g, broken, history, config)
     with _replaced_on_success(args.out) as (out,):
         pipeline.save_graph(g2, out)
     print(
@@ -302,7 +303,7 @@ def _cmd_gen(args) -> int:
 
     if args.kind == "ticks":
         # each day's tick is drawn as the writer reaches it, so one is held at a time
-        ticks = (synth.jittered_tick(g, base, seed=args.seed + i) for i in range(args.count))
+        ticks = synth.jittered_ticks(g, base, range(args.seed, args.seed + args.count))
         with _replaced_on_success(args.out) as (out,):
             pipeline.write_prices_csv(out, _gen_dates(last_day, args.count), ticks)
         print(f"wrote {args.count} in-band ticks -> {args.out}")

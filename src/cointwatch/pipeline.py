@@ -4,11 +4,13 @@ File formats:
   prices / ticks CSV — long format with header ``date,symbol,close``;
       ISO-8601 dates, strictly positive decimal closes. The tick file reuses
       the price schema: each distinct date is one tick. Files are read in
-      bulk, a block of whole lines at a time; a file the bulk parser cannot
-      vouch for goes through the row-by-row ``csv`` loop, which alone judges
-      it and names the line of any error. Files are written in bulk too, one
-      row per present (date, symbol) cell, byte for byte as ``csv.writer``
-      would.
+      bulk, a block of whole lines at a time, each block's closes written
+      straight into the date-by-symbol matrix, so a load holds the matrix
+      plus one block; a file the bulk parser cannot vouch for goes through
+      the row-by-row ``csv`` loop, which alone judges it and names the line
+      of any error. Files are written in bulk too, one date at a time and
+      one row per present (date, symbol) cell, byte for byte as
+      ``csv.writer`` would.
   graph JSON — the canonical export schema of :mod:`cointwatch.graph`,
       which alone knows and checks its fields (``graph.from_json_obj``);
       save -> load -> save is byte-stable.
@@ -174,16 +176,20 @@ def _read_bulk(path) -> tuple[tuple[date, ...], tuple[str, ...], np.ndarray] | N
     symbol), undecodable text, or no data rows at all.
 
     Each distinct date or symbol text is stripped and parsed once; the closes
-    of a block go through one ``map(float)``.
+    of a block go through one ``map(float)`` and are written straight into a
+    date-by-symbol grid indexed by first-seen codes (see _grown), so the
+    loader holds the matrix and one block, never the file's rows. A file
+    whose dates and symbols first appear in sorted order (every file
+    write_prices_csv writes) keeps the grid's leading block as its matrix;
+    any other is gathered into sorted order once.
     """
     limit = csv.field_size_limit()
     day_of_text: dict[str, int] = {}  # raw date field -> code of its date
     sym_of_text: dict[str, int] = {}  # raw symbol field -> code of its symbol
-    day_code: dict[date, int] = {}
+    day_code: dict[date, int] = {}  # date -> first-seen code, in code order
     sym_code: dict[str, int] = {}
-    day_idx: list[np.ndarray] = []
-    sym_idx: list[np.ndarray] = []
-    closes: list[np.ndarray] = []
+    grid = np.empty((0, 0))
+    written = 0
     try:
         with open(path, newline="") as fh:
             header = _plain_lines(fh.readline(), limit) or ""
@@ -196,39 +202,69 @@ def _read_bulk(path) -> tuple[tuple[date, ...], tuple[str, ...], np.ndarray] | N
                 fields = text.replace("\n", ",").split(",")
                 n = len(fields) // 3
                 dates, names, values = fields[0:-1:3], fields[1::3], fields[2::3]
-                for raw in set(dates).difference(day_of_text):
+                # each new text in first-seen order, so the codes number dates
+                # and symbols in the order the file first names them
+                for raw in dict.fromkeys(dates):
+                    if raw in day_of_text:
+                        continue
                     try:
                         day = date.fromisoformat(raw.strip())
                     except ValueError:
                         return None
                     day_of_text[raw] = day_code.setdefault(day, len(day_code))
-                for raw in set(names).difference(sym_of_text):
+                for raw in dict.fromkeys(names):
+                    if raw in sym_of_text:
+                        continue
                     name = raw.strip()
                     if not name:
                         return None
                     sym_of_text[raw] = sym_code.setdefault(name, len(sym_code))
                 try:
-                    closes.append(np.fromiter(map(float, values), np.float64, count=n))
+                    close = np.fromiter(map(float, values), np.float64, count=n)
                 except ValueError:
                     return None
-                day_idx.append(np.fromiter(map(day_of_text.__getitem__, dates), np.intp, n))
-                sym_idx.append(np.fromiter(map(sym_of_text.__getitem__, names), np.intp, n))
+                if not np.all(np.isfinite(close) & (close > 0.0)):
+                    return None
+                rows = np.fromiter(map(day_of_text.__getitem__, dates), np.intp, n)
+                cols = np.fromiter(map(sym_of_text.__getitem__, names), np.intp, n)
+                # the block's fields go before the next block's are split
+                del fields, dates, names, values
+                grid = _grown(grid, len(day_code), len(sym_code))
+                grid[rows, cols] = close
+                written += n
     except UnicodeDecodeError:
         return None
-    if not closes:
-        return None
-    close = np.concatenate(closes)
-    if not np.all(np.isfinite(close) & (close > 0.0)):
+    if not written:
         return None
     calendar = tuple(sorted(day_code))
     symbols = tuple(sorted(sym_code))
-    prices = np.full((len(calendar), len(symbols)), np.nan)
-    rows = _ranks(day_code, calendar)[np.concatenate(day_idx)]
-    cols = _ranks(sym_code, symbols)[np.concatenate(sym_idx)]
-    prices[rows, cols] = close
-    if prices.size - np.count_nonzero(np.isnan(prices)) != len(close):
+    in_order = calendar == tuple(day_code) and symbols == tuple(sym_code)
+    if in_order and grid.shape[1] == len(symbols):
+        grid.resize((len(calendar), len(symbols)), refcheck=False)  # drops the spare rows
+        prices = grid
+    else:
+        prices = grid[np.ix_([day_code[d] for d in calendar], [sym_code[s] for s in symbols])]
+    if prices.size - np.count_nonzero(np.isnan(prices)) != written:
         return None  # a (date, symbol) cell was written twice
     return calendar, symbols, prices
+
+
+def _grown(grid: np.ndarray, n_days: int, n_symbols: int) -> np.ndarray:
+    """grid, NaN-padded to hold at least n_days rows and n_symbols columns:
+    a dimension grows only when its count outgrows it, and then at least
+    doubles, so a file costs O(log) grows. New columns take a new grid; new
+    rows only extend the buffer (in place where realloc can), since a
+    C-ordered grid's rows are its trailing memory."""
+    rows, cols = grid.shape
+    new_rows = rows if n_days <= rows else max(n_days, 2 * rows)
+    if n_symbols > cols:
+        wider = np.full((new_rows, max(n_symbols, 2 * cols)), np.nan)
+        wider[:rows, :cols] = grid
+        return wider
+    if new_rows > rows:
+        grid.resize((new_rows, cols), refcheck=False)  # no view of it is held
+        grid[rows:] = np.nan
+    return grid
 
 
 def _plain_lines(text: str, limit: int) -> str | None:
@@ -255,13 +291,6 @@ def _plain_lines(text: str, limit: int) -> str | None:
         and np.diff(ends, prepend=-1).max() <= limit + 1
     )
     return text if plain else None
-
-
-def _ranks(codes: dict, ordered: tuple) -> np.ndarray:
-    """Map first-seen codes to positions in the sorted key order."""
-    rank = np.empty(len(codes), dtype=np.intp)
-    rank[[codes[key] for key in ordered]] = np.arange(len(ordered))
-    return rank
 
 
 def slice_window(
@@ -372,39 +401,38 @@ def write_prices_csv(
 
     `series` holds the closes either as columns, a mapping symbol -> closes
     by date, or as rows, an iterable of mappings symbol -> close, one per
-    date. Rows are read one at a time as their dates are written, so rows a
-    generator draws are never all held; their symbols are the first row's.
+    date. Columns are stacked into one float64 matrix, and each date's row
+    of it is made Python floats only as that date is written, so the writer
+    holds the matrix plus one row. Rows are read one at a time as their
+    dates are written, so rows a generator draws are never all held; their
+    symbols are the first row's.
     A value that is None, missing from a row, or a NaN of any float type is
     a gap and writes no row. Closes are written as ``repr(float(value))``
     with csv's ``\\r\\n`` terminator.
     """
-    # the closes as blocks of rows: all dates at once, or one at a time
+    # the closes as rows, one per date: the columns' matrix, or drawn one at a time
     if isinstance(series, Mapping):
         symbols = sorted(series)
-        closes = np.array(
+        rows: Iterable[np.ndarray] = np.array(
             [np.asarray(series[s], dtype=np.float64)[: len(calendar)] for s in symbols]
         ).reshape(len(symbols), len(calendar)).T
-        blocks: Iterable[np.ndarray] = [closes]
     else:
-        rows = iter(series)
-        first = next(rows, {})
+        drawn = iter(series)
+        first = next(drawn, {})
         symbols = sorted(first)
-        blocks = (
-            np.array([[row.get(s) for s in symbols]], dtype=np.float64)
-            for row in chain([first], rows)
+        rows = (
+            np.array([row.get(s) for s in symbols], dtype=np.float64)
+            for row in chain([first], drawn)
         )
     # csv.writer quotes a field holding one of these; only it formats such rows
     quoted = any(_CSV_QUOTED.intersection(s) for s in symbols)
-    days = iter(calendar)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_HEADER)
-        for block in blocks:
-            # a block's rows come first, so its end takes no date from the calendar
-            for row, seen, day in zip(block.tolist(), (~np.isnan(block)).tolist(), days):
-                iso = day.isoformat()
-                cells = compress(zip(symbols, row), seen)
-                if quoted:
-                    writer.writerows([iso, s, repr(v)] for s, v in cells)
-                else:
-                    fh.write("".join([f"{iso},{s},{v!r}\r\n" for s, v in cells]))
+        for row, day in zip(rows, calendar):
+            iso = day.isoformat()
+            cells = compress(zip(symbols, row.tolist()), (~np.isnan(row)).tolist())
+            if quoted:
+                writer.writerows([iso, s, repr(v)] for s, v in cells)
+            else:
+                fh.write("".join([f"{iso},{s},{v!r}\r\n" for s, v in cells]))

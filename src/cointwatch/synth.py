@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import date, timedelta
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -256,10 +256,20 @@ def jittered_tick(
     without edges moves at most 0.5% of its price. One uniform draw per
     node, in node order.
     """
-    rng = np.random.default_rng(seed)
+    return next(jittered_ticks(g, base, [seed], budget_sigmas))
+
+
+def jittered_ticks(
+    g: CointGraph,
+    base: Mapping[str, float],
+    seeds: Iterable[int],
+    budget_sigmas: float = 1.0,
+) -> Iterator[dict[str, float]]:
+    """jittered_tick(g, base, seed, budget_sigmas) for each seed in turn,
+    drawn as it is asked for; the per-node limits, which depend on the graph
+    alone, are computed once."""
     symbols = list(g.symbol_ids)
     price = np.array([base[s] for s in symbols], dtype=np.float64)
-    draw = rng.uniform(-1.0, 1.0, size=len(symbols))
     # per node, the smallest resid_std / role coefficient over its edges
     # (_role_coefficient: 1 where the node is dst, |beta1| where it is src)
     cols = g.columns
@@ -269,11 +279,14 @@ def jittered_tick(
     wired = np.zeros(len(symbols), dtype=bool)
     wired[cols.src] = True
     wired[cols.dst] = True
-    delta = draw * 0.005 * price
-    delta[wired] = draw[wired] * 0.5 * budget_sigmas * limit[wired]
-    tick = dict(base)
-    tick.update(zip(symbols, (price + delta).tolist()))
-    return tick
+    wired_limit = limit[wired]
+    for seed in seeds:
+        draw = np.random.default_rng(seed).uniform(-1.0, 1.0, size=len(symbols))
+        delta = draw * 0.005 * price
+        delta[wired] = draw[wired] * 0.5 * budget_sigmas * wired_limit
+        tick = dict(base)
+        tick.update(zip(symbols, (price + delta).tolist()))
+        yield tick
 
 
 def shock_delta(g: CointGraph, node_id: int, sigmas: float, break_all: bool) -> float:

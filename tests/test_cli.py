@@ -643,6 +643,43 @@ class TestRecompute:
         )
         assert code == 2
 
+    def test_refuses_a_window_too_short_to_refit_before_any_fit(
+        self, tmp_path, built_graph, universe_csv, capsys
+    ):
+        # one date cannot refit a pair (the ADF lag rule needs 4): the window
+        # is refused by name, as run --recompute onbreak refuses it
+        out = tmp_path / "refit.json"
+        capsys.readouterr()
+        code = run(
+            [
+                "recompute", "--graph", str(built_graph), "--broken", "0",
+                "--prices", str(universe_csv), "--from", "2015-01-03", "--to", "2015-01-03",
+                "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr() == (
+            "",
+            f"cointwatch: error: refit window 2015-01-03:2015-01-03 of {universe_csv} is too "
+            "short to fit a pair on: need at least 4 samples to pick a lag order, got 1\n",
+        )
+        assert not out.exists()
+
+    def test_runs_on_the_shortest_window_a_pair_fits_on(
+        self, tmp_path, built_graph, universe_csv, capsys
+    ):
+        out = tmp_path / "refit.json"
+        code = run(
+            [
+                "recompute", "--graph", str(built_graph), "--broken", "0",
+                "--prices", str(universe_csv), "--from", "2015-01-03", "--to", "2015-01-06",
+                "--out", str(out),
+            ]
+        )
+        assert code == 0, capsys.readouterr().err
+        assert "recomputed 1 edges" in capsys.readouterr().out
+        assert out.exists()
+
 
 @pytest.mark.parametrize(
     "argv, status, message",

@@ -453,6 +453,114 @@ class TestLoadPricesMatchesRowLoop:
         assert got[1] is ParseError and got[3] == 2
 
 
+BLOCKS = [1, 7, 40, 1 << 18]
+
+
+def grid_lines(block):
+    """Rows of a full date x symbol grid in date, then symbol order, enough
+    for several blocks of the given size: ~290k characters at the default
+    size, 600 rows at the small ones."""
+    rng = np.random.default_rng(0)
+    n_days = 300 if block >= 1 << 18 else 20
+    return [
+        f"{date(2012, 1, 2) + timedelta(days=i)},S{j:02d},{rng.uniform(1, 500)!r}"
+        for i in range(n_days)
+        for j in range(30)
+    ]
+
+
+def write_lines(tmp_path, lines, block):
+    path = tmp_path / "p.csv"
+    path.write_text("\n".join(["date,symbol,close"] + lines) + "\n", newline="")
+    assert path.stat().st_size > block
+    return path
+
+
+class TestGridMatchesRowLoop:
+    """The loader's date x symbol grid, which grows as blocks name new dates
+    and symbols, against the row loop at several block sizes."""
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_date_and_symbol_first_seen_in_the_last_block(self, tmp_path, block):
+        # a date before every other and a symbol sorting first, both named
+        # only by the file's last row
+        path = write_lines(tmp_path, grid_lines(block) + ["2011-12-30,A,7.25"], block)
+        with block_chars(block):
+            assert pipeline._read_bulk(path) is not None
+            table = assert_same_load(path)[1]
+        assert table.calendar[0] == date(2011, 12, 30) and table.symbols[0] == "A"
+        assert np.count_nonzero(~np.isnan(table.prices[0])) == 1
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    @pytest.mark.parametrize("order", ["reversed", "shuffled"])
+    def test_rows_out_of_order(self, tmp_path, block, order):
+        lines = grid_lines(block)
+        del lines[5::17]  # gaps, so some cells stay NaN
+        if order == "reversed":
+            lines.reverse()
+        else:
+            np.random.default_rng(3).shuffle(lines)
+        path = write_lines(tmp_path, lines, block)
+        with block_chars(block):
+            assert pipeline._read_bulk(path) is not None
+            assert_same_load(path)
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_duplicate_cell_split_across_blocks(self, tmp_path, block):
+        lines = grid_lines(block)
+        path = write_lines(tmp_path, lines + [lines[1]], block)
+        with block_chars(block):
+            assert pipeline._read_bulk(path) is None
+            got = assert_same_load(path)
+        assert got[1] is ParseError and got[3] == len(lines) + 2
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    @pytest.mark.parametrize("close", ["0", "-1.5"])
+    def test_non_positive_close_in_a_late_block(self, tmp_path, block, close):
+        lines = grid_lines(block)
+        lines[-2] = lines[-2].rsplit(",", 1)[0] + "," + close
+        path = write_lines(tmp_path, lines, block)
+        with block_chars(block):
+            assert pipeline._read_bulk(path) is None
+            got = assert_same_load(path)
+        assert got[1] is ParseError and got[3] == len(lines)
+
+
+def traced_peak(fn, *args):
+    """Peak traced memory of one call of fn, after a warm-up call (one-time
+    allocations, such as caches and lazy imports, are not the call's)."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestCsvMemory:
+    N_DAYS, N_SYMBOLS = 2000, 100
+
+    @pytest.fixture()
+    def columns(self):
+        rng = np.random.default_rng(9)
+        prices = rng.uniform(10.0, 100.0, (self.N_DAYS, self.N_SYMBOLS))
+        calendar = [date(2000, 1, 1) + timedelta(days=i) for i in range(self.N_DAYS)]
+        return calendar, {f"S{j:03d}": prices[:, j] for j in range(self.N_SYMBOLS)}
+
+    def test_load_holds_the_matrix_and_one_block(self, tmp_path, columns):
+        path = tmp_path / "p.csv"
+        write_prices_csv(path, *columns)
+        matrix = self.N_DAYS * self.N_SYMBOLS * 8
+        peak = traced_peak(load_prices, path)
+        assert peak <= 2 * matrix + 2_000_000, f"{peak / matrix:.1f}x the float64 matrix"
+
+    def test_column_write_holds_the_matrix_and_one_row(self, tmp_path, columns):
+        matrix = self.N_DAYS * self.N_SYMBOLS * 8
+        peak = traced_peak(write_prices_csv, tmp_path / "p.csv", *columns)
+        assert peak <= matrix + 1_000_000, f"{peak / matrix:.1f}x the float64 matrix"
+
+
 class TestSliceWindowMatchesLoop:
     @settings(max_examples=200, deadline=None)
     @given(

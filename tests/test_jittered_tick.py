@@ -116,6 +116,19 @@ def test_graph_without_edges():
     assert_same_tick(synth.jittered_tick(g, base, seed=9), oracle_jittered_tick(g, base, 9))
 
 
+@pytest.mark.parametrize("graph_seed", range(3))
+def test_a_run_of_seeds_matches_the_per_node_loop(graph_seed):
+    # jittered_ticks computes the limits once and draws each seed's tick as
+    # it is asked for; a seed may repeat
+    g = sparse_graph(graph_seed)
+    base = {n.symbol: 10.0 + n.id for n in g.nodes}
+    seeds = [4, 0, 4, 7]
+    ticks = list(synth.jittered_ticks(g, base, iter(seeds), budget_sigmas=0.5))
+    assert len(ticks) == len(seeds)
+    for tick_seed, got in zip(seeds, ticks):
+        assert_same_tick(got, oracle_jittered_tick(g, base, tick_seed, 0.5))
+
+
 def oracle_baseline_tick(g, fallback):
     n = g.n_nodes
     edge_ids = sorted(g.edges)
